@@ -21,7 +21,7 @@ import bisect
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.bitops import mask
 from repro.isa.microop import BranchInfo, BranchKind
@@ -55,18 +55,6 @@ class BranchRecord:
         return encoded
 
 
-#: Fixed pickling codes for :class:`BranchKind` (order is part of the
-#: checkpoint payload format — append only, never reorder).
-_KIND_BY_CODE = (
-    BranchKind.CONDITIONAL,
-    BranchKind.INDIRECT,
-    BranchKind.UNCONDITIONAL,
-    BranchKind.CALL,
-    BranchKind.RETURN,
-)
-_CODE_BY_KIND = {kind: code for code, kind in enumerate(_KIND_BY_CODE)}
-
-
 class HistoryView:
     """A filtered, index-searchable view over the master history log.
 
@@ -84,32 +72,30 @@ class HistoryView:
         self._positions: List[int] = []  # master-log index of each record
 
     def __getstate__(self):
-        # The log grows with the trace (hundreds of thousands of records at
-        # checkpoint scale); pickling one dataclass per record dominates
-        # machine-state checkpoint encoding. Packing into primitive arrays
-        # makes a 1M-op checkpoint ~6x faster to pickle and much smaller.
+        # The log grows with the trace (tens of thousands of records per
+        # view at checkpoint scale) but holds few distinct records, which
+        # GlobalHistory.record interns. Code the view as a first-occurrence
+        # table of its distinct records plus one table index per record.
+        # The table holds the live records, so a single pickle of the
+        # machine shares them with the history's intern table and the other
+        # view, and decoding yields one shared object per distinct record.
         records = self._records
+        ids = list(map(id, records))
+        # Hash each distinct object once (by identity, in first-occurrence
+        # order); equal records that are distinct objects share a slot.
+        slot_by_record: Dict[BranchRecord, int] = {}
+        slot_by_id = {
+            key: slot_by_record.setdefault(record, len(slot_by_record))
+            for key, record in dict(zip(ids, records)).items()
+        }
         return {
-            "pcs": array("Q", [record.pc for record in records]),
-            "meta": array(
-                "B",
-                [
-                    _CODE_BY_KIND[record.kind] | (record.taken << 3)
-                    for record in records
-                ],
-            ),
-            "targets": array("Q", [record.target for record in records]),
+            "table": tuple(slot_by_record),
+            "index": array("I", map(slot_by_id.__getitem__, ids)),
             "positions": array("Q", self._positions),
         }
 
     def __setstate__(self, state) -> None:
-        kinds = _KIND_BY_CODE
-        self._records = [
-            BranchRecord(
-                pc=pc, kind=kinds[meta & 7], taken=bool(meta >> 3), target=target
-            )
-            for pc, meta, target in zip(state["pcs"], state["meta"], state["targets"])
-        ]
+        self._records = list(map(state["table"].__getitem__, state["index"]))
         self._positions = list(state["positions"])
 
     def append(self, record: BranchRecord, master_position: int) -> None:
@@ -172,6 +158,10 @@ class GlobalHistory:
 
     def __init__(self) -> None:
         self._master_count = 0
+        # (pc, kind, taken, target) -> the one shared record for it. A trace
+        # repeats a small set of distinct branch outcomes, so the log holds
+        # references to a few objects instead of one object per branch.
+        self._interned: Dict[Tuple[int, BranchKind, bool, int], BranchRecord] = {}
         self.divergent = HistoryView()  # conditional + indirect (PHAST)
         self.nosq = HistoryView()  # conditional + call (NoSQ predictor)
 
@@ -181,7 +171,10 @@ class GlobalHistory:
 
     def record(self, pc: int, info: BranchInfo) -> BranchRecord:
         """Append a retired branch to the log and all matching views."""
-        record = BranchRecord(pc=pc, kind=info.kind, taken=info.taken, target=info.target)
+        key = (pc, info.kind, info.taken, info.target)
+        record = self._interned.get(key)
+        if record is None:
+            record = self._interned[key] = BranchRecord(*key)
         position = self._master_count
         self._master_count += 1
         if record.is_divergent:

@@ -9,16 +9,22 @@ class only models its own array and miss-status-holding registers (MSHRs):
   and completes when that fill returns;
 * when all MSHRs are busy the request waits for the earliest MSHR to free,
   modelling the Table I 64-MSHR limit.
+
+Each set is a plain list of its resident lines, most recently used first: a
+hit or fill moves the line to the front and eviction pops the tail. That is
+true LRU, and a set that has not filled all its ways yet simply has a
+shorter list (an invalid way is always the LRU victim, so the first ``ways``
+distinct lines of a set never evict anything).
 """
 
 from __future__ import annotations
 
+import heapq
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.bitops import ceil_log2, is_power_of_two
-from repro.common.lru import LRUState
 
 
 @dataclass(frozen=True)
@@ -66,12 +72,6 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass
-class _Set:
-    tags: List[Optional[int]]
-    lru: LRUState
-
-
 class Cache:
     """One cache level. See module docstring for the timing contract."""
 
@@ -84,68 +84,57 @@ class Cache:
         self._offset_bits = config.offset_bits
         self._num_sets = config.num_sets
         self._hit_latency = config.hit_latency
-        # Sets materialise on first touch: a short simulation visits a small
+        self._ways = config.ways
+        # set index -> resident lines, most recently used first. Sets
+        # materialise on first fill: a short simulation visits a small
         # fraction of e.g. an L2's 16K sets, and eager allocation dominated
         # process start-up (it was the single largest cost of spawning a
-        # sweep worker). An absent set behaves exactly like an all-invalid one.
-        self._sets: Dict[int, _Set] = {}
+        # sweep worker). An absent set behaves exactly like an empty one.
+        self._sets: Dict[int, List[int]] = {}
         # line address -> cycle at which the outstanding fill completes
         self._mshrs: Dict[int, int] = {}
-
-    def _get_set(self, index: int) -> _Set:
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = _Set(
-                tags=[None] * self.config.ways, lru=LRUState(self.config.ways)
-            )
-            self._sets[index] = cache_set
-        return cache_set
+        # (ready, line) min-heap over the same fills. Entries are deleted
+        # lazily: one whose line has since been re-registered with another
+        # ready cycle (or already retired) is skipped when it surfaces.
+        self._mshr_heap: List[Tuple[int, int]] = []
 
     # -- address decomposition ------------------------------------------------
 
     def line_address(self, address: int) -> int:
         return address >> self._offset_bits
 
-    def _set_index(self, line: int) -> int:
-        return line % self._num_sets
-
     # -- tag array -------------------------------------------------------------
 
     def probe(self, address: int) -> bool:
         """Tag check without any state change."""
-        line = self.line_address(address)
-        cache_set = self._sets.get(self._set_index(line))
-        return cache_set is not None and line in cache_set.tags
-
-    def _touch(self, line: int) -> bool:
-        """Look up ``line``; on hit promote LRU and return True."""
-        cache_set = self._sets.get(self._set_index(line))
-        if cache_set is None:
-            return False
-        try:
-            way = cache_set.tags.index(line)
-        except ValueError:
-            return False
-        cache_set.lru.touch(way)
-        return True
+        line = address >> self._offset_bits
+        lines = self._sets.get(line % self._num_sets)
+        return lines is not None and line in lines
 
     def fill(self, address: int) -> None:
-        """Install the line holding ``address``, evicting the LRU way."""
-        line = self.line_address(address)
-        cache_set = self._get_set(self._set_index(line))
-        if line in cache_set.tags:
-            cache_set.lru.touch(cache_set.tags.index(line))
+        """Install the line holding ``address``, evicting the LRU line."""
+        line = address >> self._offset_bits
+        index = line % self._num_sets
+        lines = self._sets.get(index)
+        if lines is None:
+            self._sets[index] = [line]
             return
-        victim_way = cache_set.lru.victim()
-        cache_set.tags[victim_way] = line
-        cache_set.lru.touch(victim_way)
+        if line in lines:
+            lines.remove(line)
+        elif len(lines) == self._ways:
+            lines.pop()
+        lines.insert(0, line)
 
     # -- MSHR handling ----------------------------------------------------------
 
     def _prune_mshrs(self, cycle: int) -> None:
-        done = [line for line, ready in self._mshrs.items() if ready <= cycle]
-        for line in done:
-            del self._mshrs[line]
+        """Retire every fill whose ready cycle is at or before ``cycle``."""
+        heap = self._mshr_heap
+        mshrs = self._mshrs
+        while heap and heap[0][0] <= cycle:
+            ready, line = heapq.heappop(heap)
+            if mshrs.get(line) == ready:
+                del mshrs[line]
 
     def miss_start_cycle(self, line: int, cycle: int) -> Tuple[int, Optional[int]]:
         """Resolve MSHR constraints for a miss beginning at ``cycle``.
@@ -156,18 +145,25 @@ class Cache:
         accept the request.
         """
         self._prune_mshrs(cycle)
-        if line in self._mshrs:
+        mshrs = self._mshrs
+        merged = mshrs.get(line)
+        if merged is not None:
             self.stats.mshr_merges += 1
-            return cycle, self._mshrs[line]
-        if len(self._mshrs) >= self.config.mshrs:
+            return cycle, merged
+        if len(mshrs) >= self.config.mshrs:
             self.stats.mshr_stalls += 1
-            earliest = min(self._mshrs.values())
-            return max(cycle, earliest), None
+            # Drop stale heap entries until the top is a live fill; every
+            # live fill has an entry, so that top is the earliest one.
+            heap = self._mshr_heap
+            while mshrs.get(heap[0][1]) != heap[0][0]:
+                heapq.heappop(heap)
+            return max(cycle, heap[0][0]), None
         return cycle, None
 
     def register_fill(self, line: int, ready_cycle: int) -> None:
         """Record an in-flight fill for MSHR merging."""
         self._mshrs[line] = ready_cycle
+        heapq.heappush(self._mshr_heap, (ready_cycle, line))
 
     def reset_transients(self) -> None:
         """Drop cycle-stamped transient state (outstanding MSHR fills).
@@ -178,6 +174,7 @@ class Cache:
         worth warming — is untouched.
         """
         self._mshrs.clear()
+        self._mshr_heap.clear()
 
     def checkpoint_digest(self) -> int:
         """Cheap semantic digest of the array state (restore self-check).
@@ -186,12 +183,7 @@ class Cache:
         access counters — enough to catch a checkpoint codec that silently
         drops or miswires a level, without hashing every tag.
         """
-        tags = sum(
-            1
-            for cache_set in self._sets.values()
-            for tag in cache_set.tags
-            if tag is not None
-        )
+        tags = sum(map(len, self._sets.values()))
         blob = (
             f"{self.config.name}:{len(self._sets)}:{tags}:"
             f"{self.stats.accesses}:{self.stats.hits}:{self.stats.misses}"
@@ -209,15 +201,12 @@ class Cache:
         """
         self.stats.accesses += 1
         line = address >> self._offset_bits
-        cache_set = self._sets.get(line % self._num_sets)
-        if cache_set is not None:
-            try:
-                way = cache_set.tags.index(line)
-            except ValueError:
-                way = -1
-            if way >= 0:
-                cache_set.lru.touch(way)
-                self.stats.hits += 1
-                return True, cycle + self._hit_latency
+        lines = self._sets.get(line % self._num_sets)
+        if lines is not None and line in lines:
+            if lines[0] != line:
+                lines.remove(line)
+                lines.insert(0, line)
+            self.stats.hits += 1
+            return True, cycle + self._hit_latency
         self.stats.misses += 1
         return False, cycle

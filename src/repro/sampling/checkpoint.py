@@ -15,6 +15,8 @@ preserves the *intra-tree shared references* the simulator relies on (e.g.
 PHAST holding the same ``GlobalHistory`` the pipeline appends to). The
 format version is bumped whenever the captured state tree's shape changes,
 so stale checkpoints age out as misses instead of resuming wrongly.
+Payloads are compressed at zlib level 1, the fastest: the history and cache
+state are already compact, and decoding reads a payload of any level.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import zlib
 #: First bytes of every checkpoint artifact.
 CHECKPOINT_MAGIC = b"RCKP"
 #: Bump when the captured state tree's shape changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: v2: cache sets as recency lists, heap-retired MSHRs, dictionary-coded
+#: branch history.
+CHECKPOINT_VERSION = 2
 
 #: magic, format version, reserved, payload length, payload crc32
 _HEADER = struct.Struct("<4sHHII")
@@ -62,7 +66,7 @@ class _RestrictedUnpickler(pickle.Unpickler):
 def encode_checkpoint(state) -> bytes:
     """Serialise a machine-state tree into a self-validating artifact."""
     payload = zlib.compress(
-        pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), level=6
+        pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), level=1
     )
     header = _HEADER.pack(
         CHECKPOINT_MAGIC,

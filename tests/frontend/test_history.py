@@ -1,9 +1,17 @@
 """Tests for the global branch history log and its filtered views."""
 
+import pickle
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.frontend.history import BranchRecord, GlobalHistory, encode_window
+from repro.frontend.history import (
+    BranchRecord,
+    GlobalHistory,
+    HistoryView,
+    encode_window,
+)
 from repro.isa.microop import BranchInfo, BranchKind
 
 
@@ -148,3 +156,64 @@ class TestPropertyWindow:
         snap = history.snapshot()
         expected = tuple(divergent_reference[-length:]) if length else ()
         assert history.divergent.window(snap, length) == expected
+
+
+class TestPickleCodec:
+    """Views pickle as a table of distinct records plus an index array."""
+
+    @staticmethod
+    def _history(seed, branches=600):
+        rng = random.Random(seed)
+        history = GlobalHistory()
+        static = [
+            (0x400 + 4 * i, rng.choice(list(BranchKind)), rng.randint(1, 4))
+            for i in range(12)
+        ]
+        for _ in range(branches):
+            pc, kind, targets = rng.choice(static)
+            taken = rng.random() < 0.6
+            target = 0x800 + 64 * rng.randrange(targets) if taken else pc + 4
+            history.record(pc, BranchInfo(kind=kind, taken=taken, target=target))
+        return history
+
+    def test_round_trip_keeps_answers(self):
+        history = self._history(seed=5)
+        restored = pickle.loads(pickle.dumps(history))
+        assert restored.checkpoint_digest() == history.checkpoint_digest()
+        assert restored.snapshot() == history.snapshot()
+        for name in ("divergent", "nosq"):
+            view, copy = getattr(history, name), getattr(restored, name)
+            assert copy._records == view._records
+            assert copy.positions() == view.positions()
+            for snapshot in range(0, history.snapshot() + 1, 7):
+                assert copy.count_before(snapshot) == view.count_before(snapshot)
+                for length in (0, 1, 5, 40):
+                    assert copy.window(snapshot, length) == view.window(
+                        snapshot, length
+                    )
+
+    def test_decoded_equal_records_are_one_object(self):
+        history = self._history(seed=9)
+        restored = pickle.loads(pickle.dumps(history))
+        shared = {}
+        for view in (restored.divergent, restored.nosq):
+            for record in view._records:
+                assert shared.setdefault(record, record) is record
+        # Recording after a restore reuses the decoded objects.
+        last = restored.divergent._records[-1]
+        again = restored.record(
+            last.pc, BranchInfo(kind=last.kind, taken=last.taken, target=last.target)
+        )
+        assert again is last
+
+    def test_equal_but_distinct_records_share_one_table_slot(self):
+        view = HistoryView()
+        for position in range(4):
+            record = BranchRecord(0x400, BranchKind.CONDITIONAL, True, 0x500)
+            view.append(record, position)
+        state = view.__getstate__()
+        assert len(state["table"]) == 1
+        assert list(state["index"]) == [0, 0, 0, 0]
+        restored = pickle.loads(pickle.dumps(view))
+        assert len({id(record) for record in restored._records}) == 1
+        assert restored.positions() == (0, 1, 2, 3)

@@ -50,12 +50,43 @@ class TestLatencies:
 
     def test_mshr_merge_across_requests(self):
         hierarchy = tiny_hierarchy()
-        first = hierarchy.load_access(0x400, 0x30000, 0)
-        # While conceptually in flight, a second miss to the same line merges.
-        hierarchy.l1d._sets[hierarchy.l1d._set_index(hierarchy.l1d.line_address(0x30000))]
-        # Force the tags out to re-trigger a miss path with an MSHR pending:
-        # simpler: check stats after two cold accesses to distinct lines.
-        assert first > 0
+        line_a = 0x30000
+        first = hierarchy.load_access(0x400, line_a, 0)
+        assert first == 2 + 6 + 15 + 50
+        # Evict A from the tiny L1 while its fill is still in flight: lines
+        # 128 bytes apart share L1 set 0 but land in distinct L2/L3 sets.
+        hierarchy.load_access(0x400, line_a + 128, 1)
+        hierarchy.load_access(0x400, line_a + 256, 1)
+        assert not hierarchy.l1d.probe(line_a)
+        lower = (hierarchy.l2.stats, hierarchy.l3.stats)
+        lower_before = [(stats.accesses, stats.misses) for stats in lower]
+        # A second miss on A rides along with the outstanding fill: it
+        # completes with that fill, never descends and refills nothing.
+        ready = hierarchy.load_access(0x400, line_a, 10)
+        assert ready == first
+        assert hierarchy.l1d.stats.mshr_merges == 1
+        assert not hierarchy.l1d.probe(line_a)
+        assert [(stats.accesses, stats.misses) for stats in lower] == lower_before
+
+    def test_mshr_ride_along_with_out_of_order_cycles(self):
+        # The detailed model issues loads out of order, so miss cycles are
+        # not monotonic. A fill retired by a later-cycle miss stays retired
+        # for an earlier-cycle one; a fill not yet retired still merges.
+        merging = tiny_hierarchy()
+        assert merging.load_access(0x400, 0x30000, 100) == 173
+        merging.load_access(0x400, 0x30000 + 128, 120)
+        merging.load_access(0x400, 0x30000 + 256, 120)
+        assert merging.load_access(0x400, 0x30000, 50) == 173
+        assert merging.l1d.stats.mshr_merges == 1
+
+        retired = tiny_hierarchy()
+        assert retired.load_access(0x400, 0x30000, 100) == 173
+        retired.load_access(0x400, 0x30000 + 128, 200)  # retires A's fills
+        retired.load_access(0x400, 0x30000 + 256, 200)
+        # Earlier than A's fill, but its MSHR is gone: an L2 hit instead.
+        assert retired.load_access(0x400, 0x30000, 150) == 150 + 2 + 6
+        assert retired.l1d.stats.mshr_merges == 0
+        assert retired.l1d.probe(0x30000)
 
 
 class TestPrefetcherIntegration:

@@ -6,15 +6,19 @@ import pytest
 
 from repro.core.config import CoreConfig
 from repro.core.pipeline import Pipeline
+from repro.isa.artifacts import CheckpointStore
 from repro.sampling.checkpoint import (
+    _HEADER,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     CheckpointFormatError,
     decode_checkpoint,
     encode_checkpoint,
 )
+from repro.sampling.sampled import run_sampled
 from repro.sampling.state import capture_state
 from repro.sim.simulator import get_trace, make_predictor
+from repro.sim.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +86,27 @@ def test_payload_corruption_caught_by_crc(blob):
     corrupt[-1] ^= 0xFF
     with pytest.raises(CheckpointFormatError, match="CRC"):
         decode_checkpoint(bytes(corrupt))
+
+
+def test_version_1_artifact_in_store_is_rewarmed(tmp_path):
+    spec = RunSpec(workload="502.gcc_1", predictor="phast", num_ops=8000)
+    geometry = dict(interval_ops=2000, warmup_ops=300, max_clusters=2)
+    store = CheckpointStore(tmp_path)
+    cold = run_sampled(spec, checkpoint_store=store, **geometry)
+    stored = sorted(tmp_path.glob("*.ckpt"))
+    assert len(stored) == cold.sampling.checkpoints_warmed > 0
+    # Re-pack each valid artifact's header as format v1, as a store written
+    # before the v2 layout would hold it.
+    for path in stored:
+        data = path.read_bytes()
+        magic, _version, reserved, length, crc = _HEADER.unpack_from(data)
+        path.write_bytes(
+            _HEADER.pack(magic, 1, reserved, length, crc) + data[_HEADER.size :]
+        )
+    again = run_sampled(spec, checkpoint_store=store, **geometry)
+    assert again.sampling.checkpoints_reused == 0
+    assert again.sampling.checkpoints_warmed == cold.sampling.checkpoints_warmed
+    assert again.pipeline == cold.pipeline
+    # The re-warmed checkpoints replaced the stale ones.
+    for path in stored:
+        assert decode_checkpoint(path.read_bytes()) is not None

@@ -1,18 +1,13 @@
 #!/usr/bin/env python
 """Wall-clock guard for the pipeline hot path, with a committed trajectory.
 
-Two committed artifacts gate the pipeline's throughput:
-
-* ``benchmarks/perf_baseline.json`` — the original single-point guard: the
-  zero-probe pipeline on the seed workload (``511.povray`` under PHAST) must
-  stay within ``--threshold`` of the committed normalised time.
-* ``benchmarks/BENCH_pipeline.json`` — the performance *trajectory*: a small
-  workload x predictor matrix measured per optimisation pass and appended
-  with ``--record LABEL``. ``--check`` then enforces two ratios against the
-  committed entries: the PHAST hot cell (``511.povray/phast``) must be at
-  least ``--min-speedup`` (default 1.5x) faster than the first ("seed")
-  entry, and no cell may regress more than ``--regression`` (default 5%)
-  below the latest committed entry.
+``benchmarks/BENCH_pipeline.json`` gates the pipeline's throughput: it is
+the performance *trajectory*, a small workload x predictor matrix measured
+per optimisation pass and appended with ``--record LABEL``. ``--check``
+enforces two ratios against the committed entries: the PHAST hot cell
+(``511.povray/phast``) must be at least ``--min-speedup`` (default 1.5x)
+faster than the first ("seed") entry, and no cell may regress more than
+``--regression`` (default 5%) below the latest committed entry.
 
 Raw seconds are machine-dependent, so every comparison is *normalised*: a
 fixed pure-Python calibration kernel (dict churn + integer compares, the
@@ -24,8 +19,7 @@ moves both numbers together; only a genuine hot-path change moves the ratio.
 Usage::
 
     python benchmarks/perf_smoke.py                 # measure and print only
-    python benchmarks/perf_smoke.py --check         # compare vs baselines
-    python benchmarks/perf_smoke.py --update        # rewrite perf_baseline.json
+    python benchmarks/perf_smoke.py --check         # compare vs the trajectory
     python benchmarks/perf_smoke.py --record LABEL  # append to BENCH_pipeline.json
     python benchmarks/perf_smoke.py --check --backend batch   # grouped-backend gate
 
@@ -46,15 +40,11 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Tuple
 
-BASELINE_PATH = Path(__file__).parent / "perf_baseline.json"
 TRAJECTORY_PATH = Path(__file__).parent / "BENCH_pipeline.json"
 
 WORKLOAD = "511.povray"
 PREDICTOR = "phast"
-NUM_OPS = 20000
-ROUNDS = 5
 
 #: The perf matrix: small enough for CI, wide enough to catch a predictor-
 #: or workload-specific regression the PHAST hot cell would miss.
@@ -202,35 +192,6 @@ def _time_group(backend_name: str) -> float:
     build_trace(profile, MATRIX_NUM_OPS)  # the group's one decode
     backend.run_many(specs)
     return time.perf_counter() - start
-
-
-def _measure_cell(
-    workload: str, predictor: str, num_ops: int, rounds: int
-) -> Tuple[float, float]:
-    """Legacy single-cell measurement: ``(best_seconds, median_ratio)``."""
-    samples = []
-    for _ in range(rounds):
-        calib = _kernel_once()
-        seconds = _time_run(workload, predictor, num_ops)
-        samples.append((seconds, (num_ops / seconds) * calib))
-    return (
-        min(seconds for seconds, _ in samples),
-        statistics.median(ratio for _, ratio in samples),
-    )
-
-
-def measure() -> dict:
-    """The legacy single-point measurement (perf_baseline.json format)."""
-    calib = _calibrate()
-    sim, _ = _measure_cell(WORKLOAD, PREDICTOR, NUM_OPS, ROUNDS)
-    return {
-        "workload": WORKLOAD,
-        "predictor": PREDICTOR,
-        "num_ops": NUM_OPS,
-        "sim_seconds": round(sim, 4),
-        "calib_seconds": round(calib, 4),
-        "normalized": round(sim / calib, 3),
-    }
 
 
 def measure_matrix(backend: str = "reference") -> dict:
@@ -480,18 +441,10 @@ def check_trajectory(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true", help="fail on regression")
-    parser.add_argument("--update", action="store_true", help="rewrite perf_baseline.json")
     parser.add_argument(
         "--record",
         metavar="LABEL",
         help="measure the matrix and append a BENCH_pipeline.json entry",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="maximum allowed normalised slowdown vs perf_baseline.json "
-        "(fraction, default 0.10)",
     )
     parser.add_argument(
         "--min-speedup",
@@ -528,56 +481,17 @@ def main(argv=None) -> int:
         _print_matrix(entry)
         return 0
 
-    if args.update:
-        current = measure()
-        BASELINE_PATH.write_text(json.dumps(current, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-        return 0
-
-    if not args.check:
-        matrix = measure_matrix(args.backend)
-        _print_matrix(matrix)
-        return 0
-
-    # --check: one matrix measurement feeds both guards. The legacy single
-    # point is the matrix's hot cell re-expressed as sim/calib seconds; it
-    # only applies to the reference backend the baseline was recorded with.
     matrix = measure_matrix(args.backend)
     _print_matrix(matrix)
-
-    status = 0
-    if args.backend != "reference":
-        pass  # perf_baseline.json is a reference-backend artifact
-    elif BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        hot_seconds = matrix["cells"][HOT_CELL]["sim_seconds"]
-        scale = NUM_OPS / MATRIX_NUM_OPS  # num_ops drift safety
-        normalized = hot_seconds * scale / matrix["calib_seconds"]
-        slowdown = normalized / baseline["normalized"] - 1.0
-        print(
-            f"baseline normalized {baseline['normalized']:.3f} -> "
-            f"slowdown {slowdown * 100.0:+.1f}% (threshold {args.threshold * 100.0:.0f}%)"
-        )
-        if slowdown > args.threshold:
-            print(
-                "FAIL: zero-probe pipeline regressed past the baseline threshold",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("OK: zero-probe pipeline within baseline budget")
-    else:
-        print("no committed perf_baseline.json; run with --update first", file=sys.stderr)
-        status = 2
-
-    trajectory_status = check_trajectory(
+    if not args.check:
+        return 0
+    return check_trajectory(
         matrix,
         args.min_speedup,
         args.regression,
         backend=args.backend,
         min_group_speedup=args.min_group_speedup,
     )
-    return max(status, trajectory_status)
 
 
 if __name__ == "__main__":

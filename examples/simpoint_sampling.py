@@ -2,8 +2,9 @@
 """SimPoint-style sampled simulation (the paper's Sec. V methodology).
 
 Splits a workload into intervals, clusters their hashed-PC phase signatures,
-simulates only each cluster's representative (with warm-up), and compares
-the weighted-IPC estimate against the full-trace run.
+functionally warms a checkpoint for each cluster's representative, simulates
+only the representatives in detail, and compares the weighted-IPC estimate
+(with its 95% sampling CI) against the full-trace run.
 
 Usage:
     python examples/simpoint_sampling.py [workload] [total_ops] [interval_ops]
@@ -13,44 +14,38 @@ import sys
 import time
 
 from repro.api import RunSpec, simulate
-from repro.analysis.simpoints import choose_simpoints, simulate_simpoints
-from repro.sim.simulator import get_trace
+from repro.sampling import run_sampled
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "502.gcc_1"
     total_ops = int(sys.argv[2]) if len(sys.argv) > 2 else 40_000
     interval_ops = int(sys.argv[3]) if len(sys.argv) > 3 else 5_000
-
-    trace = get_trace(workload, total_ops)
-    points = choose_simpoints(trace, interval_ops, max_clusters=4)
-    print(f"{workload}: {total_ops} ops -> {len(points)} simulation points")
-    for point in points:
-        print(
-            f"  interval {point.interval_index:3d} "
-            f"(ops {point.interval_index * interval_ops}..."
-            f"{(point.interval_index + 1) * interval_ops})  "
-            f"weight {point.weight:.2f}"
-        )
+    spec = RunSpec(workload=workload, predictor="phast", num_ops=total_ops)
 
     started = time.time()
-    full = simulate(RunSpec(workload=workload, predictor="phast", num_ops=total_ops))
+    full = simulate(spec)
     full_seconds = time.time() - started
 
     started = time.time()
-    sampled = simulate_simpoints(
-        RunSpec(workload=workload, predictor="phast", num_ops=total_ops),
-        interval_ops=interval_ops,
-        max_clusters=4,
-    )
+    sampled = run_sampled(spec, interval_ops=interval_ops, max_clusters=4)
     sampled_seconds = time.time() - started
+    sampling = sampled.sampling
 
-    error = abs(sampled.weighted_ipc - full.ipc) / full.ipc * 100.0
+    error = abs(sampling.ipc - full.ipc) / full.ipc * 100.0
+    print(
+        f"{workload}: {total_ops} ops -> {sampling.num_representatives} "
+        f"representatives of {sampling.num_intervals} x {interval_ops}-op intervals"
+    )
     print(f"\nfull trace IPC      {full.ipc:.4f}  ({full_seconds:.1f}s)")
-    print(f"SimPoint estimate   {sampled.weighted_ipc:.4f}  ({sampled_seconds:.1f}s)")
-    print(f"error {error:.1f}%  |  simulated only "
-          f"{sampled.simulated_ops}/{sampled.total_ops} ops "
-          f"({sampled.speedup_factor:.1f}x less simulation)")
+    print(
+        f"sampled estimate    {sampling.ipc:.4f} ±{sampling.ipc_ci95:.4f} "
+        f"(95% CI)  ({sampled_seconds:.1f}s)"
+    )
+    print(
+        f"error {error:.1f}%  |  detail fraction {sampling.detail_fraction:.3f} "
+        f"({sampling.simulated_ops}/{sampling.total_ops} ops simulated in detail)"
+    )
 
 
 if __name__ == "__main__":

@@ -13,26 +13,20 @@ traces:
 4. pick each cluster's most central interval as its simulation point,
    weighted by the cluster's share of the trace.
 
-``simulate_simpoints`` then runs only the representatives (with optional
-per-interval warm-up) and returns the weighted IPC — the standard trade of
-simulation time for a small, quantified phase-sampling error.
+:func:`repro.sampling.run_sampled` then runs only the representatives,
+each from a functionally warmed checkpoint, and returns the weighted
+estimate with its sampling-error bound — the standard trade of simulation
+time for a small, quantified phase-sampling error.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.config import CoreConfig
-from repro.isa.artifacts import TraceStore
 from repro.isa.trace import Trace
-from repro.mdp.base import MDPredictor
-from repro.sim.simulator import build_pipeline, get_trace
-from repro.sim.spec import RunSpec
-from repro.workloads.generator import WorkloadProfile
 
 #: Dimensionality of the hashed PC-frequency vectors.
 VECTOR_BUCKETS = 256
@@ -110,124 +104,3 @@ def choose_simpoints(
             SimPoint(interval_index=representative, weight=len(members) / total)
         )
     return sorted(points, key=lambda point: point.interval_index)
-
-
-@dataclass(frozen=True)
-class SimPointResult:
-    """Weighted-IPC estimate plus per-point detail."""
-
-    weighted_ipc: float
-    points: Sequence[SimPoint]
-    point_ipcs: Sequence[float]
-    simulated_ops: int
-    total_ops: int
-
-    @property
-    def speedup_factor(self) -> float:
-        """How much simulation the sampling saved."""
-        return self.total_ops / max(1, self.simulated_ops)
-
-
-def _point_spec(spec: RunSpec) -> RunSpec:
-    """A copy of ``spec`` whose predictor state is fresh for one point.
-
-    String predictors are instantiated per pipeline by the registry anyway;
-    an *instance* predictor would otherwise carry training state from one
-    representative into the next, which is not the SimPoint methodology
-    (each checkpointed interval starts from its own warmed state).
-    """
-    if isinstance(spec.predictor, str):
-        return spec
-    return spec.with_overrides(predictor=type(spec.predictor)())
-
-
-def simulate_simpoints(
-    profile: Union[RunSpec, str, WorkloadProfile],
-    predictor: Optional[Union[str, MDPredictor]] = None,
-    total_ops: Optional[int] = None,
-    interval_ops: Optional[int] = None,
-    max_clusters: int = 5,
-    warmup_fraction: float = 0.2,
-    config: Optional[CoreConfig] = None,
-    seed: int = 0,
-) -> SimPointResult:
-    """Estimate IPC from SimPoint representatives instead of the full trace.
-
-    The canonical form takes a :class:`~repro.sim.spec.RunSpec` (workload,
-    predictor, core, trace length and trace store all come from the spec)::
-
-        simulate_simpoints(RunSpec("502.gcc", "phast", num_ops=100_000),
-                           interval_ops=2_000)
-
-    The legacy form ``simulate_simpoints(profile, predictor, total_ops,
-    interval_ops, ...)`` packs its arguments into a spec and behaves
-    identically, but it is deprecated and warns with the exact replacement
-    call. ``seed`` seeds the k-means clustering in both forms.
-
-    Each representative interval is simulated with a leading warm-up region
-    (the previous ``warmup_fraction`` of an interval, when available) whose
-    statistics are discarded — mirroring how SimPoint users warm
-    microarchitectural state before each checkpoint. For warming from
-    functionally-warmed checkpoints instead of cold leads — plus error
-    bars and parallel interval fan-out — see ``repro.sampling.run_sampled``.
-    """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(f"warmup_fraction out of range: {warmup_fraction}")
-    if isinstance(profile, RunSpec):
-        if predictor is not None or config is not None:
-            raise TypeError(
-                "simulate_simpoints(spec, ...) takes predictor and config "
-                "from the spec; use spec.with_overrides(...) to vary them"
-            )
-        spec = profile
-        if total_ops is not None:
-            spec = spec.with_overrides(num_ops=total_ops)
-        if interval_ops is None:
-            interval_ops = spec.interval_ops
-        if interval_ops is None:
-            raise TypeError("simulate_simpoints() requires interval_ops")
-    else:
-        if predictor is None or total_ops is None or interval_ops is None:
-            raise TypeError(
-                "simulate_simpoints() requires predictor, total_ops and "
-                "interval_ops (or a RunSpec)"
-            )
-        name = profile if isinstance(profile, str) else profile.name
-        predictor_repr = predictor if isinstance(predictor, str) else "<predictor>"
-        warnings.warn(
-            "simulate_simpoints(profile, predictor, total_ops, ...) is "
-            "deprecated; call simulate_simpoints(RunSpec("
-            f"{name!r}, {predictor_repr!r}, num_ops={total_ops}), "
-            f"interval_ops={interval_ops}) instead (from repro.api import "
-            "RunSpec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = RunSpec(
-            workload=profile, predictor=predictor, config=config, num_ops=total_ops
-        )
-
-    store = TraceStore(spec.trace_dir) if spec.trace_dir else None
-    trace = get_trace(spec.resolved_profile(), spec.resolved_num_ops(), store=store)
-    points = choose_simpoints(trace, interval_ops, max_clusters, seed=seed)
-
-    point_ipcs: List[float] = []
-    simulated = 0
-    warmup = int(interval_ops * warmup_fraction)
-    for point in points:
-        start = point.interval_index * interval_ops
-        lead = min(warmup, start)
-        window = trace.slice(start - lead, start + interval_ops)
-        pipeline, _ = build_pipeline(_point_spec(spec))
-        stats = pipeline.run(window, warmup_ops=lead)
-        point_ipcs.append(stats.ipc)
-        simulated += len(window)
-
-    weighted = sum(point.weight * ipc for point, ipc in zip(points, point_ipcs))
-    return SimPointResult(
-        weighted_ipc=weighted,
-        points=tuple(points),
-        point_ipcs=tuple(point_ipcs),
-        simulated_ops=simulated,
-        total_ops=spec.resolved_num_ops(),
-    )

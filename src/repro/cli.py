@@ -56,11 +56,7 @@ from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
 from repro.isa.artifacts import ENV_TRACE_STORE, CheckpointStore, TraceStore
 from repro.mdp.storage import format_table2
-from repro.sampling import (
-    default_sample_interval_ops,
-    default_sample_warmup_ops,
-    run_sampled,
-)
+from repro.sampling import run_sampled
 from repro.sim.backends import available_backends, get_backend
 from repro.sim.experiment import ExperimentGrid
 from repro.sim.intervals import DEFAULT_INTERVAL_OPS
@@ -93,6 +89,20 @@ def _core_config(name: str) -> CoreConfig:
         raise SystemExit(
             f"unknown core {name!r}; available: {', '.join(sorted(GENERATIONS))}"
         )
+
+
+def _predictors(args: argparse.Namespace) -> List[str]:
+    """The ``--predictors`` list, each name checked against the registry."""
+    predictors = args.predictors.split(",")
+    for name in predictors:
+        if name not in available_predictors():
+            raise SystemExit(f"unknown predictor {name!r}")
+    return predictors
+
+
+def _workloads(args: argparse.Namespace) -> List[str]:
+    """``--workloads`` when given, else the first ``--subset`` SPEC workloads."""
+    return args.workloads.split(",") if args.workloads else spec_suite(args.subset)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -166,10 +176,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     workloads = spec_suite(subset=args.subset)
-    predictors: List[str] = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
+    predictors = _predictors(args)
     grid = ExperimentGrid(num_ops=args.num_ops)
     config = _core_config(args.core)
     ideal = {
@@ -240,10 +247,7 @@ def _cmd_table2(_: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     workloads = spec_suite(subset=args.subset)
-    predictors = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
+    predictors = _predictors(args)
     config = _core_config(args.core)
     if args.provenance:
         # Provenance export: full RunSpec wire dicts plus interval records,
@@ -280,7 +284,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_trace_compile(args: argparse.Namespace) -> int:
     store = TraceStore(args.store)
-    names = args.workloads.split(",") if args.workloads else spec_suite(args.subset)
+    names = _workloads(args)
     for name in names:
         if name not in SPEC_PROFILES:
             raise SystemExit(f"unknown workload {name!r}")
@@ -529,9 +533,7 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if model is None:
         raise SystemExit(f"model at {args.model} is missing or corrupt")
-    workloads = (
-        args.workloads.split(",") if args.workloads else spec_suite(args.subset)
-    )
+    workloads = _workloads(args)
     predictors = args.predictors.split(",")
     config = _core_config(args.core)
     estimates = []
@@ -574,10 +576,7 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     workloads = spec_suite(subset=args.subset)
-    predictors = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
+    predictors = _predictors(args)
     cells = build_cells(
         workloads,
         predictors,
@@ -664,9 +663,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.client import ServerError, SweepClient
 
     client = SweepClient(args.server, tenant=args.tenant)
-    workloads = (
-        args.workloads.split(",") if args.workloads else spec_suite(args.subset)
-    )
+    workloads = _workloads(args)
     try:
         receipt = client.submit_grid(
             workloads,
@@ -700,10 +697,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     bit-identical to its fault-free twin.
     """
     workloads = spec_suite(subset=args.subset)
-    predictors = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
+    predictors = _predictors(args)
 
     if args.plan:
         plan = FaultPlan.load(args.plan)
@@ -787,18 +781,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         check_invariants=True if args.check_invariants else None,
         trace_dir=args.trace_store,
     )
-    interval_ops = (
-        default_sample_interval_ops()
-        if args.interval_ops is None
-        else args.interval_ops
-    )
-    warmup_ops = (
-        default_sample_warmup_ops() if args.warmup_ops is None else args.warmup_ops
-    )
     result = run_sampled(
         spec,
-        interval_ops=interval_ops,
-        warmup_ops=warmup_ops,
+        interval_ops=args.interval_ops,
+        warmup_ops=args.warmup_ops,
         max_clusters=args.clusters,
         seed=args.cluster_seed,
         checkpoint_store=CheckpointStore(args.checkpoint_store),

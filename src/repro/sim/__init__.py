@@ -29,7 +29,6 @@ __all__ = [
     "unregister_predictor",
     "available_predictors",
     "PREDICTOR_FACTORIES",
-    "DEFAULT_NUM_OPS",
     "default_num_ops",
     "default_warmup_ops",
     "get_trace",
@@ -41,12 +40,3 @@ __all__ = [
     "normalize_to_ideal",
 ]
 
-
-def __getattr__(name: str) -> int:
-    # PEP 562 passthrough: keep the legacy constant importable from here
-    # while resolving the environment at access time (see repro.sim.simulator).
-    if name in ("DEFAULT_NUM_OPS", "DEFAULT_WARMUP_OPS"):
-        from repro.sim import simulator
-
-        return getattr(simulator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ results and never block.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.sim.backends._numpy import have_numpy, numpy_version
 from repro.sim.backends.base import Backend, OnHeartbeat, OnResult
@@ -38,59 +38,12 @@ from repro.sim.spec import RunSpec
 _PREP_CACHE_LIMIT = 4
 
 
-def _expected_factories():
-    """The predictor factories the fused engine was validated against.
-
-    Coverage must reject *shadowed* names: ``register_predictor("phast",
-    MyPredictor, replace=True)`` makes ``make_predictor("phast")`` build
-    something the engine's fast paths and kernels were never checked
-    against, so such cells fall back to the reference interpreter.
-    """
-    from repro.mdp.cht import CHTPredictor
-    from repro.mdp.ideal import (
-        AlwaysSpeculatePredictor,
-        AlwaysWaitPredictor,
-        IdealPredictor,
-    )
-    from repro.mdp.mdp_tage import MDPTagePredictor
-    from repro.mdp.nosq import NoSQPredictor
-    from repro.mdp.omnipredictor import OmniPredictor
-    from repro.mdp.perceptron import PerceptronMDPredictor
-    from repro.mdp.phast import PHASTPredictor
-    from repro.mdp.store_sets import StoreSetsPredictor
-    from repro.mdp.store_vector import StoreVectorPredictor
-    from repro.mdp.unlimited import (
-        UnlimitedMDPTagePredictor,
-        UnlimitedNoSQPredictor,
-        UnlimitedPHASTPredictor,
-    )
-
-    return {
-        "ideal": IdealPredictor,
-        "always-speculate": AlwaysSpeculatePredictor,
-        "always-wait": AlwaysWaitPredictor,
-        "store-sets": StoreSetsPredictor,
-        "store-vector": StoreVectorPredictor,
-        "cht": CHTPredictor,
-        "nosq": NoSQPredictor,
-        "mdp-tage": MDPTagePredictor,
-        "mdp-tage-s": MDPTagePredictor.tage_s,
-        "phast": PHASTPredictor,
-        "perceptron-mdp": PerceptronMDPredictor,
-        "omnipredictor": OmniPredictor,
-        "unlimited-phast": UnlimitedPHASTPredictor,
-        "unlimited-nosq": UnlimitedNoSQPredictor,
-        "unlimited-mdp-tage": UnlimitedMDPTagePredictor,
-    }
-
-
 class BatchBackend(Backend):
     """Shared-decode fused execution with per-cell reference fallback."""
 
     name = "batch"
 
     def __init__(self) -> None:
-        self._expected = _expected_factories()
         # (profile key, num_ops, trace_dir) -> (trace, prep); insertion-
         # ordered for LRU-ish eviction.
         self._preps: dict = {}
@@ -103,13 +56,15 @@ class BatchBackend(Backend):
             return False
         if not isinstance(spec.predictor, str):
             return False  # instances carry arbitrary state; not re-runnable
-        expected = self._expected.get(spec.predictor)
+        from repro.sim.simulator import BUILTIN_PREDICTORS, PREDICTOR_FACTORIES
+
+        expected = BUILTIN_PREDICTORS.get(spec.predictor)
         if expected is None:
             return False
-        from repro.sim.simulator import PREDICTOR_FACTORIES
-
         if PREDICTOR_FACTORIES.get(spec.predictor) != expected:
-            return False  # registry shadowed: engine never validated this
+            # Registry shadowed (register_predictor(..., replace=True)): the
+            # engine's fast paths and kernels were never checked against it.
+            return False
         if spec.probes:
             return False  # probe bus events are not replayed in the fused loop
         if spec.branch_predictor is not None:

@@ -1,14 +1,18 @@
 """The ``reference`` backend: the per-op interpreted pipeline.
 
-This is the pre-existing execution path — :func:`~repro.sim.simulator
-.build_pipeline` plus ``Pipeline.run`` — behind the :class:`Backend`
-protocol. It covers every spec, needs no optional dependencies, and defines
-the semantics every other backend must reproduce bit-for-bit.
+This is the pre-existing execution path — a
+:class:`~repro.core.pipeline.Pipeline` built from the spec, then
+``Pipeline.run`` — behind the :class:`Backend` protocol. It covers every
+spec, needs no optional dependencies, and defines the semantics every other
+backend must reproduce bit-for-bit.
 """
 
 from __future__ import annotations
 
+from repro.core.pipeline import Pipeline
+from repro.frontend.tage import TAGEPredictor
 from repro.sim.backends.base import Backend
+from repro.sim.intervals import IntervalMetricsProbe
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
 
@@ -18,13 +22,26 @@ def execute_reference(spec: RunSpec) -> SimResult:
     # Imported late: repro.sim.simulator imports the backend registry for
     # dispatch, so a top-level import here would cycle.
     from repro.isa.artifacts import TraceStore
-    from repro.sim.simulator import build_pipeline, get_trace
+    from repro.sim.simulator import get_trace, make_predictor
 
     store = TraceStore(spec.trace_dir) if spec.trace_dir else None
     trace = get_trace(spec.resolved_profile(), spec.resolved_num_ops(), store=store)
-    pipeline, interval_probe = build_pipeline(spec)
+    predictor = spec.predictor
+    if isinstance(predictor, str):
+        predictor = make_predictor(predictor)
+    probes = list(spec.probes)
+    interval_probe = None
+    if spec.interval_ops is not None:
+        interval_probe = IntervalMetricsProbe(spec.interval_ops)
+        probes.append(interval_probe)
+    pipeline = Pipeline(
+        config=spec.resolved_config(),
+        predictor=predictor,
+        branch_predictor=spec.branch_predictor or TAGEPredictor(),
+        check_invariants=spec.check_invariants,
+        probes=probes,
+    )
     stats = pipeline.run(trace, warmup_ops=spec.resolved_warmup_ops())
-    predictor = pipeline.predictor
     paths = getattr(predictor, "paths_tracked", None)
     return SimResult(
         workload=trace.name,

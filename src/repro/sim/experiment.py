@@ -1,4 +1,4 @@
-"""Experiment grids: memoised sweeps, durably cached and fault-tolerant.
+"""Experiment grids: memoised sweeps, durably cached.
 
 Every figure in the paper is a (workload x predictor x configuration) sweep;
 :class:`ExperimentGrid` runs those cells once and caches the results, so a
@@ -10,8 +10,7 @@ every :class:`~repro.core.config.CoreConfig` field participates, so two
 configs differing in any knob (not just ``name``/``forwarding_filter``)
 never collide. With a :class:`~repro.harness.store.ResultStore` attached,
 completed cells also persist across processes: a crashed or killed session
-resumes from the durable cache, and ``tolerant=True`` suites record failed
-cells in a manifest instead of aborting the whole figure.
+resumes from the durable cache.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.stats import geometric_mean
 from repro.core.config import CoreConfig
-from repro.harness.failures import CellFailure, FailureKind
 from repro.harness.store import ResultStore
 from repro.mdp.base import MDPredictor
-from repro.sim.invariants import SimInvariantError
 from repro.sim.metrics import SimResult
 from repro.sim.simulator import default_num_ops, make_predictor, run_spec
 from repro.sim.spec import RunSpec
@@ -55,8 +52,6 @@ class ExperimentGrid:
         self.num_ops = num_ops or default_num_ops()
         self.store = store
         self._cache: Dict[str, SimResult] = {}
-        #: Failures recorded by tolerant suite runs (cleared per run_suite).
-        self.failures: List[CellFailure] = []
 
     def run(
         self,
@@ -112,47 +107,12 @@ class ExperimentGrid:
         predictor: str,
         config: Optional[CoreConfig] = None,
         predictor_factory: Optional[Callable[[], MDPredictor]] = None,
-        tolerant: bool = False,
     ) -> Dict[str, SimResult]:
-        """Run a predictor over many workloads; returns workload -> result.
-
-        With ``tolerant=True`` a failing cell is recorded in
-        :attr:`failures` (and the attached store's manifest, if any) and the
-        suite completes with the cells that succeeded, instead of one bad
-        cell aborting the whole figure.
-        """
-        if not tolerant:
-            return {
-                name: self.run(name, predictor, config, predictor_factory)
-                for name in workloads
-            }
-        self.failures = []
-        results: Dict[str, SimResult] = {}
-        core = config or CoreConfig()
-        for name in workloads:
-            try:
-                results[name] = self.run(name, predictor, config, predictor_factory)
-            except Exception as exc:  # noqa: BLE001 — degrade, don't abort
-                kind = (
-                    FailureKind.INVARIANT
-                    if isinstance(exc, SimInvariantError)
-                    else FailureKind.ERROR
-                )
-                self.failures.append(
-                    CellFailure(
-                        kind=kind,
-                        message=f"{type(exc).__name__}: {exc}",
-                        cell={
-                            "workload": name,
-                            "predictor": predictor,
-                            "core": core.name,
-                            "num_ops": self.num_ops,
-                        },
-                    )
-                )
-        if self.failures and self.store is not None:
-            self.store.write_manifest(self.failures)
-        return results
+        """Run a predictor over many workloads; returns workload -> result."""
+        return {
+            name: self.run(name, predictor, config, predictor_factory)
+            for name in workloads
+        }
 
     def mean_normalized_ipc(
         self,

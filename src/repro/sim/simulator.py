@@ -11,25 +11,16 @@ with the ``REPRO_TRACE_OPS`` environment variable for higher-fidelity runs
 stationary, so tens of thousands of micro-ops reach steady state). The
 environment is read at *call* time, so overrides set after import — by
 harness worker subprocesses, or tests via ``monkeypatch.setenv`` — take
-effect; the legacy ``DEFAULT_NUM_OPS``/``DEFAULT_WARMUP_OPS`` module
-attributes resolve dynamically via PEP 562 for the same reason (but a
-``from ... import DEFAULT_NUM_OPS`` still freezes the value at the import
-site — prefer the functions).
+effect.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.common.env import env_int
 from repro.common.lru import CacheInfo, LRUCache
-from repro.core.config import CoreConfig
-from repro.core.pipeline import Pipeline
-from repro.core.probes import Probe
-from repro.frontend.branch_predictors import BranchPredictor
-from repro.frontend.tage import TAGEPredictor
 from repro.isa.artifacts import TraceStore, default_trace_store, trace_key
 from repro.isa.trace import Trace
 from repro.mdp.base import MDPredictor
@@ -47,7 +38,6 @@ from repro.mdp.unlimited import (
     UnlimitedNoSQPredictor,
     UnlimitedPHASTPredictor,
 )
-from repro.sim.intervals import IntervalMetricsProbe
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
 from repro.workloads.generator import WorkloadProfile, build_trace
@@ -67,64 +57,9 @@ def default_warmup_ops() -> int:
     return env_int("REPRO_WARMUP_OPS", _FALLBACK_WARMUP_OPS, min_value=0)
 
 
-def __getattr__(name: str) -> int:
-    # PEP 562: the legacy module-level constants, resolved per access so the
-    # environment is never frozen at import time.
-    if name == "DEFAULT_NUM_OPS":
-        return default_num_ops()
-    if name == "DEFAULT_WARMUP_OPS":
-        return default_warmup_ops()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-class _PredictorRegistry(Dict[str, Callable[[], MDPredictor]]):
-    """The predictor registry, with deprecation warnings on raw mutation.
-
-    Reads (lookup, iteration, membership) behave exactly like a dict.
-    Writing through dict syntax still works but warns — use
-    :func:`register_predictor` / :func:`unregister_predictor` instead, which
-    validate the name and keep error messages consistent.
-    """
-
-    def _warn(self, how: str) -> None:
-        warnings.warn(
-            f"mutating PREDICTOR_FACTORIES via {how} is deprecated; "
-            "use register_predictor()/unregister_predictor()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __setitem__(self, name, factory) -> None:
-        self._warn(f"PREDICTOR_FACTORIES[{name!r}] = ...")
-        super().__setitem__(name, factory)
-
-    def __delitem__(self, name) -> None:
-        self._warn(f"del PREDICTOR_FACTORIES[{name!r}]")
-        super().__delitem__(name)
-
-    def update(self, *args, **kwargs) -> None:
-        self._warn("update()")
-        super().update(*args, **kwargs)
-
-    def setdefault(self, name, default=None):
-        self._warn("setdefault()")
-        return super().setdefault(name, default)
-
-    def pop(self, *args):
-        self._warn("pop()")
-        return super().pop(*args)
-
-    def popitem(self):
-        self._warn("popitem()")
-        return super().popitem()
-
-    def clear(self) -> None:
-        self._warn("clear()")
-        super().clear()
-
-
-#: Named predictor factories (fresh instance per call). Read freely; mutate
-#: via register_predictor()/unregister_predictor().
-PREDICTOR_FACTORIES: Dict[str, Callable[[], MDPredictor]] = _PredictorRegistry(
+#: The built-in predictor factories, read-only. The batch backend's
+#: coverage check compares registry entries against these.
+BUILTIN_PREDICTORS: Mapping[str, Callable[[], MDPredictor]] = MappingProxyType(
     {
         "ideal": IdealPredictor,
         "always-speculate": AlwaysSpeculatePredictor,
@@ -142,6 +77,14 @@ PREDICTOR_FACTORIES: Dict[str, Callable[[], MDPredictor]] = _PredictorRegistry(
         "unlimited-nosq": UnlimitedNoSQPredictor,
         "unlimited-mdp-tage": UnlimitedMDPTagePredictor,
     }
+)
+
+_REGISTRY: Dict[str, Callable[[], MDPredictor]] = dict(BUILTIN_PREDICTORS)
+
+#: Named predictor factories (fresh instance per call): a read-only view of
+#: the registry. Mutate via register_predictor()/unregister_predictor().
+PREDICTOR_FACTORIES: Mapping[str, Callable[[], MDPredictor]] = MappingProxyType(
+    _REGISTRY
 )
 
 
@@ -166,12 +109,12 @@ def register_predictor(
             f"predictor {name!r} is already registered; pass replace=True "
             "to override it"
         )
-    dict.__setitem__(PREDICTOR_FACTORIES, name, factory)
+    _REGISTRY[name] = factory
 
 
 def unregister_predictor(name: str) -> None:
     """Remove a registered predictor (KeyError if absent)."""
-    dict.__delitem__(PREDICTOR_FACTORIES, name)
+    del _REGISTRY[name]
 
 
 def available_predictors() -> Tuple[str, ...]:
@@ -253,154 +196,21 @@ def trace_cache_info() -> CacheInfo:
     return _TRACE_CACHE.info()
 
 
-def build_pipeline(
-    spec: RunSpec, extra_probes: Iterable[Probe] = ()
-) -> Tuple[Pipeline, Optional[IntervalMetricsProbe]]:
-    """Construct the :class:`Pipeline` a :class:`RunSpec` describes.
-
-    Resolves the core config, instantiates a string predictor through the
-    registry, wires the spec's probes (plus ``extra_probes``), and — when
-    ``spec.interval_ops`` is set — attaches an
-    :class:`~repro.sim.intervals.IntervalMetricsProbe`, returned alongside
-    the pipeline so the caller can harvest its windows. This is the single
-    spec-to-pipeline translation shared by :func:`run_spec`, the SimPoint
-    driver (:mod:`repro.analysis.simpoints`) and the sampled-simulation
-    interval workers (:mod:`repro.sampling.sampled`).
-    """
-    core_config = spec.resolved_config()
-    predictor = spec.predictor
-    if isinstance(predictor, str):
-        predictor = make_predictor(predictor)
-    interval_probe: Optional[IntervalMetricsProbe] = None
-    all_probes = list(spec.probes)
-    all_probes.extend(extra_probes)
-    if spec.interval_ops is not None:
-        interval_probe = IntervalMetricsProbe(spec.interval_ops)
-        all_probes.append(interval_probe)
-    pipeline = Pipeline(
-        config=core_config,
-        predictor=predictor,
-        branch_predictor=spec.branch_predictor or TAGEPredictor(),
-        check_invariants=spec.check_invariants,
-        probes=all_probes,
-    )
-    return pipeline, interval_probe
-
-
 def run_spec(spec: RunSpec) -> SimResult:
-    """Execute one :class:`~repro.sim.spec.RunSpec` and return its result.
+    """Execute one :class:`~repro.sim.spec.RunSpec` and return its result::
+
+        simulate(RunSpec("511.povray", "phast", num_ops=50_000))
 
     Dispatches through the backend registry (:mod:`repro.sim.backends`):
     ``spec.backend``, else ``REPRO_SIM_BACKEND`` (validated at call time),
     else the ``reference`` interpreter. Backends are bit-identical by
     contract, so the choice affects wall-clock only, never the result.
+    ``simulate`` is the same function under its historical name; vary a
+    spec with ``spec.with_overrides(...)``.
     """
     from repro.sim.backends import get_backend
 
     return get_backend(spec.resolved_backend()).run(spec)
 
 
-def simulate_batch(
-    specs: Iterable[RunSpec],
-    on_result=None,
-    on_heartbeat=None,
-    heartbeat_ops: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Tuple[SimResult, ...]:
-    """Execute many specs on one backend; results come back in spec order.
-
-    The backend (``backend`` argument, else the first spec's
-    ``resolved_backend()``, else the environment default) receives the whole
-    sequence at once so it can share per-trace work — the ``batch`` backend
-    decodes each distinct trace once and runs its shared front-end pass once
-    for all cells of that trace. ``on_result(index, result)`` fires as each
-    cell completes; ``on_heartbeat(index, window_dict)`` streams progress
-    windows every ``heartbeat_ops`` committed ops for backends that support
-    it.
-    """
-    from repro.sim.backends import get_backend
-
-    spec_list = tuple(specs)
-    if backend is None:
-        backend = (
-            spec_list[0].resolved_backend()
-            if spec_list
-            else RunSpec("511.povray", "ideal").resolved_backend()
-        )
-    chosen = get_backend(backend)
-    return tuple(
-        chosen.run_many(
-            spec_list,
-            on_result=on_result,
-            on_heartbeat=on_heartbeat,
-            heartbeat_ops=heartbeat_ops,
-        )
-    )
-
-
-def simulate(
-    workload: Union[RunSpec, str, WorkloadProfile],
-    predictor: Optional[Union[str, MDPredictor]] = None,
-    config: Optional[CoreConfig] = None,
-    num_ops: Optional[int] = None,
-    branch_predictor: Optional[BranchPredictor] = None,
-    warmup_ops: Optional[int] = None,
-    check_invariants: Optional[bool] = None,
-    probes: Optional[Iterable[Probe]] = None,
-    interval_ops: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> SimResult:
-    """Run one (workload, predictor, core) simulation and return its result.
-
-    The canonical form takes a single :class:`~repro.sim.spec.RunSpec`::
-
-        simulate(RunSpec("511.povray", "phast", num_ops=50_000))
-
-    The legacy kwargs form (``simulate("511.povray", "phast", ...)``) is a
-    deprecated shim that packs its arguments into a ``RunSpec`` — it
-    produces bit-identical results, but it emits a ``DeprecationWarning``
-    naming the exact replacement call; build the spec directly.
-
-    ``warmup_ops`` micro-ops execute (training predictors and warming caches)
-    but are excluded from every statistic — the steady-state methodology.
-
-    ``check_invariants`` enables the simulator's self-checks
-    (:mod:`repro.sim.invariants`); None defers to REPRO_CHECK_INVARIANTS.
-
-    ``probes`` attaches additional observers to the pipeline's probe bus.
-    ``interval_ops`` additionally attaches an
-    :class:`~repro.sim.intervals.IntervalMetricsProbe` and surfaces its
-    windows on ``SimResult.intervals``.
-    """
-    if isinstance(workload, RunSpec):
-        if predictor is not None:
-            raise TypeError(
-                "simulate(spec) takes no further arguments; use "
-                "spec.with_overrides(...) to vary a RunSpec"
-            )
-        return run_spec(workload)
-    if predictor is None:
-        raise TypeError("simulate() missing required argument: 'predictor'")
-    workload_repr = workload if isinstance(workload, str) else workload.name
-    predictor_repr = predictor if isinstance(predictor, str) else "<predictor>"
-    warnings.warn(
-        "simulate(workload, predictor, ...) kwargs are deprecated; call "
-        f"simulate(RunSpec({workload_repr!r}, {predictor_repr!r}, ...)) "
-        "instead (from repro.api import RunSpec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_spec(
-        RunSpec(
-            workload=workload,
-            predictor=predictor,
-            config=config,
-            num_ops=num_ops,
-            warmup_ops=warmup_ops,
-            seed=seed,
-            check_invariants=check_invariants,
-            probes=tuple(probes or ()),
-            interval_ops=interval_ops,
-            branch_predictor=branch_predictor,
-        )
-    )
+simulate = run_spec

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.simpoints import (
-    SimPoint,
     choose_simpoints,
     interval_vectors,
     kmeans,
-    simulate_simpoints,
 )
 from repro.isa.trace import Trace
-from repro.sim.simulator import simulate
-from repro.sim.spec import RunSpec
 from repro.workloads.motifs import alu, fp_op
 
 
@@ -83,57 +79,3 @@ class TestChooseSimpoints:
         points = choose_simpoints(trace, interval_ops=500, max_clusters=4)
         for point in points:
             assert 0 <= point.interval_index < len(trace) // 500
-
-
-class TestSimulateSimpoints:
-    def test_estimate_close_to_full_run(self):
-        full = simulate(RunSpec(workload="511.povray", predictor="phast", num_ops=16000))
-        sampled = simulate_simpoints(
-            RunSpec(workload="511.povray", predictor="phast", num_ops=16000),
-            interval_ops=2000,
-            max_clusters=4,
-        )
-        assert sampled.weighted_ipc == pytest.approx(full.ipc, rel=0.25)
-
-    def test_saves_simulation_time(self):
-        sampled = simulate_simpoints(
-            RunSpec(workload="511.povray", predictor="phast", num_ops=16000),
-            interval_ops=2000,
-            max_clusters=2,
-        )
-        assert sampled.simulated_ops < sampled.total_ops
-        assert sampled.speedup_factor > 1.5
-
-    def test_warmup_fraction_validation(self):
-        with pytest.raises(ValueError):
-            simulate_simpoints(
-                RunSpec(workload="511.povray", predictor="phast", num_ops=8000),
-                interval_ops=2000,
-                warmup_fraction=1.0,
-            )
-
-    def test_point_detail_consistent(self):
-        sampled = simulate_simpoints(
-            RunSpec(workload="511.povray", predictor="phast", num_ops=12000),
-            interval_ops=3000,
-            max_clusters=3,
-        )
-        assert len(sampled.points) == len(sampled.point_ipcs)
-        assert all(ipc > 0 for ipc in sampled.point_ipcs)
-
-    def test_legacy_positional_form_warns_and_matches_spec_form(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"simulate_simpoints\(RunSpec\('511\.povray', 'phast', "
-            r"num_ops=12000\), interval_ops=3000\)",
-        ):
-            legacy = simulate_simpoints(
-                "511.povray", "phast", total_ops=12000, interval_ops=3000,
-                max_clusters=3,
-            )
-        via_spec = simulate_simpoints(
-            RunSpec(workload="511.povray", predictor="phast", num_ops=12000),
-            interval_ops=3000,
-            max_clusters=3,
-        )
-        assert legacy == via_spec

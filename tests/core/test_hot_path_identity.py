@@ -143,6 +143,7 @@ def test_batch_backend_routes_unclaimed_predictors_to_reference():
     engine's validated envelope: ``covers`` must say so, and ``run`` must
     still produce the reference result rather than erroring.
     """
+    from repro.mdp.mdp_tage import MDPTagePredictor
     from repro.mdp.store_sets import StoreSetsPredictor
     from repro.sim.simulator import register_predictor, unregister_predictor
 
@@ -167,6 +168,19 @@ def test_batch_backend_routes_unclaimed_predictors_to_reference():
         assert not backend.covers(spec)
     finally:
         register_predictor("store-sets", StoreSetsPredictor, replace=True)
+    assert backend.covers(spec)
+
+    # Restoring a classmethod factory binds a new method object: it must
+    # compare equal to the built-in entry, not be identical to it.
+    spec = _cell_spec(WORKLOADS[0], "mdp-tage-s", backend="batch")
+    try:
+        register_predictor(
+            "mdp-tage-s", lambda: MDPTagePredictor.tage_s(), replace=True
+        )
+        assert not backend.covers(spec)
+    finally:
+        register_predictor("mdp-tage-s", MDPTagePredictor.tage_s, replace=True)
+    assert backend.covers(spec)
 
 
 def _regen() -> None:

@@ -78,17 +78,28 @@ class TestRegistryAPI:
         assert list(names) == sorted(names)
         assert set(names) == set(PREDICTOR_FACTORIES)
 
+    # The registry is a read-only view: raw writes, which once warned, now
+    # raise, and only register_predictor/unregister_predictor change it.
     def test_direct_dict_write_warns(self):
-        with pytest.warns(DeprecationWarning, match="register_predictor"):
+        with pytest.raises(TypeError):
             PREDICTOR_FACTORIES["test-direct"] = IdealPredictor
-        with pytest.warns(DeprecationWarning):
-            del PREDICTOR_FACTORIES["test-direct"]
+        with pytest.raises(TypeError):
+            del PREDICTOR_FACTORIES["phast"]
+        assert "test-direct" not in PREDICTOR_FACTORIES
+        assert "phast" in PREDICTOR_FACTORIES
 
     def test_direct_dict_update_and_pop_warn(self):
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(AttributeError):
             PREDICTOR_FACTORIES.update({"test-upd": IdealPredictor})
-        with pytest.warns(DeprecationWarning):
-            PREDICTOR_FACTORIES.pop("test-upd")
+        with pytest.raises(AttributeError):
+            PREDICTOR_FACTORIES.pop("phast")
+        register_predictor("test-view", IdealPredictor)
+        try:
+            assert PREDICTOR_FACTORIES["test-view"] is IdealPredictor
+        finally:
+            unregister_predictor("test-view")
+        assert "test-view" not in PREDICTOR_FACTORIES
+        assert "phast" in PREDICTOR_FACTORIES
 
     def test_reads_do_not_warn(self, recwarn):
         assert "phast" in PREDICTOR_FACTORIES

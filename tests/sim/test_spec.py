@@ -1,4 +1,4 @@
-"""Tests for RunSpec and the simulate() legacy-kwargs shim."""
+"""Tests for RunSpec and the spec-only simulate() entry point."""
 
 import pytest
 
@@ -93,29 +93,12 @@ class TestWithOverrides:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_and_spec_give_identical_results(self):
-        with pytest.warns(DeprecationWarning, match=r"simulate\(RunSpec\("):
-            legacy = simulate(
-                "511.povray", "store-sets",
-                num_ops=OPS, warmup_ops=0, seed=2, check_invariants=True,
-            )
-        spec = RunSpec(
-            workload="511.povray", predictor="store-sets",
-            num_ops=OPS, warmup_ops=0, seed=2, check_invariants=True,
-        )
-        via_spec = simulate(spec)
-        via_run_spec = run_spec(spec)
-        assert legacy.to_record() == via_spec.to_record()
-        assert legacy.to_record() == via_run_spec.to_record()
-
-    def test_legacy_kwargs_warning_names_exact_replacement(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"simulate\(RunSpec\('511\.povray', 'ideal', \.\.\.\)\)",
-        ):
-            simulate("511.povray", "ideal", num_ops=OPS)
+    """The legacy kwargs form is gone: simulate is run_spec, spec only."""
 
     def test_spec_plus_predictor_kwarg_rejected(self):
+        assert simulate is run_spec
         spec = RunSpec(workload="511.povray", predictor="ideal")
-        with pytest.raises(TypeError, match="with_overrides"):
+        with pytest.raises(TypeError):
+            simulate("511.povray", "phast")
+        with pytest.raises(TypeError):
             simulate(spec, "phast")

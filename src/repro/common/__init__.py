@@ -15,7 +15,6 @@ from repro.common.bitops import (
 )
 from repro.common.counters import SaturatingCounter
 from repro.common.env import EnvVarError, env_int
-from repro.common.lru import LRUState
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Histogram, RunningStat, geometric_mean
 
@@ -29,7 +28,6 @@ __all__ = [
     "SaturatingCounter",
     "EnvVarError",
     "env_int",
-    "LRUState",
     "DeterministicRNG",
     "Histogram",
     "RunningStat",

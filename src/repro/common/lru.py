@@ -1,18 +1,15 @@
-"""Least-recently-used replacement: set-associative state and a bounded cache.
+"""A bounded mapping with least-recently-used eviction.
 
-Every limited predictor in the paper (PHAST, NoSQ, MDP-TAGE-S) and the cache
-models are set-associative with LRU replacement; :class:`LRUState` centralises
-that logic so the tables stay focused on prediction semantics.
-:class:`LRUCache` is the software-side counterpart — a bounded mapping with
-LRU eviction and hit/miss counters, used to cap in-process caches (e.g. the
-simulator's trace cache) so long-lived server-style processes cannot grow
-without bound.
+:class:`LRUCache` keeps hit/miss counters and caps in-process caches (e.g.
+the simulator's trace cache) so long-lived server-style processes cannot
+grow without bound. The hardware tables keep their own recency lists
+(:mod:`repro.memory.cache`, :mod:`repro.mdp.tables`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterator, List, NamedTuple, Optional, TypeVar
+from typing import Hashable, Iterator, NamedTuple, Optional, TypeVar
 
 V = TypeVar("V")
 
@@ -106,47 +103,3 @@ class LRUCache:
             f"LRUCache(maxsize={self._maxsize}, size={len(self._data)}, "
             f"hits={self._hits}, misses={self._misses})"
         )
-
-
-class LRUState:
-    """Tracks recency among ``ways`` slots of one set.
-
-    The implementation keeps an ordered list of way indices, most recently
-    used first. ``touch`` promotes a way; ``victim`` returns the least
-    recently used way. This models a true-LRU policy; the 2-bit LRU field in
-    Table II is the hardware encoding of the same ordering for 4 ways.
-    """
-
-    __slots__ = ("_order",)
-
-    def __init__(self, ways: int) -> None:
-        if ways <= 0:
-            raise ValueError(f"ways must be positive, got {ways}")
-        # Way 0 starts as LRU so that cold allocation fills ways in order.
-        self._order: List[int] = list(range(ways - 1, -1, -1))
-
-    @property
-    def ways(self) -> int:
-        return len(self._order)
-
-    def touch(self, way: int) -> None:
-        """Mark ``way`` as most recently used."""
-        order = self._order
-        if order[0] == way:
-            return
-        order.remove(way)
-        order.insert(0, way)
-
-    def victim(self) -> int:
-        """Return the least recently used way (does not modify recency)."""
-        return self._order[-1]
-
-    def most_recent(self) -> int:
-        return self._order[0]
-
-    def recency_order(self) -> List[int]:
-        """Ways ordered most-recent first (a copy)."""
-        return list(self._order)
-
-    def __repr__(self) -> str:
-        return f"LRUState(order={self._order})"

@@ -85,7 +85,7 @@ class _PortPool:
             cycle += 1
 
 
-class _StoreWindow:
+class StoreWindow:
     """The in-flight store window (SQ + SB) with an address-granule index.
 
     The granule buckets are maintained *incrementally sorted by ``seq``*:
@@ -278,7 +278,7 @@ class SimContext:
         self.load_ring = [0] * self.lq  # commit cycle of the load `lq` back
         self.store_ring = [0] * self.sq  # drain cycle of the store `sq` back
         self.reg_ready = [0] * config.num_arch_regs
-        self.window = _StoreWindow(capacity=self.sq + 32)
+        self.window = StoreWindow(capacity=self.sq + 32)
 
         self.load_count = 0
         self.store_count = 0

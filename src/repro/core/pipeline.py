@@ -44,8 +44,8 @@ from repro.core.config import CoreConfig
 # module.
 from repro.core.context import (  # noqa: F401
     SimContext,
+    StoreWindow,
     _PortPool,
-    _StoreWindow,
     _WidthCursor,
 )
 from repro.core.lsq import ForwardKind

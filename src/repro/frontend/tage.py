@@ -14,11 +14,9 @@ the structure of a TAGE branch prediction").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.common.bitops import mask
-from repro.common.counters import SignedSaturatingCounter
 from repro.common.rng import DeterministicRNG
 from repro.frontend.branch_predictors import BranchPredictor
 from repro.isa.microop import BranchKind
@@ -46,48 +44,17 @@ def geometric_history_lengths(minimum: int, maximum: int, count: int) -> List[in
     return lengths
 
 
-class FoldedHistory:
-    """Circularly folded global history, as in hardware TAGE.
-
-    Maintains ``fold(history[0:length], width)`` incrementally as outcomes are
-    shifted in, in O(1) per update.
-    """
-
-    __slots__ = ("length", "width", "value", "_out_pos", "_mask")
-
-    def __init__(self, length: int, width: int) -> None:
-        if length <= 0 or width <= 0:
-            raise ValueError("length and width must be positive")
-        self.length = length
-        self.width = width
-        self.value = 0
-        self._out_pos = length % width
-        self._mask = mask(width)
-
-    def update(self, new_bit: int, outgoing_bit: int) -> None:
-        """Shift ``new_bit`` in and ``outgoing_bit`` (history[length-1]) out.
-
-        The shifted-in value is masked to ``width`` bits *before* the outgoing
-        bit is XORed back at ``length % width`` — the XOR cannot leave the
-        masked range, so a single mask suffices.
-        """
-        self.value = (((self.value << 1) | (new_bit & 1)) & self._mask) ^ (
-            (outgoing_bit & 1) << self._out_pos
-        )
-
-
-@dataclass
-class TageEntry:
-    tag: int = 0
-    counter: SignedSaturatingCounter = field(
-        default_factory=lambda: SignedSaturatingCounter(bits=3)
-    )
-    useful: int = 0
-    valid: bool = False
-
-
 class TAGEPredictor(BranchPredictor):
-    """Plain TAGE with ``num_tables`` tagged components."""
+    """Plain TAGE with ``num_tables`` tagged components.
+
+    All state is plain ints. Tagged component ``t`` is three parallel lists
+    indexed by its table index: ``_tags[t]`` (``-1`` marks an invalid
+    entry), ``_ctrs[t]`` (3-bit signed prediction counters) and
+    ``_useful[t]``. The bimodal base is a list of 2-bit signed counters,
+    ``_use_alt`` a 4-bit signed int, and each component's folded global
+    history is one packed int in ``_folds``. A signed counter predicts
+    taken when it is ``>= 0``.
+    """
 
     name = "tage"
     year = 2006
@@ -104,6 +71,8 @@ class TAGEPredictor(BranchPredictor):
         seed: int = 0x7A6E,
     ) -> None:
         super().__init__()
+        if table_index_bits < 1 or tag_bits < 2:
+            raise ValueError("need table_index_bits >= 1 and tag_bits >= 2")
         self._lengths = geometric_history_lengths(min_history, max_history, num_tables)
         self._index_bits = table_index_bits
         self._tag_bits = tag_bits
@@ -114,191 +83,220 @@ class TAGEPredictor(BranchPredictor):
         self._reset_period = reset_period
         self._rng = DeterministicRNG(seed)
 
-        self._bimodal: List[SignedSaturatingCounter] = [
-            SignedSaturatingCounter(bits=2) for _ in range(1 << 12)
-        ]
-        self._tables: List[List[TageEntry]] = [
-            [TageEntry() for _ in range(1 << table_index_bits)]
-            for _ in self._lengths
-        ]
+        self._bimodal: List[int] = [0] * (1 << 12)
+        size = 1 << table_index_bits
+        self._tags: List[List[int]] = [[-1] * size for _ in self._lengths]
+        self._ctrs: List[List[int]] = [[0] * size for _ in self._lengths]
+        self._useful: List[List[int]] = [[0] * size for _ in self._lengths]
+        # Alternate-prediction preference counter (USE_ALT_ON_NA).
+        self._use_alt = 0
+        # PC shift of each component's index hash.
+        self._pc_shifts = [table_index_bits - table for table in range(num_tables)]
         # Global history as a fixed circular buffer: ``_history[(head + i) %
         # len]`` is history bit ``i`` (0 = youngest). A plain list with
         # ``insert(0)`` costs O(max_history) per branch; the cursor is O(1).
         self._hist_size = max(self._lengths) + 1
         self._history: List[int] = [0] * self._hist_size
         self._hist_head = 0
-        self._folded_index = [
-            FoldedHistory(length, table_index_bits) for length in self._lengths
-        ]
-        self._folded_tag0 = [FoldedHistory(length, tag_bits) for length in self._lengths]
-        self._folded_tag1 = [
-            FoldedHistory(length, tag_bits - 1) for length in self._lengths
+        # Folded history registers. fold(history[0:length], width) is kept
+        # incrementally: shifting a bit in masks to ``width`` bits, then the
+        # bit leaving the window is XORed back in at ``length % width``.
+        # Each component needs three folds of its history: the index
+        # (index_bits wide) and two tag folds (tag_bits and tag_bits - 1).
+        # They shift the same bits, so one int per component packs them as
+        # fields [index | tag0 | tag1] from bit 0 and all three update at once.
+        widths = (table_index_bits, tag_bits, tag_bits - 1)
+        bases = (0, table_index_bits, table_index_bits + tag_bits)
+        self._tag0_base = bases[1]
+        self._tag1_base = bases[2]
+        self._folds = [0] * num_tables
+        # Bit 0 of every field takes the new bit; bits carried out of a
+        # field's top into the next field's bit 0 are masked off.
+        self._fold_insert = sum(1 << base for base in bases)
+        self._fold_keep = mask(sum(widths)) & ~self._fold_insert
+        self._fold_outgoing = [
+            sum(1 << (base + length % width) for base, width in zip(bases, widths))
+            for length in self._lengths
         ]
         self._branch_count = 0
-        # Alternate-prediction preference counter (USE_ALT_ON_NA).
-        self._use_alt = SignedSaturatingCounter(bits=4)
 
     # -- indexing -----------------------------------------------------------
 
-    def _bimodal_index(self, pc: int) -> int:
-        return pc & mask(12)
+    def _keys(self, pc: int) -> Tuple[List[int], List[int]]:
+        """Each component's (index, tag) for ``pc`` at the current history."""
+        index_mask = self._index_mask
+        tag_mask = self._tag_mask
+        tag0_base = self._tag0_base
+        tag1_base = self._tag1_base
+        folds = self._folds
+        indices = [
+            (pc ^ (pc >> shift) ^ fold) & index_mask
+            for shift, fold in zip(self._pc_shifts, folds)
+        ]
+        tags = [
+            (pc ^ (fold >> tag0_base) ^ ((fold >> tag1_base) << 1)) & tag_mask
+            for fold in folds
+        ]
+        return indices, tags
 
-    def _table_index(self, pc: int, table: int) -> int:
-        return (
-            pc ^ (pc >> (self._index_bits - table)) ^ self._folded_index[table].value
-        ) & self._index_mask
-
-    def _table_tag(self, pc: int, table: int) -> int:
-        return (
-            pc ^ self._folded_tag0[table].value ^ (self._folded_tag1[table].value << 1)
-        ) & self._tag_mask
-
-    def _lookup(self, pc: int) -> Tuple[Optional[int], Optional[int]]:
+    def _lookup(
+        self, indices: List[int], tags: List[int]
+    ) -> Tuple[Optional[int], Optional[int]]:
         """Return (provider_table, alternate_table), longest-history match first."""
-        provider = alternate = None
-        for table in range(len(self._lengths) - 1, -1, -1):
-            entry = self._tables[table][self._table_index(pc, table)]
-            if entry.valid and entry.tag == self._table_tag(pc, table):
-                if provider is None:
-                    provider = table
-                else:
-                    alternate = table
-                    break
-        return provider, alternate
+        provider = None
+        table_tags = self._tags
+        for table in range(len(table_tags) - 1, -1, -1):
+            if table_tags[table][indices[table]] == tags[table]:
+                if provider is not None:
+                    return provider, table
+                provider = table
+        return provider, None
 
-    def _table_prediction(self, pc: int, table: int) -> bool:
-        return self._tables[table][self._table_index(pc, table)].counter.is_positive
+    def _alt_taken(self, pc: int, indices: List[int], alternate: Optional[int]) -> bool:
+        if alternate is None:
+            return self._bimodal[pc & 0xFFF] >= 0
+        return self._ctrs[alternate][indices[alternate]] >= 0
 
-    def _bimodal_prediction(self, pc: int) -> bool:
-        return self._bimodal[self._bimodal_index(pc)].is_positive
+    def _weak_new(self, table: int, index: int) -> bool:
+        """A just-allocated-looking provider: weakest counter, not yet useful."""
+        return self._ctrs[table][index] in (0, -1) and self._useful[table][index] == 0
 
     # -- BranchPredictor interface -------------------------------------------
 
     def _final_prediction(
-        self, pc: int, provider: Optional[int], alternate: Optional[int]
+        self,
+        pc: int,
+        indices: List[int],
+        provider: Optional[int],
+        alternate: Optional[int],
     ) -> bool:
         """The TAGE prediction given an already-computed :meth:`_lookup`."""
         if provider is None:
-            return self._bimodal_prediction(pc)
-        entry = self._tables[provider][self._table_index(pc, provider)]
-        newly_allocated = abs(entry.counter.value * 2 + 1) == 1 and entry.useful == 0
-        if newly_allocated and self._use_alt.is_positive:
-            if alternate is not None:
-                return self._table_prediction(pc, alternate)
-            return self._bimodal_prediction(pc)
-        return entry.counter.is_positive
+            return self._bimodal[pc & 0xFFF] >= 0
+        index = indices[provider]
+        if self._use_alt >= 0 and self._weak_new(provider, index):
+            return self._alt_taken(pc, indices, alternate)
+        return self._ctrs[provider][index] >= 0
 
     def predict(self, pc: int) -> bool:
-        provider, alternate = self._lookup(pc)
-        return self._final_prediction(pc, provider, alternate)
-
-    def _train(
-        self,
-        pc: int,
-        taken: bool,
-        provider: Optional[int],
-        alternate: Optional[int],
-        final_prediction: bool,
-    ) -> None:
-        """The update sequence given an already-computed lookup + prediction."""
-        if provider is not None:
-            entry = self._tables[provider][self._table_index(pc, provider)]
-            provider_prediction = entry.counter.is_positive
-            if alternate is not None:
-                alt_prediction = self._table_prediction(pc, alternate)
-            else:
-                alt_prediction = self._bimodal_prediction(pc)
-            # Track whether alternate would have been better for weak entries.
-            newly_allocated = abs(entry.counter.value * 2 + 1) == 1 and entry.useful == 0
-            if newly_allocated and provider_prediction != alt_prediction:
-                self._use_alt.update_towards(alt_prediction == taken)
-            # Usefulness: provider correct where the alternate was wrong.
-            if provider_prediction != alt_prediction:
-                if provider_prediction == taken:
-                    entry.useful = min(self._useful_max, entry.useful + 1)
-                else:
-                    entry.useful = max(0, entry.useful - 1)
-            entry.counter.update_towards(taken)
-        else:
-            self._bimodal[self._bimodal_index(pc)].update_towards(taken)
-
-        # Allocate on misprediction in a longer-history table.
-        if final_prediction != taken:
-            start = (provider + 1) if provider is not None else 0
-            self._allocate(pc, taken, start)
-
-        self._shift_history(pc, taken)
-        self._branch_count += 1
-        if self._branch_count % self._reset_period == 0:
-            self._reset_useful()
+        indices, tags = self._keys(pc)
+        provider, alternate = self._lookup(indices, tags)
+        return self._final_prediction(pc, indices, provider, alternate)
 
     def update(self, pc: int, taken: bool) -> None:
-        provider, alternate = self._lookup(pc)
-        final_prediction = self._final_prediction(pc, provider, alternate)
-        self._train(pc, taken, provider, alternate, final_prediction)
+        self._resolve(pc, taken)
 
     def observe(self, pc: int, kind, taken: bool, target: int) -> bool:
         """Predict-then-train with the table search shared between the two.
 
         The base-class ``observe`` calls ``predict`` then ``update``, which
-        re-runs the tagged-table search (and ``update`` historically re-ran it
-        a third time for its own ``predict``). Nothing mutates between the
-        two phases, so one :meth:`_lookup` serves both — bit-identical, one
-        search per conditional branch instead of three.
+        would search the tagged tables twice. Nothing mutates between the
+        two phases, so each component's index and tag are computed once and
+        serve the search, the prediction, the training and the allocation.
         """
         if kind is BranchKind.CONDITIONAL:
-            provider, alternate = self._lookup(pc)
-            final_prediction = self._final_prediction(pc, provider, alternate)
-            self._train(pc, taken, provider, alternate, final_prediction)
-            return final_prediction != taken
+            return self._resolve(pc, taken)
         return super().observe(pc, kind, taken, target)
+
+    def _resolve(self, pc: int, taken: bool) -> bool:
+        """Predict and train one conditional branch; True if mispredicted."""
+        indices, tags = self._keys(pc)
+        provider, alternate = self._lookup(indices, tags)
+        prediction = self._final_prediction(pc, indices, provider, alternate)
+        if provider is not None:
+            index = indices[provider]
+            ctrs = self._ctrs[provider]
+            counter = ctrs[index]
+            provider_taken = counter >= 0
+            alt_taken = self._alt_taken(pc, indices, alternate)
+            if provider_taken != alt_taken:
+                # Track whether the alternate would have been better for
+                # weak entries.
+                if self._weak_new(provider, index):
+                    if alt_taken == taken:
+                        if self._use_alt < 7:
+                            self._use_alt += 1
+                    elif self._use_alt > -8:
+                        self._use_alt -= 1
+                # Usefulness: provider correct where the alternate was wrong.
+                useful = self._useful[provider]
+                if provider_taken == taken:
+                    if useful[index] < self._useful_max:
+                        useful[index] += 1
+                elif useful[index] > 0:
+                    useful[index] -= 1
+            if taken:
+                if counter < 3:
+                    ctrs[index] = counter + 1
+            elif counter > -4:
+                ctrs[index] = counter - 1
+        else:
+            bimodal = self._bimodal
+            slot = pc & 0xFFF
+            counter = bimodal[slot]
+            if taken:
+                if counter < 1:
+                    bimodal[slot] = counter + 1
+            elif counter > -2:
+                bimodal[slot] = counter - 1
+
+        # Allocate on misprediction in a longer-history table.
+        if prediction != taken:
+            start = 0 if provider is None else provider + 1
+            self._allocate(indices, tags, taken, start)
+
+        self._shift_history(pc, taken)
+        self._branch_count += 1
+        if self._branch_count % self._reset_period == 0:
+            for useful in self._useful:
+                useful[:] = [0] * len(useful)
+        return prediction != taken
 
     # -- internals -----------------------------------------------------------
 
-    def _allocate(self, pc: int, taken: bool, start_table: int) -> None:
+    def _allocate(
+        self, indices: List[int], tags: List[int], taken: bool, start_table: int
+    ) -> None:
+        useful = self._useful
         candidates = [
             table
-            for table in range(start_table, len(self._lengths))
-            if self._tables[table][self._table_index(pc, table)].useful == 0
+            for table in range(start_table, len(useful))
+            if useful[table][indices[table]] == 0
         ]
         if not candidates:
             # Decay usefulness so future allocations can succeed.
-            for table in range(start_table, len(self._lengths)):
-                entry = self._tables[table][self._table_index(pc, table)]
-                entry.useful = max(0, entry.useful - 1)
+            for table in range(start_table, len(useful)):
+                if useful[table][indices[table]] > 0:
+                    useful[table][indices[table]] -= 1
             return
         # Prefer the shortest candidate, with a 1/2 chance of skipping to the
         # next (Seznec's anti-ping-pong allocation randomisation).
         chosen = candidates[0]
         if len(candidates) > 1 and self._rng.one_in(2):
             chosen = candidates[1]
-        entry = self._tables[chosen][self._table_index(pc, chosen)]
-        entry.valid = True
-        entry.tag = self._table_tag(pc, chosen)
-        entry.counter = SignedSaturatingCounter(bits=3, value=0 if taken else -1)
-        entry.useful = 0
+        index = indices[chosen]
+        self._tags[chosen][index] = tags[chosen]
+        self._ctrs[chosen][index] = 0 if taken else -1
+        useful[chosen][index] = 0
 
     def _shift_history(self, pc: int, taken: bool) -> None:
-        new_bit = int(taken) ^ (pc & 1)
         history = self._history
         head = self._hist_head
         size = self._hist_size
-        folded_index = self._folded_index
-        folded_tag0 = self._folded_tag0
-        folded_tag1 = self._folded_tag1
-        for table, length in enumerate(self._lengths):
-            outgoing = history[(head + length - 1) % size]
-            folded_index[table].update(new_bit, outgoing)
-            folded_tag0[table].update(new_bit, outgoing)
-            folded_tag1[table].update(new_bit, outgoing)
+        folds = self._folds
+        keep = self._fold_keep
+        new_bit = int(taken) ^ (pc & 1)
+        insert = self._fold_insert if new_bit else 0
+        for table, (length, outgoing) in enumerate(
+            zip(self._lengths, self._fold_outgoing)
+        ):
+            fold = ((folds[table] << 1) & keep) | insert
+            if history[(head + length - 1) % size]:
+                fold ^= outgoing
+            folds[table] = fold
         head = (head - 1) % size
         history[head] = new_bit
         self._hist_head = head
-
-    def _reset_useful(self) -> None:
-        for table_entries in self._tables:
-            for entry in table_entries:
-                entry.useful = 0
 
     def storage_bits(self) -> int:
         tagged = len(self._lengths) * (1 << self._index_bits) * (

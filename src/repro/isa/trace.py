@@ -82,11 +82,5 @@ class Trace:
             unique_pcs=len(pcs),
         )
 
-    def slice(self, start: int, stop: int) -> "Trace":
-        """A sub-trace covering ``[start, stop)`` (for interval experiments)."""
-        if start < 0 or stop > len(self._ops) or start >= stop:
-            raise ValueError(f"invalid slice [{start}, {stop}) of {len(self._ops)} ops")
-        return Trace(self._ops[start:stop], name=f"{self.name}[{start}:{stop}]")
-
     def __repr__(self) -> str:
         return f"Trace(name={self.name!r}, ops={len(self._ops)})"

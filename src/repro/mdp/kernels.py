@@ -30,7 +30,8 @@ of one rolling push per branch per cell.
 Kernels exist for the predictors where precomputation pays:
 
 * ``phast`` — per-length fold tables + snapshot-to-count table; the rolling
-  fold catch-up in ``on_load_dispatch`` becomes two list indexings.
+  fold catch-up in ``on_load_dispatch`` becomes one count lookup and one
+  read per ladder length.
 * ``mdp-tage`` / ``mdp-tage-s`` — per-position index/tag fold tables plus a
   PC hash memo; ``_sync`` degenerates to one table read.
 * ``nosq`` — the 8-bit history word per snapshot, precomputed; sensitive /
@@ -188,11 +189,17 @@ class _KernelPHAST(PHASTPredictor):
             for length in self._lengths
             if length > 0
         }
+        self._fold_table_list = list(self._fold_tables.values())
+
+    # Same functions as the rolling/stale reference paths: the fold of the
+    # last `length` divergent records before `snapshot`.
 
     def _fold_at(self, history, snapshot, length):
-        # Same function as the rolling/stale reference paths: the fold of
-        # the last `length` divergent records before `snapshot`.
         return self._fold_tables[length][self._count_at[snapshot]]
+
+    def _folds_at(self, history, snapshot):
+        count = self._count_at[snapshot]
+        return self._zero_folds + [table[count] for table in self._fold_table_list]
 
 
 class _KernelMDPTage(MDPTagePredictor):
@@ -259,7 +266,7 @@ class _KernelNoSQ(NoSQPredictor):
         self._insens_memo: Dict[int, Tuple[int, int]] = {}
         self._sens_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
-    def _history_word(self, snapshot: int) -> int:
+    def _history_word(self, history, snapshot: int) -> int:
         return self._words[self._count_at[snapshot]]
 
     def _insensitive_keys(self, pc):
@@ -275,44 +282,6 @@ class _KernelNoSQ(NoSQPredictor):
             keys = NoSQPredictor._sensitive_keys(self, pc, history_word)
             self._sens_memo[(pc, history_word)] = keys
         return keys
-
-    def on_load_dispatch(self, load):
-        self.stats.load_predictions += 1
-        self.stats.table_reads += 2
-        history_word = self._history_word(load.hist_snapshot)
-        sens_index, sens_tag = self._sensitive_keys(load.pc, history_word)
-        insens_index, insens_tag = self._insensitive_keys(load.pc)
-        sensitive = self._sensitive.lookup(sens_index, sens_tag)
-        insensitive = self._insensitive.lookup(insens_index, insens_tag)
-
-        chosen = None
-        used_sensitive = False
-        if sensitive is not None and sensitive.confidence >= self._threshold:
-            chosen = sensitive
-            used_sensitive = True
-        elif insensitive is not None and insensitive.confidence >= self._threshold:
-            chosen = insensitive
-        if chosen is None:
-            self._pending.pop(load.seq, None)
-            return NO_DEPENDENCE
-        self._pending[load.seq] = (used_sensitive, chosen)
-        self.stats.dependences_predicted += 1
-        return Prediction(distances=(chosen.distance,))
-
-    def on_violation(self, violation):
-        self.stats.trainings += 1
-        self.stats.table_writes += 2
-        distance = min(violation.store_distance, self._max_distance)
-        history_word = self._history_word(violation.load_snapshot)
-        for table, (index, tag) in (
-            (self._sensitive, self._sensitive_keys(violation.load_pc, history_word)),
-            (self._insensitive, self._insensitive_keys(violation.load_pc)),
-        ):
-            entry = table.allocate(index, tag)
-            entry.valid = True
-            entry.tag = tag
-            entry.distance = distance
-            entry.confidence = self._confidence_max
 
 
 class _KernelStoreSets(StoreSetsPredictor):

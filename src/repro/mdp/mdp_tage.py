@@ -35,7 +35,7 @@ from repro.mdp.base import (
     Prediction,
     ViolationInfo,
 )
-from repro.mdp.tables import ChunkedFoldedHistory, PredictionEntry, SetAssocTable
+from repro.mdp.tables import ChunkedFoldedHistory, SetAssocTable
 
 #: History entries carry type bit + taken bit + 5 target bits (Sec. IV-A2).
 HISTORY_CHUNK_BITS = 7
@@ -175,22 +175,19 @@ class MDPTagePredictor(MDPredictor):
         self._sync(load.history, load.hist_snapshot)
         self._tick_reset()
 
-        provider: Optional[int] = None
-        provider_entry: Optional[PredictionEntry] = None
         for position in range(len(self._tables) - 1, -1, -1):
             index, tag = self._keys(load.pc, position)
-            entry = self._tables[position].table.lookup(index, tag)
-            if entry is not None and entry.useful:
-                provider = position
-                provider_entry = entry
-                break
-        self._pending[load.seq] = provider
-        if provider_entry is None:
-            return NO_DEPENDENCE
-        self.stats.dependences_predicted += 1
-        if provider_entry.distance >= ALL_OLDER:
-            return Prediction(wait_all_older=True)
-        return Prediction(distances=(provider_entry.distance,))
+            table = self._tables[position].table
+            slot = table.lookup(index, tag)
+            if slot is not None and table.useful[slot]:
+                self._pending[load.seq] = position
+                self.stats.dependences_predicted += 1
+                distance = table.distance[slot]
+                if distance >= ALL_OLDER:
+                    return Prediction(wait_all_older=True)
+                return Prediction(distances=(distance,))
+        self._pending[load.seq] = None
+        return NO_DEPENDENCE
 
     def on_violation(self, violation: ViolationInfo) -> None:
         self.stats.trainings += 1
@@ -201,11 +198,10 @@ class MDPTagePredictor(MDPredictor):
         else:
             target = min(provider + 1, len(self._tables) - 1)
         index, tag = self._keys(violation.load_pc, target)
-        entry = self._tables[target].table.allocate(index, tag)
-        entry.valid = True
-        entry.tag = tag
-        entry.distance = min(violation.store_distance, self._max_distance)
-        entry.useful = 1
+        table = self._tables[target].table
+        slot = table.allocate(index, tag)
+        table.distance[slot] = min(violation.store_distance, self._max_distance)
+        table.useful[slot] = 1
         self.stats.table_writes += 1
 
     def on_load_commit(self, commit: LoadCommitInfo) -> None:
@@ -215,17 +211,18 @@ class MDPTagePredictor(MDPredictor):
         # Forget a false dependence with probability 1/256 (Sec. II-C).
         if self._rng.one_in(self._fp_one_in):
             index, tag = self._keys(commit.pc, provider)
-            entry = self._tables[provider].table.lookup(index, tag, touch=False)
-            if entry is not None:
-                entry.useful = 0
+            table = self._tables[provider].table
+            slot = table.lookup(index, tag, touch=False)
+            if slot is not None:
+                table.useful[slot] = 0
                 self.stats.table_writes += 1
 
     def _tick_reset(self) -> None:
         self._accesses += 1
         if self._accesses % self._reset_period == 0:
             for config in self._tables:
-                for entry in config.table.entries():
-                    entry.useful = 0
+                useful = config.table.useful
+                useful[:] = [0] * len(useful)
 
     def storage_bits(self) -> int:
         total = 0

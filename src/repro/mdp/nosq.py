@@ -17,7 +17,7 @@ necessary (Sec. II-B).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.bitops import ceil_log2, fold_bits, mask, pc_hash_index, pc_hash_tag
 from repro.frontend.history import GlobalHistory
@@ -30,7 +30,7 @@ from repro.mdp.base import (
     Prediction,
     ViolationInfo,
 )
-from repro.mdp.tables import PredictionEntry, SetAssocTable
+from repro.mdp.tables import SetAssocTable
 
 
 def nosq_history_bits(
@@ -88,10 +88,13 @@ class NoSQPredictor(MDPredictor):
         self._index_bits = ceil_log2(num_sets)
         self._insensitive = SetAssocTable(num_sets, ways)
         self._sensitive = SetAssocTable(num_sets, ways)
-        # load seq -> (used path-sensitive table?, entry) for commit feedback
-        self._pending: Dict[int, Tuple[bool, PredictionEntry]] = {}
+        # load seq -> (table, slot) that provided the prediction
+        self._pending: Dict[int, Tuple[SetAssocTable, int]] = {}
 
     # -- hashing ------------------------------------------------------------
+
+    def _history_word(self, history: GlobalHistory, snapshot: int) -> int:
+        return nosq_history_bits(history, snapshot, self._history_bits)
 
     def _insensitive_keys(self, pc: int) -> Tuple[int, int]:
         return (
@@ -110,53 +113,56 @@ class NoSQPredictor(MDPredictor):
     def on_load_dispatch(self, load: LoadDispatchInfo) -> Prediction:
         self.stats.load_predictions += 1
         self.stats.table_reads += 2
-        history_word = nosq_history_bits(load.history, load.hist_snapshot, self._history_bits)
+        history_word = self._history_word(load.history, load.hist_snapshot)
         sens_index, sens_tag = self._sensitive_keys(load.pc, history_word)
         insens_index, insens_tag = self._insensitive_keys(load.pc)
-        sensitive = self._sensitive.lookup(sens_index, sens_tag)
-        insensitive = self._insensitive.lookup(insens_index, insens_tag)
+        sensitive = self._sensitive
+        insensitive = self._insensitive
+        sens_slot = sensitive.lookup(sens_index, sens_tag)
+        insens_slot = insensitive.lookup(insens_index, insens_tag)
 
-        chosen: Optional[PredictionEntry] = None
-        used_sensitive = False
-        if sensitive is not None and sensitive.confidence >= self._threshold:
-            chosen = sensitive
-            used_sensitive = True
-        elif insensitive is not None and insensitive.confidence >= self._threshold:
-            chosen = insensitive
-        if chosen is None:
+        threshold = self._threshold
+        # Prefer a confident path-sensitive match.
+        if sens_slot is not None and sensitive.confidence[sens_slot] >= threshold:
+            chosen = (sensitive, sens_slot)
+        elif (
+            insens_slot is not None
+            and insensitive.confidence[insens_slot] >= threshold
+        ):
+            chosen = (insensitive, insens_slot)
+        else:
             self._pending.pop(load.seq, None)
             return NO_DEPENDENCE
-        self._pending[load.seq] = (used_sensitive, chosen)
+        self._pending[load.seq] = chosen
         self.stats.dependences_predicted += 1
-        return Prediction(distances=(chosen.distance,))
+        table, slot = chosen
+        return Prediction(distances=(table.distance[slot],))
 
     def on_violation(self, violation: ViolationInfo) -> None:
         self.stats.trainings += 1
         self.stats.table_writes += 2
         distance = min(violation.store_distance, self._max_distance)
-        history_word = nosq_history_bits(
-            violation.history, violation.load_snapshot, self._history_bits
-        )
+        history_word = self._history_word(violation.history, violation.load_snapshot)
         for table, (index, tag) in (
             (self._sensitive, self._sensitive_keys(violation.load_pc, history_word)),
             (self._insensitive, self._insensitive_keys(violation.load_pc)),
         ):
-            entry = table.allocate(index, tag)
-            entry.valid = True
-            entry.tag = tag
-            entry.distance = distance
-            entry.confidence = self._confidence_max
+            slot = table.allocate(index, tag)
+            table.distance[slot] = distance
+            table.confidence[slot] = self._confidence_max
 
     def on_load_commit(self, commit: LoadCommitInfo) -> None:
         pending = self._pending.pop(commit.seq, None)
         if pending is None or not commit.prediction.is_dependence:
             return
-        _, entry = pending
+        table, slot = pending
         self.stats.table_writes += 1
         if commit.waited_correct:
-            entry.confidence = min(self._confidence_max, entry.confidence + 1)
+            table.confidence[slot] = min(
+                self._confidence_max, table.confidence[slot] + 1
+            )
         elif commit.false_positive:
-            entry.confidence = max(0, entry.confidence - self._fp_penalty)
+            table.confidence[slot] = max(0, table.confidence[slot] - self._fp_penalty)
 
     def storage_bits(self) -> int:
         entry_bits = self._tag_bits + self._confidence_bits + self._distance_bits + 2

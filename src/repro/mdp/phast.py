@@ -46,12 +46,7 @@ from repro.mdp.base import (
     Prediction,
     ViolationInfo,
 )
-from repro.mdp.tables import (
-    ChunkedFoldedHistory,
-    PredictionEntry,
-    SetAssocTable,
-    fold_window,
-)
+from repro.mdp.tables import ChunkedFoldedHistory, SetAssocTable, fold_window
 
 #: The paper's geometric-like ladder of history lengths (Sec. IV-B).
 DEFAULT_HISTORY_LENGTHS: Tuple[int, ...] = (0, 2, 4, 6, 8, 12, 16, 32)
@@ -94,14 +89,16 @@ class PHASTPredictor(MDPredictor):
         self._tables: List[SetAssocTable] = [
             SetAssocTable(sets_per_table, ways) for _ in self._lengths
         ]
-        # load seq -> (table position, entry) that provided the prediction
-        self._pending: Dict[int, Tuple[int, PredictionEntry]] = {}
+        # load seq -> (table, slot) that provided the prediction
+        self._pending: Dict[int, Tuple[SetAssocTable, int]] = {}
         # Rolling folds, one per non-zero ladder length, kept in sync with the
         # adopted history log up to master position `_synced`.
         self._hist: Optional[GlobalHistory] = None
         self._synced = 0
         self._folds: Dict[int, ChunkedFoldedHistory] = {}
         self._fold_list: List[ChunkedFoldedHistory] = []
+        # Fold values of a zero-length ladder entry (PC-only table), if any.
+        self._zero_folds: List[int] = [0] * self._lengths.count(0)
         # PC hash memo: load PCs repeat heavily, the hashes are pure.
         self._pc_keys: Dict[int, Tuple[int, int]] = {}
 
@@ -133,29 +130,47 @@ class PHASTPredictor(MDPredictor):
             self._folds[length] = fold
         self._fold_list = list(self._folds.values())
 
-    def _fold_at(self, history: GlobalHistory, snapshot: int, length: int) -> int:
-        """Fold of the last ``length`` divergent records before ``snapshot``."""
+    def _sync(self, history: GlobalHistory, snapshot: int) -> bool:
+        """Catch the rolling folds up to ``snapshot``; False if it is stale."""
         if history is not self._hist:
             self._adopt(history, snapshot)
         if snapshot == self._synced:
-            return self._folds[length].value
-        if snapshot > self._synced:
-            records = history.divergent.records_in_master_range(self._synced, snapshot)
-            if records:
-                target_bits = self._target_bits
-                folds = self._fold_list
-                for record in records:
-                    chunk = record.encode(target_bits)
-                    for fold in folds:
-                        fold.push(chunk)
-            self._synced = snapshot
-            return self._folds[length].value
-        # Stale snapshot (commit-time training after younger branches already
-        # retired): reference fold, rolling state untouched.
+            return True
+        if snapshot < self._synced:
+            return False
+        records = history.divergent.records_in_master_range(self._synced, snapshot)
+        if records:
+            target_bits = self._target_bits
+            folds = self._fold_list
+            for record in records:
+                chunk = record.encode(target_bits)
+                for fold in folds:
+                    fold.push(chunk)
+        self._synced = snapshot
+        return True
+
+    def _stale_fold(self, history: GlobalHistory, snapshot: int, length: int) -> int:
+        # Commit-time training after younger branches already retired:
+        # reference fold, rolling state untouched.
         window = history.divergent.window(snapshot, length)
         return fold_window(
             encode_window(window, self._target_bits), HISTORY_CHUNK_BITS, self._fold_width
         )
+
+    def _fold_at(self, history: GlobalHistory, snapshot: int, length: int) -> int:
+        """Fold of the last ``length`` divergent records before ``snapshot``."""
+        if self._sync(history, snapshot):
+            return self._folds[length].value
+        return self._stale_fold(history, snapshot, length)
+
+    def _folds_at(self, history: GlobalHistory, snapshot: int) -> List[int]:
+        """:meth:`_fold_at` for every ladder position (0 for length 0)."""
+        if self._sync(history, snapshot):
+            return self._zero_folds + [fold.value for fold in self._fold_list]
+        return [
+            self._stale_fold(history, snapshot, length) if length else 0
+            for length in self._lengths
+        ]
 
     def _keys(
         self, pc: int, history: GlobalHistory, snapshot: int, length: int
@@ -185,62 +200,51 @@ class PHASTPredictor(MDPredictor):
     def on_load_dispatch(self, load: LoadDispatchInfo) -> Prediction:
         """Search every table; take the longest confident match (Sec. IV-A3)."""
         self.stats.load_predictions += 1
-        self.stats.table_reads += len(self._tables)
-        lengths = self._lengths
         tables = self._tables
-        history = load.history
-        snapshot = load.hist_snapshot
+        self.stats.table_reads += len(tables)
         index0, tag0 = self._hash_pc(load.pc)
-        fold_at = self._fold_at
+        folds = self._folds_at(load.history, load.hist_snapshot)
         index_mask = self._index_mask
         index_bits = self._index_bits
-        best: Optional[Tuple[int, PredictionEntry]] = None
-        for position in range(len(lengths) - 1, -1, -1):
-            length = lengths[position]
-            if length > 0:
-                folded = fold_at(history, snapshot, length)
-                index = index0 ^ (folded & index_mask)
-                tag = tag0 ^ (folded >> index_bits)
-            else:
-                index = index0
-                tag = tag0
-            entry = tables[position].lookup(index, tag)
-            if entry is not None and entry.confidence > 0:
-                best = (position, entry)
-                break
-        if best is None:
-            self._pending.pop(load.seq, None)
-            return NO_DEPENDENCE
-        self._pending[load.seq] = best
-        self.stats.dependences_predicted += 1
-        return Prediction(distances=(best[1].distance,))
+        for position in range(len(tables) - 1, -1, -1):
+            # The fold is index_bits + tag_bits wide, so both XOR terms are
+            # already in range: no re-masking needed.
+            folded = folds[position]
+            table = tables[position]
+            slot = table.lookup(
+                index0 ^ (folded & index_mask), tag0 ^ (folded >> index_bits)
+            )
+            if slot is not None and table.confidence[slot] > 0:
+                self._pending[load.seq] = (table, slot)
+                self.stats.dependences_predicted += 1
+                return Prediction(distances=(table.distance[slot],))
+        self._pending.pop(load.seq, None)
+        return NO_DEPENDENCE
 
     def on_violation(self, violation: ViolationInfo) -> None:
         """Train one entry at the exact (truncated) store-to-load path length."""
         self.stats.trainings += 1
         self.stats.table_writes += 1
         length = self.training_length(violation.required_history_length)
-        position = self._lengths.index(length)
+        table = self._tables[self._lengths.index(length)]
         index, tag = self._keys(
             violation.load_pc, violation.history, violation.load_snapshot, length
         )
-        entry = self._tables[position].allocate(index, tag)
-        entry.valid = True
-        entry.tag = tag
-        entry.distance = min(violation.store_distance, self._max_distance)
-        entry.confidence = self._confidence_max
+        slot = table.allocate(index, tag)
+        table.distance[slot] = min(violation.store_distance, self._max_distance)
+        table.confidence[slot] = self._confidence_max
 
     def on_load_commit(self, commit: LoadCommitInfo) -> None:
         """Confidence policy (Sec. IV-A2): reset-to-max on correct, else decay."""
         pending = self._pending.pop(commit.seq, None)
         if pending is None or not commit.prediction.is_dependence:
             return
-        _, entry = pending
+        table, slot = pending
         self.stats.table_writes += 1
         if commit.waited_correct:
-            entry.confidence = self._confidence_max
-        else:
-            entry.confidence = max(0, entry.confidence - 1)
+            table.confidence[slot] = self._confidence_max
+        elif table.confidence[slot] > 0:
+            table.confidence[slot] -= 1
 
     def storage_bits(self) -> int:
         entry_bits = self._tag_bits + self._distance_bits + self._confidence_bits + 2

@@ -2,7 +2,8 @@
 
 * :class:`SetAssocTable` — an n-way set-associative table with LRU
   replacement and zero-confidence-first victim selection, the organisation
-  shared by PHAST, the NoSQ predictor, and MDP-TAGE-S (Table II).
+  shared by PHAST, the NoSQ predictor, and MDP-TAGE-S (Table II). Entries
+  are slots in flat int lists, not objects.
 * :class:`ChunkedFoldedHistory` — incrementally maintained circular fold of
   the last L fixed-width history entries into a w-bit word, the hardware
   history-folding of TAGE-style predictors generalised to multi-bit history
@@ -15,86 +16,132 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.bitops import mask
-from repro.common.lru import LRUState
-
-
-@dataclass
-class PredictionEntry:
-    """A generic tagged prediction entry (distance + confidence + u bit)."""
-
-    tag: int = 0
-    distance: int = 0
-    confidence: int = 0
-    useful: int = 0
-    valid: bool = False
 
 
 class SetAssocTable:
-    """N-way set-associative table of :class:`PredictionEntry`."""
+    """N-way set-associative prediction table over flat int lists.
+
+    Entry ``slot = set * ways + way`` lives in four parallel lists: ``tags``
+    (``-1`` marks an invalid entry), ``distance``, ``confidence`` and
+    ``useful``. Each set keeps a most-recent-first list of its slots (true
+    LRU; the 2-bit LRU field of Table II is the hardware encoding of the same
+    order for 4 ways, and way 0 starts as LRU so a cold set fills in way
+    order). A ``(set, tag) -> slot`` map, written only by :meth:`allocate`,
+    makes :meth:`lookup` a single probe; it is derived from ``tags`` and
+    rebuilt on unpickling rather than carried in checkpoints.
+    """
+
+    __slots__ = (
+        "num_sets",
+        "ways",
+        "tags",
+        "distance",
+        "confidence",
+        "useful",
+        "_recency",
+        "_slot_of",
+    )
 
     def __init__(self, num_sets: int, ways: int) -> None:
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self._entries: List[List[PredictionEntry]] = [
-            [PredictionEntry() for _ in range(ways)] for _ in range(num_sets)
+        slots = num_sets * ways
+        self.tags: List[int] = [-1] * slots
+        self.distance: List[int] = [0] * slots
+        self.confidence: List[int] = [0] * slots
+        self.useful: List[int] = [0] * slots
+        self._recency: List[List[int]] = [
+            list(range(base + ways - 1, base - 1, -1))
+            for base in range(0, slots, ways)
         ]
-        self._lru: List[LRUState] = [LRUState(ways) for _ in range(num_sets)]
+        # tag * num_sets + set -> slot, for every valid slot.
+        self._slot_of: Dict[int, int] = {}
+
+    def __getstate__(self):
+        return {
+            name: getattr(self, name) for name in self.__slots__ if name != "_slot_of"
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        num_sets = self.num_sets
+        self._slot_of = {
+            tag * num_sets + slot // self.ways: slot
+            for slot, tag in enumerate(self.tags)
+            if tag >= 0
+        }
 
     @property
     def total_entries(self) -> int:
         return self.num_sets * self.ways
 
-    def lookup(self, index: int, tag: int, touch: bool = True) -> Optional[PredictionEntry]:
-        """Find a valid entry with ``tag`` in set ``index``; promote on hit."""
+    def recency(self, index: int) -> List[int]:
+        """Slots of set ``index``, most recently used first (a copy)."""
+        return list(self._recency[index % self.num_sets])
+
+    def lookup(self, index: int, tag: int, touch: bool = True) -> Optional[int]:
+        """The slot holding ``tag`` in set ``index`` (promoted on a hit), or None."""
         set_index = index % self.num_sets
-        for way, entry in enumerate(self._entries[set_index]):
-            if entry.valid and entry.tag == tag:
-                if touch:
-                    self._lru[set_index].touch(way)
-                return entry
-        return None
+        slot = self._slot_of.get(tag * self.num_sets + set_index)
+        if slot is not None and touch:
+            order = self._recency[set_index]
+            if order[0] != slot:
+                order.remove(slot)
+                order.insert(0, slot)
+        return slot
 
-    def allocate(self, index: int, tag: int) -> PredictionEntry:
-        """Return the entry to (re)write for ``tag``.
+    def allocate(self, index: int, tag: int) -> int:
+        """Claim a slot for ``tag`` in set ``index`` and mark it valid.
 
-        Order of preference: an existing same-tag entry, an invalid way, a
-        zero-confidence way (aliased dead entries first, per PHAST's
-        confidence-gated replacement), else the LRU victim.
+        Order of preference: the slot already holding ``tag``, the first
+        invalid way, the least recent zero-confidence way (aliased dead
+        entries first, per PHAST's confidence-gated replacement), else the
+        LRU victim. The slot is promoted to most recent; its distance,
+        confidence and useful fields keep their old values for the caller
+        to overwrite.
         """
-        set_index = index % self.num_sets
-        ways = self._entries[set_index]
-        lru = self._lru[set_index]
-        for way, entry in enumerate(ways):
-            if entry.valid and entry.tag == tag:
-                lru.touch(way)
-                return entry
-        for way, entry in enumerate(ways):
-            if not entry.valid:
-                lru.touch(way)
-                return entry
-        for way in lru.recency_order()[::-1]:  # least recent first
-            if ways[way].confidence == 0:
-                lru.touch(way)
-                return ways[way]
-        victim = lru.victim()
-        lru.touch(victim)
-        return ways[victim]
-
-    def entries(self) -> List[PredictionEntry]:
-        """Flat view over all entries (for reset sweeps and introspection)."""
-        return [entry for ways in self._entries for entry in ways]
+        num_sets = self.num_sets
+        set_index = index % num_sets
+        key = tag * num_sets + set_index
+        slot_of = self._slot_of
+        slot = slot_of.get(key)
+        order = self._recency[set_index]
+        if slot is None:
+            tags = self.tags
+            base = set_index * self.ways
+            for candidate in range(base, base + self.ways):
+                if tags[candidate] < 0:
+                    slot = candidate
+                    break
+            else:
+                confidence = self.confidence
+                for candidate in reversed(order):
+                    if confidence[candidate] == 0:
+                        slot = candidate
+                        break
+                else:
+                    slot = order[-1]
+                del slot_of[tags[slot] * num_sets + set_index]
+            tags[slot] = tag
+            slot_of[key] = slot
+        if order[0] != slot:
+            order.remove(slot)
+            order.insert(0, slot)
+        return slot
 
     def clear(self) -> None:
-        for entry in self.entries():
-            entry.valid = False
-            entry.confidence = 0
-            entry.useful = 0
+        """Invalidate every entry, zeroing confidence and useful."""
+        slots = self.total_entries
+        self.tags[:] = [-1] * slots
+        self.confidence[:] = [0] * slots
+        self.useful[:] = [0] * slots
+        self._slot_of.clear()
 
 
 def _rotate(value: int, amount: int, width: int) -> int:

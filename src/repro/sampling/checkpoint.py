@@ -30,8 +30,8 @@ import zlib
 CHECKPOINT_MAGIC = b"RCKP"
 #: Bump when the captured state tree's shape changes incompatibly.
 #: v2: cache sets as recency lists, heap-retired MSHRs, dictionary-coded
-#: branch history.
-CHECKPOINT_VERSION = 2
+#: branch history. v3: TAGE and the tagged MDP tables as flat int lists.
+CHECKPOINT_VERSION = 3
 
 #: magic, format version, reserved, payload length, payload crc32
 _HEADER = struct.Struct("<4sHHII")

@@ -32,6 +32,7 @@ are measured — the same warmup-exclusion contract as a straight
 
 from __future__ import annotations
 
+import copy
 import traceback
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -170,9 +171,12 @@ def _interval_worker(conn, job: IntervalJob, check_invariants: bool) -> None:
 
 
 def _fresh_predictor(spec: RunSpec):
+    """The predictor to warm: a fresh named one, or a copy of the spec's
+    instance, so its configuration reaches the checkpoints and the instance
+    itself is left untouched."""
     if isinstance(spec.predictor, str):
         return make_predictor(spec.predictor)
-    return type(spec.predictor)()
+    return copy.deepcopy(spec.predictor)
 
 
 def _acquire_checkpoints(

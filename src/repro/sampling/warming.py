@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import CoreConfig
-from repro.core.context import _StoreWindow
+from repro.core.context import StoreWindow
 from repro.core.lsq import StoreRecord
 from repro.core.pipeline import PipelineStats
 from repro.frontend.branch_predictors import BranchPredictor
@@ -87,7 +87,7 @@ class FunctionalWarmer:
         self.branch_predictor = branch_predictor or TAGEPredictor()
         self.hierarchy = MemoryHierarchy(self.config.hierarchy)
         self.history = GlobalHistory()
-        self.window = _StoreWindow(capacity=self.config.sq_entries + 32)
+        self.window = StoreWindow(capacity=self.config.sq_entries + 32)
         self.next_index = 0
         self.load_count = 0
         self.store_count = 0

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import CoreConfig
-from repro.core.context import _PortPool, _StoreWindow
+from repro.core.context import StoreWindow, _PortPool
 from repro.core.lsq import ForwardKind, StoreRecord, multi_store_suppliers, resolve_load
 from repro.core.pipeline import PipelineStats
 from repro.frontend.history import GlobalHistory
@@ -265,7 +265,7 @@ def run_fused_cell(
     load_ring = [0] * lq
     store_ring = [0] * sq
     reg_ready = [0] * config.num_arch_regs
-    window = _StoreWindow(capacity=sq + 32)
+    window = StoreWindow(capacity=sq + 32)
     window_append = window.append
     window_by_number = window.by_number
     window_by_seq = window.by_seq

@@ -1,10 +1,17 @@
-"""Tests for the LRU replacement state and the bounded LRU cache."""
+"""Tests for the bounded LRU cache and the reference recency model.
+
+:class:`LRUState` is the per-set recency object the hardware tables used
+before they kept flat recency lists; it now backs the reference models in
+``tests/reference_models.py`` that the cache and table oracle tests compare
+against, so its semantics stay pinned here.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.lru import LRUCache, LRUState
+from repro.common.lru import LRUCache
+from tests.reference_models import LRUState
 
 
 class TestLRUState:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.lsq import StoreRecord, multi_store_suppliers
-from repro.core.pipeline import _PortPool, _StoreWindow, _WidthCursor
+from repro.core.pipeline import StoreWindow, _PortPool, _WidthCursor
 
 
 def record(seq, address=0x1000, size=8, store_number=None, drain=10_000):
@@ -67,7 +67,7 @@ class TestWidthCursorProperties:
 
 class TestStoreWindow:
     def test_lookup_by_number_and_seq(self):
-        window = _StoreWindow(capacity=4)
+        window = StoreWindow(capacity=4)
         window.append(record(seq=3, store_number=0))
         assert window.by_number(0).seq == 3
         assert window.by_seq(3).store_number == 0
@@ -75,7 +75,7 @@ class TestStoreWindow:
         assert window.by_seq(9) is None
 
     def test_capacity_eviction(self):
-        window = _StoreWindow(capacity=2)
+        window = StoreWindow(capacity=2)
         for seq in range(4):
             window.append(record(seq=seq, store_number=seq, address=0x1000 + seq * 8))
         assert len(window) == 2
@@ -83,27 +83,27 @@ class TestStoreWindow:
         assert window.by_seq(3) is not None
 
     def test_candidates_program_order(self):
-        window = _StoreWindow(capacity=8)
+        window = StoreWindow(capacity=8)
         for seq in (5, 2, 9):  # appended in this order; seq defines order
             window.append(record(seq=seq, store_number=seq))
         candidates = window.candidates(0x1000, 8)
         assert [c.seq for c in candidates] == [2, 5, 9]
 
     def test_candidates_filters_by_granule(self):
-        window = _StoreWindow(capacity=8)
+        window = StoreWindow(capacity=8)
         window.append(record(seq=0, address=0x1000))
         window.append(record(seq=1, address=0x2000))
         assert [c.seq for c in window.candidates(0x1000, 8)] == [0]
         assert [c.seq for c in window.candidates(0x3000, 8)] == []
 
     def test_spanning_store_in_both_granules(self):
-        window = _StoreWindow(capacity=8)
+        window = StoreWindow(capacity=8)
         window.append(record(seq=0, address=0x1004, size=8))  # spans two granules
         assert [c.seq for c in window.candidates(0x1000, 4)] == [0]
         assert [c.seq for c in window.candidates(0x1008, 4)] == [0]
 
     def test_eviction_cleans_granule_index(self):
-        window = _StoreWindow(capacity=1)
+        window = StoreWindow(capacity=1)
         window.append(record(seq=0, address=0x1000))
         window.append(record(seq=1, address=0x2000))
         assert window.candidates(0x1000, 8) == []

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend.tage import FoldedHistory, TAGEPredictor, geometric_history_lengths
+from repro.frontend.tage import TAGEPredictor, geometric_history_lengths
 from repro.isa.microop import BranchKind
+from tests.reference_models import FoldedHistory, ReferenceTAGEPredictor
 
 
 class TestGeometricLengths:
@@ -107,3 +108,163 @@ class TestTAGEPredictor:
         predictor = TAGEPredictor(reset_period=256)
         stream = [(0x400 + (i % 8) * 4, bool(i % 2)) for i in range(1024)]
         run_stream(predictor, stream)  # crosses several reset boundaries
+
+    def test_storage_bits_table2_geometry(self):
+        # 8 x 1024 entries x (11 tag + 3 counter + 2 useful) + 4096 x 2
+        # bimodal + the 640-bit global history.
+        assert TAGEPredictor().storage_bits() == 8 * 1024 * 16 + 4096 * 2 + 640
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            TAGEPredictor(tag_bits=1)
+
+
+def _tage_state(predictor):
+    """Every tagged entry as (tag or -1, counter, useful), plus the rest."""
+    if isinstance(predictor, ReferenceTAGEPredictor):
+        tables = [
+            [
+                (entry.tag if entry.valid else -1, entry.counter.value, entry.useful)
+                for entry in entries
+            ]
+            for entries in predictor._tables
+        ]
+        folds = [
+            (index.value, tag0.value, tag1.value)
+            for index, tag0, tag1 in zip(
+                predictor._folded_index, predictor._folded_tag0, predictor._folded_tag1
+            )
+        ]
+        return (
+            tables,
+            [counter.value for counter in predictor._bimodal],
+            predictor._use_alt.value,
+            folds,
+            predictor._history,
+        )
+    tables = [
+        list(zip(tags, ctrs, useful))
+        for tags, ctrs, useful in zip(
+            predictor._tags, predictor._ctrs, predictor._useful
+        )
+    ]
+    folds = [
+        (
+            fold & predictor._index_mask,
+            (fold >> predictor._tag0_base) & predictor._tag_mask,
+            fold >> predictor._tag1_base,
+        )
+        for fold in predictor._folds
+    ]
+    return (
+        tables,
+        predictor._bimodal,
+        predictor._use_alt,
+        folds,
+        predictor._history,
+    )
+
+
+_GEOMETRY = st.fixed_dictionaries(
+    {
+        "num_tables": st.integers(2, 4),
+        "min_history": st.integers(1, 3),
+        "max_history": st.integers(8, 40),
+        "table_index_bits": st.integers(3, 5),
+        "tag_bits": st.sampled_from([2, 3, 5, 11]),
+        "useful_bits": st.integers(1, 2),
+        "reset_period": st.sampled_from([5, 31, 1 << 20]),
+        "seed": st.integers(0, 1 << 16),
+    }
+)
+_STREAM = st.lists(
+    st.tuples(
+        st.sampled_from([0x400, 0x404, 0x481, 0x4C2, 0x1403, 0x2400]),
+        st.booleans(),
+        st.sampled_from([BranchKind.CONDITIONAL] * 7 + [BranchKind.INDIRECT]),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestMatchesReferenceModel:
+    """Flat TAGE changes the layout only: predictions, mispredicts and every
+    table, counter and folded register must equal the object-per-entry
+    model's after each branch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry=_GEOMETRY, stream=_STREAM)
+    def test_streams_agree(self, geometry, stream):
+        flat = TAGEPredictor(**geometry)
+        reference = ReferenceTAGEPredictor(**geometry)
+        for pc, taken, kind in stream:
+            target = pc * 3 if taken else pc + 4
+            assert flat.predict(pc) == reference.predict(pc)
+            assert flat.observe(pc, kind, taken, target) == reference.observe(
+                pc, kind, taken, target
+            )
+            assert _tage_state(flat) == _tage_state(reference)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(num_tables=2, min_history=1, max_history=9, table_index_bits=1,
+                 tag_bits=2, useful_bits=1, reset_period=97),
+            dict(num_tables=4, min_history=2, max_history=33, table_index_bits=4,
+                 tag_bits=3, reset_period=1000),
+            dict(num_tables=8, max_history=200, table_index_bits=8, tag_bits=9),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_streams_agree(self, geometry, seed):
+        # Long streams of biased branches and history-correlated ones:
+        # entries age through allocation, decay and the useful reset, and
+        # the use-alt counter reaches its bounds.
+        rng = random.Random(seed)
+        flat = TAGEPredictor(**geometry)
+        reference = ReferenceTAGEPredictor(**geometry)
+        pcs = [rng.randrange(1 << 14) for _ in range(24)]
+        bias = {pc: rng.random() for pc in pcs}
+        last = False
+        for _ in range(6000):
+            pc = rng.choice(pcs)
+            if bias[pc] < 0.3:
+                taken = last ^ (rng.random() < 0.1)
+            else:
+                taken = rng.random() < bias[pc]
+            assert flat.observe(pc, BranchKind.CONDITIONAL, taken, 0) == (
+                reference.observe(pc, BranchKind.CONDITIONAL, taken, 0)
+            )
+            last = taken
+        assert _tage_state(flat) == _tage_state(reference)
+        assert flat._rng.next_u64() == reference._rng.next_u64()
+
+    def test_trace_branch_stream_agrees(self):
+        """The default geometry over a generated workload's branches."""
+        from repro.sim.simulator import get_trace
+
+        trace = get_trace("502.gcc_1", 20_000)
+        flat, reference = TAGEPredictor(), ReferenceTAGEPredictor()
+        mispredicts = []
+        for op in trace:
+            branch = op.branch
+            if branch is None:
+                continue
+            args = (op.pc, branch.kind, branch.taken, branch.target)
+            mispredicts.append(flat.observe(*args))
+            assert mispredicts[-1] == reference.observe(*args)
+        assert 0 < sum(mispredicts) < len(mispredicts)
+        assert _tage_state(flat) == _tage_state(reference)
+
+    def test_update_matches_observe(self):
+        stream = [(0x400 + (i % 16) * 4, (i * 7) % 3 != 0) for i in range(3000)]
+        by_update = TAGEPredictor(reset_period=512)
+        by_observe = TAGEPredictor(reset_period=512)
+        reference = ReferenceTAGEPredictor(reset_period=512)
+        for pc, taken in stream:
+            by_update.update(pc, taken)
+            by_observe.observe(pc, BranchKind.CONDITIONAL, taken, 0)
+            reference.update(pc, taken)
+        assert _tage_state(by_update) == _tage_state(by_observe)
+        assert _tage_state(by_update) == _tage_state(reference)

@@ -56,21 +56,5 @@ class TestTrace:
         assert stats.store_fraction == pytest.approx(0.2)
         assert stats.branch_fraction == pytest.approx(0.4)
 
-    def test_slice(self):
-        trace = Trace(_ops(), name="t")
-        sub = trace.slice(1, 3)
-        assert len(sub) == 2
-        assert sub[0].is_load
-        assert "t[1:3]" in sub.name
-
-    def test_slice_validation(self):
-        trace = Trace(_ops())
-        with pytest.raises(ValueError):
-            trace.slice(3, 3)
-        with pytest.raises(ValueError):
-            trace.slice(-1, 2)
-        with pytest.raises(ValueError):
-            trace.slice(0, 99)
-
     def test_repr(self):
         assert "ops=5" in repr(Trace(_ops(), name="x"))

@@ -51,7 +51,7 @@ class TestTraining:
         h = s_harness()
         h.teach_conflict(distance=0, inter_branches=0)
         # Table position 0 for TAGE-S is history length 0 (PC-only).
-        entries = [e for e in h.predictor._tables[0].table.entries() if e.valid]
+        entries = [tag for tag in h.predictor._tables[0].table.tags if tag >= 0]
         assert len(entries) == 1
 
     def test_escalation_on_wrong_prediction(self):
@@ -66,10 +66,10 @@ class TestTraining:
         assert load.prediction.is_dependence  # provider = table 0
         h.violate(load, store)
         longer_entries = [
-            e
+            tag
             for table in h.predictor._tables[1:]
-            for e in table.table.entries()
-            if e.valid
+            for tag in table.table.tags
+            if tag >= 0
         ]
         assert len(longer_entries) == 1
 

@@ -62,16 +62,16 @@ class TestTraining:
         h = harness()
         h.teach_conflict(distance=1, inter_branches=1)  # required length 2
         valid = [
-            (position, entry)
+            (position, slot)
             for position, table in enumerate(h.predictor._tables)
-            for entry in table.entries()
-            if entry.valid
+            for slot, tag in enumerate(table.tags)
+            if tag >= 0
         ]
         assert len(valid) == 1
-        position, entry = valid[0]
+        position, slot = valid[0]
         assert DEFAULT_HISTORY_LENGTHS[position] == 2
-        assert entry.distance == 1
-        assert entry.confidence == 15
+        assert h.predictor._tables[position].distance[slot] == 1
+        assert h.predictor._tables[position].confidence[slot] == 15
 
     def test_trains_at_required_length_table(self):
         h = harness()
@@ -79,7 +79,7 @@ class TestTraining:
         trained = [
             position
             for position, table in enumerate(h.predictor._tables)
-            if any(entry.valid for entry in table.entries())
+            if any(tag >= 0 for tag in table.tags)
         ]
         assert trained == [DEFAULT_HISTORY_LENGTHS.index(6)]
 
@@ -91,12 +91,12 @@ class TestTraining:
         h.teach_conflict(distance=1, inter_branches=1)
         h.teach_conflict(distance=1, inter_branches=1)
         count_after_two = sum(
-            entry.valid for table in h.predictor._tables for entry in table.entries()
+            tag >= 0 for table in h.predictor._tables for tag in table.tags
         )
         for _ in range(4):
             h.teach_conflict(distance=1, inter_branches=1)
         count_after_six = sum(
-            entry.valid for table in h.predictor._tables for entry in table.entries()
+            tag >= 0 for table in h.predictor._tables for tag in table.tags
         )
         assert count_after_six == count_after_two <= 2
 
@@ -175,19 +175,19 @@ class TestConfidence:
         h.teach_conflict(inter_branches=1)
         h.teach_conflict(inter_branches=1)
         load = self._predicting_load(h)
-        entry = h.predictor._pending[load.seq][1]
-        entry.confidence = 3
+        table, slot = h.predictor._pending[load.seq]
+        table.confidence[slot] = 3
         h.commit(load, waited_correct=True)
-        assert entry.confidence == 15
+        assert table.confidence[slot] == 15
 
     def test_wrong_wait_decrements(self):
         h = harness()
         h.teach_conflict(inter_branches=1)
         h.teach_conflict(inter_branches=1)
         load = self._predicting_load(h)
-        entry = h.predictor._pending[load.seq][1]
+        table, slot = h.predictor._pending[load.seq]
         h.commit(load, waited_correct=False, false_positive=True)
-        assert entry.confidence == 14
+        assert table.confidence[slot] == 14
 
     def test_zero_confidence_disables_prediction(self):
         h = harness()

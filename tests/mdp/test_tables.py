@@ -1,15 +1,17 @@
 """Tests for shared prediction-table structures and history folding."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mdp.tables import (
-    ChunkedFoldedHistory,
-    PredictionEntry,
-    SetAssocTable,
-    fold_window,
-)
+from repro.mdp.tables import ChunkedFoldedHistory, SetAssocTable, fold_window
+from tests.reference_models import ReferenceSetAssocTable
+
+
+def valid_slots(table):
+    return [slot for slot, tag in enumerate(table.tags) if tag >= 0]
 
 
 class TestSetAssocTable:
@@ -19,60 +21,62 @@ class TestSetAssocTable:
 
     def test_allocate_then_lookup(self):
         table = SetAssocTable(num_sets=4, ways=2)
-        entry = table.allocate(1, tag=7)
-        entry.valid = True
-        entry.tag = 7
-        entry.distance = 3
+        slot = table.allocate(1, tag=7)
+        table.distance[slot] = 3
         found = table.lookup(1, tag=7)
-        assert found is entry
-        assert found.distance == 3
+        assert found == slot
+        assert table.tags[found] == 7
+        assert table.distance[found] == 3
 
     def test_same_tag_reuses_entry(self):
         table = SetAssocTable(num_sets=2, ways=2)
         first = table.allocate(0, tag=9)
-        first.valid = True
-        first.tag = 9
-        assert table.allocate(0, tag=9) is first
+        assert table.allocate(0, tag=9) == first
+        assert valid_slots(table) == [first]
 
     def test_prefers_invalid_ways(self):
         table = SetAssocTable(num_sets=1, ways=2)
         a = table.allocate(0, tag=1)
-        a.valid = True
-        a.tag = 1
         b = table.allocate(0, tag=2)
-        assert b is not a
+        assert b != a
+        assert table.lookup(0, tag=1) == a  # the first entry survived
 
     def test_prefers_zero_confidence_victim(self):
         table = SetAssocTable(num_sets=1, ways=2)
         a = table.allocate(0, tag=1)
-        a.valid, a.tag, a.confidence = True, 1, 5
+        table.confidence[a] = 5
         b = table.allocate(0, tag=2)
-        b.valid, b.tag, b.confidence = True, 2, 0
+        table.confidence[b] = 0
         victim = table.allocate(0, tag=3)
-        assert victim is b  # the dead (zero-confidence) entry goes first
+        assert victim == b  # the dead (zero-confidence) entry goes first
+        assert table.lookup(0, tag=2) is None
+        assert table.lookup(0, tag=3) == b
 
     def test_lru_victim_when_all_confident(self):
         table = SetAssocTable(num_sets=1, ways=2)
         a = table.allocate(0, tag=1)
-        a.valid, a.tag, a.confidence = True, 1, 5
+        table.confidence[a] = 5
         b = table.allocate(0, tag=2)
-        b.valid, b.tag, b.confidence = True, 2, 5
+        table.confidence[b] = 5
         table.lookup(0, tag=1)  # A becomes MRU
         victim = table.allocate(0, tag=3)
-        assert victim is b
+        assert victim == b
 
     def test_index_wraps_modulo_sets(self):
         table = SetAssocTable(num_sets=4, ways=1)
-        entry = table.allocate(9, tag=1)  # set 1
-        entry.valid, entry.tag = True, 1
-        assert table.lookup(5, tag=1) is entry
+        slot = table.allocate(9, tag=1)  # set 1
+        assert slot == 1
+        assert table.lookup(5, tag=1) == slot
 
     def test_clear(self):
         table = SetAssocTable(num_sets=2, ways=2)
-        entry = table.allocate(0, tag=1)
-        entry.valid = True
+        slot = table.allocate(0, tag=1)
+        table.confidence[slot] = 3
+        table.useful[slot] = 1
         table.clear()
-        assert all(not e.valid for e in table.entries())
+        assert valid_slots(table) == []
+        assert table.lookup(0, tag=1) is None
+        assert not any(table.confidence) and not any(table.useful)
 
     def test_total_entries(self):
         assert SetAssocTable(num_sets=128, ways=4).total_entries == 512
@@ -80,6 +84,91 @@ class TestSetAssocTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             SetAssocTable(num_sets=0, ways=4)
+
+    def test_slot_map_rebuilt_by_pickle(self):
+        import pickle
+
+        table = SetAssocTable(num_sets=4, ways=2)
+        for index, tag in ((0, 3), (1, 3), (4, 8), (2, 5)):
+            table.distance[table.allocate(index, tag)] = tag
+        table.lookup(0, tag=3)
+        copy = pickle.loads(pickle.dumps(table))
+        for index, tag in ((0, 3), (1, 3), (4, 8), (2, 5), (3, 1)):
+            assert copy.lookup(index, tag) == table.lookup(index, tag)
+        assert copy._recency == table._recency
+        assert copy.distance == table.distance
+
+
+class TestRecency:
+    """True-LRU order per set, read as most-recent-first slot lists."""
+
+    def test_initial_victim_is_way_zero(self):
+        table = SetAssocTable(num_sets=2, ways=4)
+        assert table._recency[1][-1] == 4  # set 1's way 0
+        # ...so a cold set fills way 0 first.
+        assert table.allocate(1, tag=1) == 4
+
+    def test_touch_promotes(self):
+        table = SetAssocTable(num_sets=1, ways=4)
+        for tag in range(4):
+            table.allocate(0, tag)
+        table.lookup(0, tag=2)
+        assert table._recency[0][0] == 2
+        assert table._recency[0][-1] != 2
+
+    def test_lookup_without_touch_keeps_order(self):
+        table = SetAssocTable(num_sets=1, ways=3)
+        for tag in range(3):
+            table.allocate(0, tag)
+        before = list(table._recency[0])
+        assert table.lookup(0, tag=0, touch=False) == 0
+        assert table._recency[0] == before
+
+    def test_cold_fill_order(self):
+        # Filling ways 0,1,2,3 in order leaves way 0 as the LRU victim.
+        table = SetAssocTable(num_sets=1, ways=4)
+        for tag in range(4):
+            slot = table.allocate(0, tag)
+            assert slot == tag
+            table.confidence[slot] = 1
+        assert table._recency[0][-1] == 0
+        assert table.allocate(0, tag=9) == 0
+
+    def test_sequence(self):
+        table = SetAssocTable(num_sets=1, ways=3)
+        for tag in range(3):
+            table.confidence[table.allocate(0, tag)] = 1
+        table.lookup(0, tag=0)
+        assert table._recency[0] == [0, 2, 1]
+        assert table.allocate(0, tag=7) == 1  # the LRU victim
+
+    def test_single_way(self):
+        table = SetAssocTable(num_sets=1, ways=1)
+        assert table._recency[0] == [0]
+        assert table.allocate(0, tag=1) == 0
+        table.confidence[0] = 3
+        assert table.allocate(0, tag=2) == 0
+        assert table.lookup(0, tag=1) is None
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=60),
+    )
+    def test_invariants(self, num_sets, ways, accesses):
+        table = SetAssocTable(num_sets, ways)
+        for index, tag in accesses:
+            slot = table.allocate(index, tag)
+            table.confidence[slot] = 1
+            set_index = index % num_sets
+            order = table._recency[set_index]
+            base = set_index * ways
+            # Recency is always a permutation of the set's slots...
+            assert sorted(order) == list(range(base, base + ways))
+            # ...with the just-allocated slot most recent.
+            assert order[0] == slot
+            if ways > 1:
+                assert order[-1] != slot
 
 
 class TestFoldWindow:
@@ -141,3 +230,123 @@ class TestChunkedFoldedHistory:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChunkedFoldedHistory(0, 7, 8)
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("lookup"), st.integers(0, 11), st.integers(0, 5), st.booleans()
+        ),
+        st.tuples(
+            st.just("allocate"),
+            st.integers(0, 11),
+            st.integers(0, 5),
+            # distance, confidence, useful: None leaves the field as it was,
+            # as PHAST leaves useful and MDP-TAGE leaves confidence.
+            st.one_of(st.none(), st.integers(0, 127)),
+            st.one_of(st.none(), st.integers(0, 3)),
+            st.one_of(st.none(), st.integers(0, 1)),
+        ),
+        st.tuples(st.just("feedback"), st.integers(0, 63), st.integers(0, 3)),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=80,
+)
+
+
+def _apply(table, reference, slot_of, op):
+    """Run one generated op on both tables and check the answers agree."""
+    kind = op[0]
+    if kind == "lookup":
+        _, index, tag, touch = op
+        found = reference.lookup(index, tag, touch)
+        expected = None if found is None else slot_of[id(found)]
+        assert table.lookup(index, tag, touch) == expected
+    elif kind == "allocate":
+        _, index, tag, distance, confidence, useful = op
+        entry = reference.allocate(index, tag)
+        slot = table.allocate(index, tag)
+        assert slot == slot_of[id(entry)]
+        entry.valid = True
+        entry.tag = tag
+        for name, value in (
+            ("distance", distance),
+            ("confidence", confidence),
+            ("useful", useful),
+        ):
+            if value is not None:
+                setattr(entry, name, value)
+                getattr(table, name)[slot] = value
+    elif kind == "feedback":
+        # Commit-time confidence writes through a held slot.
+        _, pick, value = op
+        slot = pick % len(table.tags)
+        reference.entries()[slot].confidence = value
+        table.confidence[slot] = value
+    else:
+        reference.clear()
+        table.clear()
+
+
+def _assert_same(table, reference):
+    """Equal contents and recency; returns the reference's entry -> slot map."""
+    ways = reference.ways
+    for slot, entry in enumerate(reference.entries()):
+        assert table.tags[slot] == (entry.tag if entry.valid else -1)
+        assert table.distance[slot] == entry.distance
+        assert table.confidence[slot] == entry.confidence
+        assert table.useful[slot] == entry.useful
+    for set_index, lru in enumerate(reference._lru):
+        base = set_index * ways
+        assert table._recency[set_index] == [base + way for way in lru.recency_order()]
+    return {id(entry): slot for slot, entry in enumerate(reference.entries())}
+
+
+_GEOMETRIES = [(1, 1), (1, 4), (4, 1), (3, 2), (2, 5)]
+
+
+class TestMatchesReferenceModel:
+    """The flat table changes the layout only: lookups, victims, recency
+    and contents must equal the object-per-entry model's."""
+
+    @pytest.mark.parametrize("num_sets, ways", _GEOMETRIES)
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS)
+    def test_op_sequences_agree(self, num_sets, ways, ops):
+        table = SetAssocTable(num_sets, ways)
+        reference = ReferenceSetAssocTable(num_sets, ways)
+        slot_of = _assert_same(table, reference)
+        for op in ops:
+            _apply(table, reference, slot_of, op)
+            _assert_same(table, reference)
+
+    @pytest.mark.parametrize("num_sets, ways", _GEOMETRIES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_streams_agree(self, num_sets, ways, seed):
+        # Long streams over a few tags per set, so sets fill, zero- and
+        # non-zero-confidence victims mix, and entries are re-allocated.
+        rng = random.Random(seed)
+        tags = 2 * ways + 1
+        table = SetAssocTable(num_sets, ways)
+        reference = ReferenceSetAssocTable(num_sets, ways)
+        slot_of = _assert_same(table, reference)
+        for _ in range(2000):
+            index, tag = rng.randrange(4 * num_sets), rng.randrange(tags)
+            roll = rng.random()
+            if roll < 0.4:
+                op = ("lookup", index, tag, rng.random() < 0.8)
+            elif roll < 0.75:
+                op = (
+                    "allocate",
+                    index,
+                    tag,
+                    rng.randrange(128),
+                    rng.choice([None, 0, 0, 1, 3]),
+                    rng.choice([None, 0, 1]),
+                )
+            elif roll < 0.998:
+                op = ("feedback", rng.randrange(1 << 10), rng.choice([0, 0, 2]))
+            else:
+                op = ("clear",)
+            _apply(table, reference, slot_of, op)
+            _assert_same(table, reference)

@@ -5,8 +5,8 @@ import zlib
 
 import pytest
 
-from repro.common.lru import LRUState
 from repro.memory.cache import Cache, CacheConfig, CacheStats
+from tests.reference_models import LRUState
 
 
 def small_cache(ways=2, sets=4, latency=3, mshrs=2):

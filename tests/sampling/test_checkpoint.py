@@ -88,20 +88,20 @@ def test_payload_corruption_caught_by_crc(blob):
         decode_checkpoint(bytes(corrupt))
 
 
-def test_version_1_artifact_in_store_is_rewarmed(tmp_path):
+def _assert_stale_version_rewarmed(tmp_path, version):
     spec = RunSpec(workload="502.gcc_1", predictor="phast", num_ops=8000)
     geometry = dict(interval_ops=2000, warmup_ops=300, max_clusters=2)
     store = CheckpointStore(tmp_path)
     cold = run_sampled(spec, checkpoint_store=store, **geometry)
     stored = sorted(tmp_path.glob("*.ckpt"))
     assert len(stored) == cold.sampling.checkpoints_warmed > 0
-    # Re-pack each valid artifact's header as format v1, as a store written
-    # before the v2 layout would hold it.
+    # Re-pack each valid artifact's header as an older format version, as a
+    # store written before the current layout would hold it.
     for path in stored:
         data = path.read_bytes()
         magic, _version, reserved, length, crc = _HEADER.unpack_from(data)
         path.write_bytes(
-            _HEADER.pack(magic, 1, reserved, length, crc) + data[_HEADER.size :]
+            _HEADER.pack(magic, version, reserved, length, crc) + data[_HEADER.size :]
         )
     again = run_sampled(spec, checkpoint_store=store, **geometry)
     assert again.sampling.checkpoints_reused == 0
@@ -110,3 +110,13 @@ def test_version_1_artifact_in_store_is_rewarmed(tmp_path):
     # The re-warmed checkpoints replaced the stale ones.
     for path in stored:
         assert decode_checkpoint(path.read_bytes()) is not None
+
+
+def test_version_1_artifact_in_store_is_rewarmed(tmp_path):
+    _assert_stale_version_rewarmed(tmp_path, 1)
+
+
+def test_version_2_artifact_in_store_is_rewarmed(tmp_path):
+    # v2 held TAGE and the MDP tables as one object per entry.
+    assert CHECKPOINT_VERSION > 2
+    _assert_stale_version_rewarmed(tmp_path, 2)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.common.env import EnvVarError
 from repro.isa.artifacts import CheckpointStore
+from repro.mdp.phast import PHASTPredictor
+from repro.sampling.checkpoint import decode_checkpoint
 from repro.sampling.sampled import (
     SAMPLE_INTERVAL_ENV,
     SAMPLE_WARMUP_ENV,
@@ -107,6 +109,31 @@ def test_worker_fanout_matches_inline(spec, sampled):
     assert parallel.sampling.violation_mpki == sampled.sampling.violation_mpki
     assert parallel.pipeline == sampled.pipeline
     assert parallel.mdp == sampled.mdp
+
+
+def test_configured_predictor_instance_is_warmed_as_configured(tmp_path):
+    """A predictor instance's constructor arguments reach the warmed state.
+
+    Warming once rebuilt the instance's class with default arguments, so a
+    small PHAST sampled exactly like the Table II one.
+    """
+    configured = PHASTPredictor(sets_per_table=8, ways=1)
+    small = run_sampled(
+        RunSpec(workload="502.gcc_1", predictor=configured, num_ops=40_000),
+        checkpoint_store=CheckpointStore(tmp_path),
+    )
+    default = run_sampled(
+        RunSpec(workload="502.gcc_1", predictor="phast", num_ops=40_000)
+    )
+    assert small.mdp != default.mdp
+    stored = sorted(tmp_path.glob("*.ckpt"))
+    assert stored
+    for path in stored:
+        state = decode_checkpoint(path.read_bytes())
+        assert [table.num_sets for table in state.predictor._tables] == [8] * 8
+        assert {table.ways for table in state.predictor._tables} == {1}
+    # Warming trained a copy; the spec's instance is untouched.
+    assert configured.stats.trainings == 0
 
 
 def test_bad_geometry_rejected(spec):

@@ -62,7 +62,7 @@ HOT_CELL = f"{WORKLOAD}/{PREDICTOR}"
 #: Synthetic grouped cell: every registered predictor simulated on the hot
 #: workload's trace. Under ``reference`` it is the sum of one per-op run per
 #: predictor; under ``batch`` it is one grouped backend run (one decode, one
-#: shared front-end pass, fused cells). ``--check --backend batch`` gates
+#: shared trace plan). ``--check --backend batch`` gates
 #: this cell's throughput at ``--min-group-speedup`` (default 3x) over the
 #: latest committed reference entry.
 GROUP_CELL = f"{WORKLOAD}/@group15"

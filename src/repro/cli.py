@@ -232,11 +232,11 @@ def _cmd_backends_ls(_: argparse.Namespace) -> int:
                 name,
                 row.get("class", "-"),
                 "yes" if row.get("available", True) else "no",
-                str(row.get("numpy", "-")),
+                str(row.get("coverage", "-")),
                 str(row.get("kernels", "-")),
             ]
         )
-    print(format_table(["backend", "class", "available", "numpy", "kernels"], rows))
+    print(format_table(["backend", "class", "available", "coverage", "kernels"], rows))
     return 0
 
 

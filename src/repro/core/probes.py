@@ -1,28 +1,28 @@
-"""Typed probe/event bus: pipeline observability without inline bookkeeping.
+"""Typed probe/event bus: observing the pipeline without touching its loop.
 
-The pipeline's scheduling loop emits *structured events* — one class per
-observable fact (an op dispatched, a load resolved, a violation detected,
-an interval boundary crossed) — onto a :class:`ProbeBus`. Everything that
-used to be hard-wired into the loop body (statistics counting, invariant
-checking, predictor training, windowed metrics) is a :class:`Probe`
-subscribed to the event types it cares about.
+The scheduling loop (:meth:`repro.core.pipeline.PipelineRun.advance`)
+emits *structured events* — one class per observable fact (an op
+dispatched, a load resolved, a violation detected, the run finished) —
+onto a :class:`ProbeBus`. Observers such as the invariant checker
+(:class:`repro.sim.invariants.InvariantProbe`) or a user's tracer are
+:class:`Probe` subscribers to the event types they care about. Statistics,
+interval windows and predictor training are not probes: they are part of
+the loop.
 
 Design constraints, in priority order:
 
-1. **Zero-subscriber fast path.** At ``Pipeline.run`` entry, every event
-   type is pre-resolved via :meth:`ProbeBus.resolve` to either ``None`` (no
-   subscribers) or a single dispatch callable. The hot loop guards each
+1. **Zero-subscriber fast path.** At ``advance`` entry every event type is
+   pre-resolved via :meth:`ProbeBus.resolve` to either ``None`` (no
+   subscribers) or a single dispatch callable. The loop guards each
    emission with ``if emit_x is not None`` — an event nobody listens to
    costs one ``None`` comparison and the event object is *never
-   constructed*. ``benchmarks/perf_smoke.py`` enforces this against a
-   committed baseline.
+   constructed*.
 2. **Synchronous, ordered delivery.** Handlers run inline at the emission
-   point, in subscription order. Probes that mutate simulation state
-   (the MDP training probe) therefore fire at exactly the same sequence
-   point as the pre-bus inline calls, keeping results bit-identical.
+   point, in subscription order, after the loop has applied the event to
+   its own state (predictor training included).
 3. **Cheap events.** Events are hand-written ``__slots__`` classes (about
    4x faster to construct than frozen dataclasses), because ``OpCommitted``
-   is built once per committed micro-op.
+   is built once per committed micro-op when anyone subscribes.
 
 This module is dependency-free within the package so that ``repro.mdp`` and
 ``repro.sim`` can both import it without cycles.
@@ -218,25 +218,6 @@ class OpCommitted(ProbeEvent):
         self.measuring = measuring
 
 
-class IntervalBoundary(ProbeEvent):
-    """``interval_ops`` measured micro-ops retired since the last boundary.
-
-    Only emitted when at least one attached probe declares
-    :attr:`Probe.interval_ops`; with no interval subscribers the loop never
-    even counts ops toward a boundary.
-    """
-
-    __slots__ = ("interval_index", "start_op", "end_op", "start_cycle",
-                 "end_cycle")
-
-    def __init__(self, interval_index, start_op, end_op, start_cycle, end_cycle):
-        self.interval_index = interval_index
-        self.start_op = start_op
-        self.end_op = end_op
-        self.start_cycle = start_cycle
-        self.end_cycle = end_cycle
-
-
 class RunFinished(ProbeEvent):
     """The trace ended; carries everything end-of-run observers need."""
 
@@ -256,13 +237,8 @@ class Probe:
     """Base class for bus subscribers.
 
     Subclasses override :meth:`subscriptions` to map event types to bound
-    handlers. A probe that wants :class:`IntervalBoundary` events must also
-    set :attr:`interval_ops` (measured ops per window) — the pipeline only
-    tracks boundaries when some attached probe asks for them.
+    handlers.
     """
-
-    #: Measured micro-ops per IntervalBoundary, or None for no intervals.
-    interval_ops: Optional[int] = None
 
     def subscriptions(self) -> Mapping[Type[ProbeEvent], Callable]:
         return {}
@@ -312,12 +288,3 @@ class ProbeBus:
                 handler(event)
 
         return fanout
-
-    def interval_hint(self) -> Optional[int]:
-        """Smallest interval requested by any attached probe, or None."""
-        requested = [
-            probe.interval_ops
-            for probe in self._probes
-            if probe.interval_ops is not None and probe.interval_ops > 0
-        ]
-        return min(requested) if requested else None

@@ -27,9 +27,8 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple, Type
+from typing import Optional, Tuple
 
-from repro.core.probes import LoadCommitted, Probe, ProbeEvent, Violation
 from repro.frontend.history import GlobalHistory
 
 
@@ -65,10 +64,10 @@ NO_DEPENDENCE = Prediction()
 #
 # * ``LoadDispatchInfo`` and ``StoreDispatchInfo`` are *transient*: the
 #   pipeline owns a single mutable instance of each and rewrites its fields
-#   for every dispatching op (``repro.core.stages``). Predictors must read
+#   for every dispatching op (``repro.core.pipeline``). Predictors must read
 #   them synchronously inside the hook and must NOT retain a reference or
 #   mutate them — copy any field they need past the call.
-# * ``ViolationInfo`` and ``LoadCommitInfo`` ride on probe-bus events
+# * ``ViolationInfo`` and ``LoadCommitInfo`` also ride on probe-bus events
 #   (``Violation`` / ``LoadCommitted``) whose subscribers may legitimately
 #   keep them, so the pipeline allocates those fresh per event; they stay
 #   valid indefinitely but are still read-only by convention.
@@ -213,32 +212,3 @@ class MDPredictor(abc.ABC):
             f"{stats.table_reads}:{stats.table_writes}"
         )
         return zlib.crc32(blob.encode("ascii"))
-
-
-class MDPTrainingProbe(Probe):
-    """Routes the bus's training events into a predictor.
-
-    ``Pipeline`` attaches one of these for its predictor by default — MDP
-    training is part of the simulation's semantics, not optional
-    observation, and the bus's synchronous in-order delivery keeps the
-    training sequence points identical to the old inline calls. Detach it
-    (``Pipeline(..., train_predictor=False)``) and the predictor never
-    learns from violations or commit feedback.
-    """
-
-    __slots__ = ("predictor",)
-
-    def __init__(self, predictor: "MDPredictor") -> None:
-        self.predictor = predictor
-
-    def subscriptions(self) -> Mapping[Type[ProbeEvent], Callable]:
-        return {
-            Violation: self._on_violation,
-            LoadCommitted: self._on_load_committed,
-        }
-
-    def _on_violation(self, event: Violation) -> None:
-        self.predictor.on_violation(event.info)
-
-    def _on_load_committed(self, event: LoadCommitted) -> None:
-        self.predictor.on_load_commit(event.info)

@@ -1,7 +1,7 @@
 """Batched table kernels: trace-precomputed acceleration for the predictors.
 
-The batch backend simulates many cells against one shared trace decode
-(:class:`repro.sim.backends.engine.TracePrep`). For the table-indexed
+The batch backend simulates many cells against one shared trace plan
+(:class:`repro.core.pipeline.TracePrep`). For the table-indexed
 predictors, most per-load work is *trace-determined*: folded branch
 histories, history words and PC hashes depend only on the trace position,
 never on per-cell timing. The kernels here hoist that work out of the hot
@@ -43,18 +43,14 @@ Kernels exist for the predictors where precomputation pays:
 
 The unlimited limit-study predictors key on exact window tuples (no folds)
 and the perceptron/omnipredictor entangle per-cell state with their hashing,
-so they run unkerneled — the fused engine still executes them faster than
-the reference interpreter.
+so they run unkerneled on the shared plan.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-try:  # kernels are only reachable from the batch backend, which needs numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+import numpy as _np
 
 from repro.common.bitops import mask, pc_hash_index, pc_hash_tag
 from repro.mdp.base import NO_DEPENDENCE, MDPredictor, Prediction
@@ -65,11 +61,6 @@ from repro.mdp.phast import PHASTPredictor
 from repro.mdp.store_sets import StoreSetsPredictor
 from repro.mdp.store_vector import StoreVectorPredictor
 from repro.isa.microop import BranchKind
-
-
-def kernels_available() -> bool:
-    """True when the kernels can run (NumPy imported cleanly)."""
-    return _np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +79,11 @@ def _divergent_plan(prep) -> Tuple[List[int], List[int]]:
     def build(p):
         view = p.history.divergent
         positions = _np.asarray(view.positions(), dtype=_np.int64)
-        snapshots = _np.arange(p.branch_count + 1, dtype=_np.int64)
+        snapshots = _np.arange(p.history.snapshot() + 1, dtype=_np.int64)
         count_at = _np.searchsorted(positions, snapshots, side="left").tolist()
         chunks = [
             record.encode(TARGET_BITS)
-            for record in view.records_in_master_range(0, p.branch_count)
+            for record in view.records_in_master_range(0, p.history.snapshot())
         ]
         return count_at, chunks
 
@@ -146,9 +137,9 @@ def _nosq_word_plan(prep, num_bits: int) -> Tuple[List[int], List[int]]:
     def build(p):
         view = p.history.nosq
         positions = _np.asarray(view.positions(), dtype=_np.int64)
-        snapshots = _np.arange(p.branch_count + 1, dtype=_np.int64)
+        snapshots = _np.arange(p.history.snapshot() + 1, dtype=_np.int64)
         count_at = _np.searchsorted(positions, snapshots, side="left").tolist()
-        records = view.records_in_master_range(0, p.branch_count)
+        records = view.records_in_master_range(0, p.history.snapshot())
         word_mask = mask(num_bits)
         words = [0] * (len(records) + 1)
         for k in range(1, len(records) + 1):
@@ -207,8 +198,8 @@ class _KernelMDPTage(MDPTagePredictor):
 
     ``_sync`` no longer replays records into 2x11 rolling folds; it reads
     one precomputed count. ``_keys`` XORs memoized PC hashes with table
-    lookups. Monotonicity of ``_sync`` holds by construction in the fused
-    engine (program-order dispatch), so the reference's guard is dropped.
+    lookups. Monotonicity of ``_sync`` holds by construction in the timing
+    loop (program-order dispatch), so the reference's guard is dropped.
     """
 
     def __init__(self, prep, **kwargs) -> None:
@@ -371,18 +362,18 @@ _KERNELS = {
     "cht": _KernelCHT,
 }
 
-#: Predictor names with a batched kernel (the rest run unkerneled but fused).
+#: Predictor names with a batched kernel (the rest run unkerneled).
 KERNEL_NAMES: Tuple[str, ...] = tuple(sorted(_KERNELS))
 
 
 def make_kernel_predictor(name: str, prep) -> Optional[MDPredictor]:
     """A kernel-accelerated predictor for ``name``, or ``None``.
 
-    ``None`` means "no kernel for this predictor" (or no NumPy): the caller
-    falls back to the registry factory. Returned predictors are only valid
+    ``None`` means "no kernel for this predictor": the caller falls back to
+    the registry factory. Returned predictors are only valid
     for cells simulated against ``prep``'s trace.
     """
     factory = _KERNELS.get(name)
-    if factory is None or _np is None:
+    if factory is None:
         return None
     return factory(prep)

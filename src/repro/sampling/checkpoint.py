@@ -31,7 +31,9 @@ CHECKPOINT_MAGIC = b"RCKP"
 #: Bump when the captured state tree's shape changes incompatibly.
 #: v2: cache sets as recency lists, heap-retired MSHRs, dictionary-coded
 #: branch history. v3: TAGE and the tagged MDP tables as flat int lists.
-CHECKPOINT_VERSION = 3
+#: v4: the run's own state fields (``run_state``) replace the stage
+#: context's and the probe-state list.
+CHECKPOINT_VERSION = 4
 
 #: magic, format version, reserved, payload length, payload crc32
 _HEADER = struct.Struct("<4sHHII")

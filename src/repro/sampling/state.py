@@ -3,9 +3,10 @@
 ``capture_state`` collects everything a paused :class:`~repro.core.pipeline.
 PipelineRun` would need to continue — the component objects (predictor,
 branch predictor, memory hierarchy, branch history), the accumulated
-statistics, the invariant checker's cursor, the structural scheduling state
-(cursors, rings, port bookings, the in-flight store window) and the state of
-any checkpoint-aware probes — into one :class:`MachineState` tree.
+statistics, the invariant checker's cursor and the run's own state (the
+fields named in :attr:`~repro.core.pipeline.PipelineRun.STATE_FIELDS`:
+cursors, rings, port bookings, the in-flight store window, interval
+windows) — into one :class:`MachineState` tree.
 
 The tree is *referenced*, not copied: isolation comes from the codec
 (:mod:`repro.sampling.checkpoint`), which pickles the whole tree in one
@@ -15,19 +16,15 @@ references — PHAST and the pipeline must keep sharing one ``GlobalHistory``
 after restore, or history snapshots diverge silently.
 
 ``restore_run`` rebuilds a :class:`~repro.core.pipeline.Pipeline` around the
-restored components and returns a :class:`~repro.core.pipeline.PipelineRun`
-positioned at the captured op index. Restore happens in a precise order:
+restored components, writes statistics and checker state into the objects
+the pipeline built, and returns a :class:`~repro.core.pipeline.PipelineRun`
+holding the captured state fields, positioned at the captured op index. A
+run reads its state fields on every ``advance``, so nothing else needs
+rebinding.
 
-1. the restored components are passed into ``Pipeline.__init__`` so the
-   built-in probes (stats, MDP training, invariants) bind to them;
-2. statistics and checker state are written *into* the objects those probes
-   captured at construction (the probes hold references, not values);
-3. ``Pipeline.begin`` builds and binds a fresh context, whose structural
-   fields are then overwritten wholesale — legal because stage objects are
-   built lazily on the first ``advance`` (see ``PipelineRun``).
-
-The contract, enforced by ``tests/sampling``: a detailed run snapshotted at
-any op and resumed through the codec produces bit-identical
+The contract, enforced by ``tests/sampling`` and
+``tests/core/test_timing_envelope.py``: a detailed run snapshotted at any op
+and resumed through the codec produces bit-identical
 ``PipelineStats``/``MDPStats``/interval windows vs the uninterrupted run,
 for every registered predictor.
 """
@@ -35,7 +32,7 @@ for every registered predictor.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.config import CoreConfig
 from repro.core.pipeline import Pipeline, PipelineRun, PipelineStats
@@ -46,41 +43,6 @@ from repro.isa.trace import Trace
 from repro.mdp.base import MDPredictor
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sampling.checkpoint import CheckpointFormatError
-
-#: Context fields a checkpoint may carry. Detailed checkpoints carry all of
-#: them; functional checkpoints carry only the architectural subset (fresh
-#: zeros are the *correct* timing state when the clock rebases to 0).
-_CTX_FIELDS = (
-    # structural scheduling state
-    "dispatch",
-    "commit",
-    "drain",
-    "ports",
-    "commit_ring",
-    "issue_ring",
-    "load_ring",
-    "store_ring",
-    "reg_ready",
-    "window",
-    # progress counters
-    "load_count",
-    "store_count",
-    "frontend_ready",
-    "last_commit",
-    "last_fetch_line",
-    "wrong_path_after",
-    "warmup_end_cycle",
-    # interval-boundary cursors
-    "interval_index",
-    "interval_op_count",
-    "interval_start_cycle",
-    "interval_start_op",
-)
-
-
-def _probe_id(probe: Probe) -> str:
-    cls = type(probe)
-    return f"{cls.__module__}.{cls.__qualname__}"
 
 
 @dataclass
@@ -106,8 +68,10 @@ class MachineState:
     history: GlobalHistory
     stats: PipelineStats
     checker_state: Optional[Dict[str, Any]]
-    ctx_struct: Dict[str, Any]
-    probe_states: List[Tuple[str, Any]]
+    #: Values for PipelineRun.STATE_FIELDS. Detailed checkpoints carry all
+    #: of them; functional ones only the architectural subset (a fresh
+    #: run's zeros are the *correct* timing state when the clock rebases).
+    run_state: Dict[str, Any]
     digests: Dict[str, int]
 
 
@@ -129,13 +93,9 @@ def capture_state(run: PipelineRun) -> MachineState:
     :func:`~repro.sampling.checkpoint.encode_checkpoint`; do not keep it
     across further ``advance`` calls.
     """
+    if run.prep is not None:
+        raise ValueError("a run on a shared TracePrep has no front end to capture")
     pipeline = run.pipeline
-    ctx = run.ctx
-    probe_states: List[Tuple[str, Any]] = []
-    for probe in pipeline.bus.probes:
-        getter = getattr(probe, "checkpoint_state", None)
-        if getter is not None:
-            probe_states.append((_probe_id(probe), getter()))
     checker_state = (
         dict(pipeline.invariants.__dict__) if pipeline.invariants is not None else None
     )
@@ -144,20 +104,17 @@ def capture_state(run: PipelineRun) -> MachineState:
         trace_name=run.trace.name,
         trace_len=len(run.trace),
         op_index=run.next_index,
-        total=ctx.total,
-        warmup_ops=ctx.warmup_ops,
+        total=run.total,
+        warmup_ops=run.warmup_ops,
         config=pipeline.config,
         predictor=pipeline.predictor,
         branch_predictor=pipeline.branch_predictor,
         hierarchy=pipeline.hierarchy,
-        history=pipeline.history,
-        stats=pipeline.stats,
+        history=run.history,
+        stats=run.stats,
         checker_state=checker_state,
-        ctx_struct={name: getattr(ctx, name) for name in _CTX_FIELDS},
-        probe_states=probe_states,
-        digests=component_digests(
-            pipeline.history, pipeline.hierarchy, pipeline.predictor
-        ),
+        run_state={name: getattr(run, name) for name in PipelineRun.STATE_FIELDS},
+        digests=component_digests(run.history, pipeline.hierarchy, pipeline.predictor),
     )
 
 
@@ -176,11 +133,7 @@ def restore_run(
     by name and length). ``total``/``warmup_ops`` default to the captured
     run geometry — the detailed-resume case; the sampled scheduler overrides
     both to point a functional checkpoint at one measured interval.
-
-    ``probes`` are attached to the new pipeline's bus; any probe exposing
-    the checkpoint-state protocol (``checkpoint_state()`` /
-    ``restore_checkpoint_state(state)``) is re-seeded from the captured
-    probe states, matched by class and attachment order.
+    ``probes`` are attached to the new pipeline's bus.
 
     ``check_invariants=None`` mirrors the donor: the checker is enabled iff
     the donor ran with one (its cursor state is restored), keeping resumed
@@ -213,36 +166,21 @@ def restore_run(
         probes=probes,
     )
     # The pipeline made itself a fresh history; the restored one replaces it
-    # before ``begin`` snapshots it into the run context.
+    # before ``begin`` hands it to the run.
     pipeline.history = state.history
-    # Stats and checker state restore *in place*: StatsProbe/InvariantProbe
-    # captured these objects in Pipeline.__init__.
+    # Stats and checker state restore *in place*: the run and the
+    # InvariantProbe hold the objects the pipeline built.
     for field in dataclass_fields(PipelineStats):
         setattr(pipeline.stats, field.name, getattr(state.stats, field.name))
     if pipeline.invariants is not None and state.checker_state is not None:
         pipeline.invariants.__dict__.update(state.checker_state)
-
-    # Re-seed checkpoint-aware probes, matched by class then attachment order.
-    saved: Dict[str, List[Any]] = {}
-    for probe_id, payload in state.probe_states:
-        saved.setdefault(probe_id, []).append(payload)
-    for probe in pipeline.bus.probes:
-        setter = getattr(probe, "restore_checkpoint_state", None)
-        if setter is None:
-            continue
-        queue = saved.get(_probe_id(probe))
-        if queue:
-            setter(queue.pop(0))
 
     run = pipeline.begin(
         trace,
         max_ops=state.total if total is None else total,
         warmup_ops=state.warmup_ops if warmup_ops is None else warmup_ops,
     )
-    ctx = run.ctx
-    struct = state.ctx_struct
-    for name in _CTX_FIELDS:
-        if name in struct:
-            setattr(ctx, name, struct[name])
+    for name, value in state.run_state.items():
+        setattr(run, name, value)
     run.next_index = state.op_index
     return run

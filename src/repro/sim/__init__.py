@@ -1,7 +1,7 @@
 """Simulation orchestration: one-call runs, metrics, and experiment grids."""
 
 from repro.sim.experiment import ExperimentGrid, normalize_to_ideal
-from repro.sim.intervals import IntervalMetricsProbe, IntervalWindow
+from repro.sim.intervals import IntervalWindow
 from repro.sim.metrics import SimResult
 from repro.sim.simulator import (
     PREDICTOR_FACTORIES,
@@ -35,7 +35,6 @@ __all__ = [
     "clear_trace_cache",
     "trace_cache_info",
     "IntervalWindow",
-    "IntervalMetricsProbe",
     "ExperimentGrid",
     "normalize_to_ideal",
 ]

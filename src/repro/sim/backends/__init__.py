@@ -6,9 +6,10 @@ environment knob (validated, read at call time), else ``"reference"``.
 
 Built-ins:
 
-* ``reference`` — the per-op interpreted pipeline; always available.
-* ``batch`` — shared-decode vectorized batch execution (needs numpy);
-  registered lazily so importing this package never pulls the array stack.
+* ``reference`` — one cell at a time with its own front end; always
+  available.
+* ``batch`` — one shared trace plan per trace plus predictor kernels;
+  imported on first use so importing this package stays light.
 
 Third backends register with :func:`register_backend`; see
 ``docs/backends.md`` for the contract (bit-identity with ``reference`` on
@@ -30,8 +31,8 @@ from repro.sim.backends.reference import ReferenceBackend
 ENV_BACKEND = "REPRO_SIM_BACKEND"
 
 _FACTORIES: Dict[str, Callable[[], Backend]] = {}
-#: One long-lived instance per name: backends are stateless between runs
-#: (per-run state lives in the engine/pipeline objects they build).
+#: One long-lived instance per name: backends keep no per-run state (it
+#: lives in the pipeline runs they build; batch caches read-only plans).
 _INSTANCES: Dict[str, Backend] = {}
 
 
@@ -64,13 +65,7 @@ def unregister_backend(name: str) -> None:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Sorted names of every registered backend.
-
-    Availability here means *registered*; a backend whose dependencies are
-    missing (batch without numpy) still lists, and raises its clear error
-    on first use — silent disappearance would make ``--backend batch``
-    quietly mean something else.
-    """
+    """Sorted names of every registered backend."""
     return tuple(sorted(_FACTORIES))
 
 
@@ -100,9 +95,8 @@ def get_backend(name: str) -> Backend:
 
 
 def _make_batch() -> Backend:
-    # Imported on first use: keeps `import repro.sim` numpy-free and makes
-    # a missing numpy a clear BackendError at run time, not an ImportError
-    # at import time.
+    # Imported on first use: keeps `import repro.sim` free of the kernels
+    # and their array stack.
     from repro.sim.backends.batch import BatchBackend
 
     return BatchBackend()

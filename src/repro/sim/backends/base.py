@@ -5,15 +5,16 @@ into :class:`~repro.sim.metrics.SimResult`s. The contract is semantic
 bit-identity: for any spec a backend claims to cover, its result — every
 ``PipelineStats`` counter, every ``MDPStats`` counter, every interval
 window — must equal the ``reference`` backend's to the bit (the golden
-fixture in ``tests/core/test_hot_path_identity.py`` enforces this for every
-registered predictor). Backends differ only in *how fast* they get there:
+fixtures in ``tests/core`` enforce this for every registered predictor).
+Backends differ only in *how fast* they get there. Both built-ins run the
+same timing loop (:meth:`repro.core.pipeline.PipelineRun.advance`) and
+differ in where its plan comes from:
 
-* ``reference`` — the per-op interpreted pipeline (:mod:`repro.core`), one
-  cell at a time. Always available, covers every spec; the semantic truth.
-* ``batch`` — decodes a trace once into NumPy structured arrays, runs one
-  shared front-end pass, then simulates many cells against the shared
-  decode through a fused scheduling loop (:mod:`repro.sim.backends.batch`).
-  Falls back to ``reference`` per cell for specs it cannot cover.
+* ``reference`` — one cell at a time, with its own front end and the
+  registry's predictors. Always available, covers every spec.
+* ``batch`` — one shared :class:`~repro.core.pipeline.TracePrep` per trace
+  plus predictor kernels (:mod:`repro.sim.backends.batch`). Falls back to
+  ``reference`` per cell for specs it cannot cover.
 
 ``docs/backends.md`` documents the contract and how to register a third
 backend.
@@ -22,10 +23,13 @@ backend.
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
+
+if TYPE_CHECKING:
+    from repro.sim.intervals import IntervalWindow
 
 
 class BackendError(RuntimeError):
@@ -38,6 +42,8 @@ class BackendError(RuntimeError):
 #: windows for in-flight cells.
 OnResult = Callable[[int, SimResult], None]
 OnHeartbeat = Callable[[int, dict], None]
+#: Receives each interval window of one run as it completes.
+OnWindow = Optional[Callable[["IntervalWindow"], None]]
 
 
 class Backend(abc.ABC):
@@ -60,6 +66,20 @@ class Backend(abc.ABC):
         """
         return True
 
+    def run_streaming(
+        self,
+        spec: RunSpec,
+        on_window: OnWindow = None,
+        heartbeat_ops: Optional[int] = None,
+    ) -> SimResult:
+        """Run one spec, passing each interval window to ``on_window``.
+
+        Windows are cut at ``spec.interval_ops``, else at ``heartbeat_ops``.
+        The default runs :meth:`run` and streams nothing; the built-in
+        backends stream from the loop's interval accumulator.
+        """
+        return self.run(spec)
+
     def run_many(
         self,
         specs: Sequence[RunSpec],
@@ -69,14 +89,18 @@ class Backend(abc.ABC):
     ) -> List[SimResult]:
         """Execute many specs; returns results in spec order.
 
-        The default is a sequential loop of :meth:`run`; batch backends
-        override it to share per-trace work across the group. ``on_result``
-        fires after each cell so a crash mid-group loses only the unfinished
-        cells (the harness's per-cell salvage contract).
+        ``on_result(index, result)`` fires after each cell, so a crash
+        mid-group loses only the unfinished cells (the harness's per-cell
+        salvage contract); ``on_heartbeat(index, window_dict)`` receives the
+        cell's interval windows as they complete (see :meth:`run_streaming`).
+        Heartbeat-only windows are never attached to the result.
         """
         results: List[SimResult] = []
         for index, spec in enumerate(specs):
-            result = self.run(spec)
+            on_window = None
+            if on_heartbeat is not None:
+                on_window = lambda window, _i=index: on_heartbeat(_i, window.to_dict())
+            result = self.run_streaming(spec, on_window, heartbeat_ops)
             results.append(result)
             if on_result is not None:
                 on_result(index, result)

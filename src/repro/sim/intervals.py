@@ -1,11 +1,13 @@
-"""Windowed (per-interval) pipeline metrics over the probe bus.
+"""Windowed (per-interval) pipeline metrics.
 
 End-of-run aggregates hide phase behaviour: a predictor that is perfect for
 90% of a trace and pathological for 10% can post the same violation MPKI as
-one that is uniformly mediocre. :class:`IntervalMetricsProbe` subscribes to
-the probe bus and cuts the measured region into windows of ``interval_ops``
-committed micro-ops, each an :class:`IntervalWindow` with its own IPC,
-violation MPKI, branch MPKI and mean ROB occupancy.
+one that is uniformly mediocre. The pipeline's loop therefore keeps one
+interval accumulator (``Pipeline.begin(..., interval_ops=N)``) that cuts the
+measured region into windows of ``N`` committed micro-ops, each an
+:class:`IntervalWindow` with its own IPC, violation MPKI, branch MPKI and
+mean ROB occupancy; a trace that ends mid-window flushes a final
+``partial`` window.
 
 The windows surface in three places:
 
@@ -13,9 +15,10 @@ The windows surface in three places:
   ``SimResult.intervals``
   (and they survive the JSON record round trip);
 * the ``repro probe`` CLI subcommand renders them as a table;
-* the harness executor attaches a probe with an ``on_window`` callback and
-  forwards each completed window over the worker pipe as a heartbeat, so a
-  hung or killed sweep cell's failure manifest records the last interval it
+* the harness executor streams each completed window over the worker pipe
+  as a heartbeat (``Backend.run_many(on_heartbeat=..., heartbeat_ops=...)``;
+  the spec's own ``interval_ops``, else ``REPRO_HEARTBEAT_OPS``), so a hung
+  or killed sweep cell's failure manifest records the last interval it
   completed.
 
 Occupancy is estimated with Little's law: the mean number of in-flight ops
@@ -26,18 +29,9 @@ window's cycles — no per-cycle sampling needed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, List, Mapping, Optional, Type
+from typing import Dict, Mapping
 
 from repro.common.env import env_int
-from repro.core.probes import (
-    BranchResolved,
-    IntervalBoundary,
-    OpCommitted,
-    Probe,
-    ProbeEvent,
-    RunFinished,
-    Violation,
-)
 
 #: Environment knob for the executor's heartbeat window (committed ops).
 HEARTBEAT_ENV = "REPRO_HEARTBEAT_OPS"
@@ -102,139 +96,3 @@ class IntervalWindow:
         """Inverse of :meth:`to_dict`; derived metrics are recomputed."""
         known = {field.name for field in fields(cls)}
         return cls(**{key: value for key, value in payload.items() if key in known})
-
-
-class IntervalMetricsProbe(Probe):
-    """Cuts the measured region into :class:`IntervalWindow` records.
-
-    ``interval_ops`` committed micro-ops per window; a final partial window
-    (if the trace ends mid-window) is flushed with ``partial=True``.
-    ``on_window``, when given, is called with each completed window — the
-    harness executor uses this to stream heartbeats; batch consumers read
-    :attr:`windows` after the run.
-    """
-
-    def __init__(
-        self,
-        interval_ops: int = DEFAULT_INTERVAL_OPS,
-        on_window: Optional[Callable[[IntervalWindow], None]] = None,
-    ) -> None:
-        if interval_ops <= 0:
-            raise ValueError(f"interval_ops must be positive, got {interval_ops}")
-        self.interval_ops = interval_ops  # Probe contract: requests boundaries
-        self.on_window = on_window
-        self.windows: List[IntervalWindow] = []
-        self._committed = 0
-        self._violations = 0
-        self._mispredicts = 0
-        self._residency = 0
-        self._last_op = -1
-
-    def subscriptions(self) -> Mapping[Type[ProbeEvent], Callable]:
-        return {
-            OpCommitted: self._on_op_committed,
-            Violation: self._on_violation,
-            BranchResolved: self._on_branch_resolved,
-            IntervalBoundary: self._on_boundary,
-            RunFinished: self._on_run_finished,
-        }
-
-    # ------------------------------------------------------------ handlers --
-
-    def _on_op_committed(self, event: OpCommitted) -> None:
-        if event.measuring:
-            self._committed += 1
-            self._residency += event.commit_cycle - event.dispatch_cycle
-            self._last_op = event.index
-
-    def _on_violation(self, event: Violation) -> None:
-        if event.measuring and not event.phantom:
-            self._violations += 1
-
-    def _on_branch_resolved(self, event: BranchResolved) -> None:
-        if event.measuring and event.mispredicted:
-            self._mispredicts += 1
-
-    def _on_boundary(self, event: IntervalBoundary) -> None:
-        self._cut(
-            index=event.interval_index,
-            start_op=event.start_op,
-            end_op=event.end_op,
-            cycles=event.end_cycle - event.start_cycle,
-            partial=False,
-        )
-
-    def _on_run_finished(self, event: RunFinished) -> None:
-        if self._committed == 0:
-            return
-        previous_end = self.windows[-1].end_op if self.windows else None
-        start_op = (previous_end + 1) if previous_end is not None else event.warmup_ops
-        start_cycle = (
-            # Cycles since the last boundary: total measured cycles minus
-            # cycles already attributed to completed windows.
-            event.warmup_end_cycle
-            + sum(window.cycles for window in self.windows)
-        )
-        self._cut(
-            index=len(self.windows),
-            start_op=start_op,
-            end_op=self._last_op,
-            cycles=event.last_commit_cycle - start_cycle,
-            partial=True,
-        )
-
-    # --------------------------------------------------- checkpoint protocol --
-
-    def checkpoint_state(self) -> Dict[str, object]:
-        """Snapshot the probe's accumulators (checkpointed-sampling protocol).
-
-        A probe exposing ``checkpoint_state``/``restore_checkpoint_state``
-        survives a mid-run machine-state snapshot: ``repro.sampling``
-        captures this payload with the rest of the machine and re-seeds a
-        same-class probe on restore, so a resumed run's interval windows are
-        bit-identical to an uninterrupted run's. ``on_window`` callbacks are
-        deliberately not captured — they are process-local wiring.
-        """
-        return {
-            "windows": [window.to_dict() for window in self.windows],
-            "committed": self._committed,
-            "violations": self._violations,
-            "mispredicts": self._mispredicts,
-            "residency": self._residency,
-            "last_op": self._last_op,
-        }
-
-    def restore_checkpoint_state(self, state: Mapping[str, object]) -> None:
-        """Inverse of :meth:`checkpoint_state`."""
-        self.windows = [
-            IntervalWindow.from_dict(window) for window in state["windows"]
-        ]
-        self._committed = state["committed"]
-        self._violations = state["violations"]
-        self._mispredicts = state["mispredicts"]
-        self._residency = state["residency"]
-        self._last_op = state["last_op"]
-
-    # ------------------------------------------------------------- helpers --
-
-    def _cut(
-        self, index: int, start_op: int, end_op: int, cycles: int, partial: bool
-    ) -> None:
-        window = IntervalWindow(
-            index=index,
-            start_op=start_op,
-            end_op=end_op,
-            cycles=max(1, cycles),
-            committed_uops=self._committed,
-            violations=self._violations,
-            branch_mispredicts=self._mispredicts,
-            rob_residency=self._residency,
-            partial=partial,
-        )
-        self._committed = 0
-        self._violations = 0
-        self._mispredicts = 0
-        self._residency = 0
-        self.windows.append(window)
-        if self.on_window is not None:
-            self.on_window(window)

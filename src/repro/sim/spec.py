@@ -80,6 +80,8 @@ class RunSpec:
             raise ValueError(f"num_ops must be positive, got {self.num_ops}")
         if self.warmup_ops is not None and self.warmup_ops < 0:
             raise ValueError(f"warmup_ops must be >= 0, got {self.warmup_ops}")
+        if self.interval_ops is not None and self.interval_ops <= 0:
+            raise ValueError(f"interval_ops must be positive, got {self.interval_ops}")
 
     # -------------------------------------------------------- resolution --
 

@@ -6,7 +6,7 @@ Layer map:
 * :mod:`repro.surrogate.dataset` — deterministic, content-addressed
   dataset artifacts built from a ResultStore or provenance export.
 * :mod:`repro.surrogate.model` — the bagged-ridge ensemble with conformal
-  confidence intervals (numpy-gated; everything else is pure Python).
+  confidence intervals (numpy; everything else is pure Python).
 * :mod:`repro.surrogate.triage` — the planner tier that settles tight-CI
   cells as tagged estimates and passes the rest to the simulator.
 

@@ -8,9 +8,8 @@ interval with a distribution-free coverage guarantee. The triage tier
 (:mod:`repro.surrogate.triage`) settles a cell only when the interval is
 tight, so calibration — not point accuracy — is what the CI gate enforces.
 
-numpy is the only dependency, guarded exactly like the ``batch`` backend:
-the dataset layer stays importable everywhere, and only train/predict
-raise a clear error when numpy is absent.
+numpy (a declared dependency) does the linear algebra; the dataset layer
+never imports this module, so building datasets does not load it.
 
 Predictions for cells outside the training support are flagged ``novel``:
 a hashed predictor bucket the model never saw carries near-zero weight in
@@ -30,6 +29,8 @@ import math
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.common.atomicio import atomic_write_text
 from repro.core.config import CoreConfig
 from repro.harness import store as store_mod
@@ -39,11 +40,6 @@ from repro.surrogate.features import (
     cell_features,
     feature_names,
 )
-
-try:  # pragma: no cover - exercised via have_numpy()
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 #: Artifact schema of the model JSON record; a mismatch loads as a miss.
 MODEL_SCHEMA = 1
@@ -58,27 +54,13 @@ DEFAULT_RIDGE = 1.0
 
 
 class SurrogateError(RuntimeError):
-    """The surrogate model layer cannot run (numpy missing, bad data)."""
-
-
-def have_numpy() -> bool:
-    return _np is not None
-
-
-def require_numpy() -> None:
-    if _np is None:
-        raise SurrogateError(
-            "the surrogate model requires numpy, which is not installed; "
-            "dataset building still works — install numpy to train or "
-            "predict"
-        )
+    """The surrogate model layer cannot run (bad data)."""
 
 
 class SurrogateModel:
     """A trained, serialisable surrogate with calibrated intervals."""
 
     def __init__(self, payload: Mapping[str, object]) -> None:
-        require_numpy()
         self.payload = payload
         self._mean = _np.asarray(payload["scaler"]["mean"], dtype=float)
         self._std = _np.asarray(payload["scaler"]["std"], dtype=float)
@@ -285,7 +267,6 @@ def train_model(
     level: float = DEFAULT_LEVEL,
 ) -> SurrogateModel:
     """Fit the ensemble on the train split, calibrate on the calib split."""
-    require_numpy()
     if not 0.5 <= level < 1.0:
         raise SurrogateError(f"confidence level must be in [0.5, 1), got {level}")
     if members < 2:
@@ -392,7 +373,6 @@ def _seal(payload: Dict[str, object]) -> Dict[str, object]:
 
 def load_model(path: Union[str, Path]) -> Optional[SurrogateModel]:
     """Load a model artifact, or ``None`` on any corruption mode."""
-    require_numpy()
     try:
         entry = json.loads(Path(path).read_text())
     except (OSError, ValueError):

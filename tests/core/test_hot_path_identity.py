@@ -15,10 +15,10 @@ counter), via::
     PYTHONPATH=src python tests/core/test_hot_path_identity.py --regen
 
 The same fixture gates the ``batch`` execution backend: for every predictor
-it covers, the fused shared-decode engine must reproduce the reference
-results to the bit — pipeline counters, predictor counters, and every
-interval window. Uncovered or shadowed predictors must route to the
-reference fallback and still match.
+it covers, the shared-plan run with its predictor kernels must reproduce
+the reference results to the bit — pipeline counters, predictor counters,
+and every interval window. Uncovered or shadowed predictors must route to
+the reference fallback and still match.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from pathlib import Path
 import pytest
 
 from repro.sim.backends import get_backend
-from repro.sim.backends._numpy import have_numpy
 from repro.sim.simulator import available_predictors, simulate
 from repro.sim.spec import RunSpec
 
@@ -109,14 +108,13 @@ def test_bit_identical_to_golden(golden, workload, predictor):
     assert actual["intervals"] == expected["intervals"], cell_key
 
 
-@pytest.mark.skipif(not have_numpy(), reason="batch backend needs numpy")
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("predictor", sorted(available_predictors()))
 def test_batch_backend_bit_identical_to_golden(golden, workload, predictor):
     """The backend contract: batch == reference, to the bit, per predictor.
 
-    Every built-in predictor must be *covered* (run through the fused
-    engine, not the fallback) and must reproduce the committed golden
+    Every built-in predictor must be *covered* (run on the shared plan, not
+    the fallback) and must reproduce the committed golden
     results exactly — full ``PipelineStats``, full ``MDPStats`` and every
     interval window.
     """
@@ -135,12 +133,11 @@ def test_batch_backend_bit_identical_to_golden(golden, workload, predictor):
     assert actual["intervals"] == expected["intervals"], cell_key
 
 
-@pytest.mark.skipif(not have_numpy(), reason="batch backend needs numpy")
 def test_batch_backend_routes_unclaimed_predictors_to_reference():
-    """Predictors the batch engine was never validated against fall back.
+    """Predictors the batch kernels were never validated against fall back.
 
-    A freshly registered (or shadowed) predictor name is outside the fused
-    engine's validated envelope: ``covers`` must say so, and ``run`` must
+    A freshly registered (or shadowed) predictor name is outside the
+    kernels' validated envelope: ``covers`` must say so, and ``run`` must
     still produce the reference result rather than erroring.
     """
     from repro.mdp.mdp_tage import MDPTagePredictor
@@ -158,8 +155,8 @@ def test_batch_backend_routes_unclaimed_predictors_to_reference():
     finally:
         unregister_predictor("hot-path-test-custom")
 
-    # Shadowing a covered name must also disqualify it: the engine's fast
-    # paths were validated against the built-in factory, not the override.
+    # Shadowing a covered name must also disqualify it: the kernels were
+    # validated against the built-in factory, not the override.
     try:
         register_predictor(
             "store-sets", lambda: StoreSetsPredictor(), replace=True

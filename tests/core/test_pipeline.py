@@ -1,10 +1,14 @@
 """Tests for the out-of-order pipeline timing engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import CoreConfig
-from repro.core.pipeline import Pipeline, PipelineStats, _PortPool, _WidthCursor
+from repro.core.pipeline import Pipeline, PipelineStats, _PortPool
+from repro.core.probes import OpCommitted, OpDispatched, Probe
 from repro.frontend.branch_predictors import AlwaysTakenPredictor
+from repro.isa.microop import MicroOp, OpKind
 from repro.isa.trace import Trace
 from repro.mdp.ideal import AlwaysSpeculatePredictor, AlwaysWaitPredictor, IdealPredictor
 from repro.workloads.motifs import alu, cond_branch, load, store
@@ -23,20 +27,58 @@ def alu_block(count, pc_base=0x400):
     return [alu(pc_base + 4 * i, dst=None, srcs=()) for i in range(count)]
 
 
+class _Cycles(Probe):
+    """Dispatch and commit cycle of every op, in program order."""
+
+    def __init__(self):
+        self.dispatch = []
+        self.commit = []
+
+    def subscriptions(self):
+        return {
+            OpDispatched: lambda event: self.dispatch.append(event.dispatch_cycle),
+            OpCommitted: lambda event: self.commit.append(event.commit_cycle),
+        }
+
+
+def cycles_of(ops, **config_changes):
+    probe = _Cycles()
+    Pipeline(
+        replace(CoreConfig(), **config_changes),
+        AlwaysSpeculatePredictor(),
+        branch_predictor=AlwaysTakenPredictor(),
+        probes=[probe],
+    ).run(Trace(ops))
+    return probe
+
+
+def div(pc):
+    return MicroOp(pc=pc, kind=OpKind.DIV, dst_reg=None)
+
+
 class TestWidthCursor:
+    """Dispatch slots: at most ``dispatch_width`` ops per cycle, in order."""
+
     def test_packs_up_to_width(self):
-        cursor = _WidthCursor(2)
-        assert [cursor.allocate(0) for _ in range(5)] == [0, 0, 1, 1, 2]
+        dispatch = cycles_of(alu_block(5), dispatch_width=2).dispatch
+        assert [cycle - dispatch[0] for cycle in dispatch] == [0, 0, 1, 1, 2]
 
     def test_jumps_forward(self):
-        cursor = _WidthCursor(2)
-        cursor.allocate(0)
-        assert cursor.allocate(10) == 10
+        # A 2-entry ROB: the third op waits for the DIV to commit, and the
+        # dispatch cursor jumps straight to that cycle.
+        ops = [div(0x400)] + alu_block(2, pc_base=0x404)
+        cycles = cycles_of(ops, dispatch_width=2, rob_entries=2)
+        assert cycles.dispatch[1] == cycles.dispatch[0]
+        assert cycles.dispatch[2] == cycles.commit[0] > cycles.dispatch[0] + 1
 
     def test_never_goes_backwards(self):
-        cursor = _WidthCursor(1)
-        cursor.allocate(10)
-        assert cursor.allocate(3) == 11
+        # The fourth op's ROB slot frees no later than the cursor's cycle,
+        # which the third op filled: it takes the next cycle, not an
+        # earlier one.
+        ops = [div(0x400)] + alu_block(3, pc_base=0x404)
+        cycles = cycles_of(ops, dispatch_width=1, rob_entries=2, commit_width=2)
+        assert cycles.commit[1] <= cycles.dispatch[2]
+        assert cycles.dispatch[3] == cycles.dispatch[2] + 1
 
 
 class TestPortPool:

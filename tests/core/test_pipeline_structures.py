@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.lsq import StoreRecord, multi_store_suppliers
-from repro.core.pipeline import StoreWindow, _PortPool, _WidthCursor
+from repro.core.pipeline import StoreWindow, _PortPool
+from repro.isa.microop import MicroOp, OpKind
+from tests.core.test_pipeline import cycles_of
 
 
 def record(seq, address=0x1000, size=8, store_number=None, drain=10_000):
@@ -52,17 +54,27 @@ class TestPortPoolProperties:
 
 
 class TestWidthCursorProperties:
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=60), st.integers(1, 6))
-    def test_monotone_and_bounded(self, earliest_list, width):
-        cursor = _WidthCursor(width)
-        allocations = [cursor.allocate(value) for value in earliest_list]
-        # Never before the request, never decreasing.
-        for value, got in zip(earliest_list, allocations):
-            assert got >= value
-        assert all(b >= a for a, b in zip(allocations, allocations[1:])) or True
+    @given(
+        st.lists(st.sampled_from([OpKind.ALU, OpKind.MUL, OpKind.DIV]),
+                 min_size=1, max_size=60),
+        st.integers(1, 6),
+        st.integers(1, 8),
+    )
+    def test_monotone_and_bounded(self, kinds, width, rob):
+        """Dispatch never precedes the op's ROB slot freeing, never moves
+        backwards, and fills at most ``width`` slots per cycle."""
+        ops = [
+            MicroOp(pc=0x400 + 4 * i, kind=kind, dst_reg=i % 4, src_regs=((i + 1) % 4,))
+            for i, kind in enumerate(kinds)
+        ]
+        cycles = cycles_of(ops, dispatch_width=width, rob_entries=rob)
+        dispatch = cycles.dispatch
+        for index in range(rob, len(ops)):
+            assert dispatch[index] >= cycles.commit[index - rob]
+        assert all(b >= a for a, b in zip(dispatch, dispatch[1:]))
         from collections import Counter
 
-        assert max(Counter(allocations).values()) <= width
+        assert max(Counter(dispatch).values()) <= width
 
 
 class TestStoreWindow:

@@ -1,10 +1,9 @@
 """Probe bus semantics: resolution fast path, ordering, custom probes."""
 
 from repro.core.config import CoreConfig
-from repro.core.pipeline import Pipeline, StatsProbe
+from repro.core.pipeline import Pipeline
 from repro.core.probes import (
     BranchResolved,
-    IntervalBoundary,
     LoadResolved,
     OpCommitted,
     OpDispatched,
@@ -15,9 +14,9 @@ from repro.core.probes import (
     Violation,
 )
 from repro.isa.trace import Trace
-from repro.mdp.base import MDPTrainingProbe
 from repro.mdp.ideal import AlwaysSpeculatePredictor
 from repro.mdp.phast import PHASTPredictor
+from repro.sim.invariants import InvariantProbe
 from tests.core.test_pipeline import alu_block, overtaking_conflict_ops
 
 
@@ -62,27 +61,14 @@ class TestBusResolution:
         assert bus.resolve(Violation) is not None
         assert bus.resolve(BranchResolved) is None
 
-    def test_interval_hint_is_min_positive_request(self):
-        bus = ProbeBus()
-        assert bus.interval_hint() is None
-
-        class Wants(Probe):
-            def __init__(self, interval_ops):
-                self.interval_ops = interval_ops
-
-        bus.attach(Wants(None))
-        assert bus.interval_hint() is None
-        bus.attach(Wants(5000))
-        bus.attach(Wants(2000))
-        assert bus.interval_hint() == 2000
-
 
 class TestPipelineIntegration:
-    def test_builtin_probes_always_attached(self):
-        pipeline = Pipeline(CoreConfig(), PHASTPredictor())
-        kinds = [type(probe) for probe in pipeline.bus.probes]
-        assert StatsProbe in kinds
-        assert MDPTrainingProbe in kinds
+    def test_invariant_probe_is_the_only_builtin(self):
+        """Statistics and predictor training are part of the loop; the bus
+        carries only observers."""
+        assert Pipeline(CoreConfig(), PHASTPredictor()).bus.probes == []
+        checked = Pipeline(CoreConfig(), PHASTPredictor(), check_invariants=True)
+        assert [type(probe) for probe in checked.bus.probes] == [InvariantProbe]
 
     def test_custom_probe_sees_every_commit(self):
         recorder = _Recorder(OpCommitted, RunFinished)
@@ -121,20 +107,20 @@ class TestPipelineIntegration:
         """The zero-subscriber fast path: with nobody listening, the loop
         must not build event objects at all."""
         constructed = []
-        original = IntervalBoundary.__init__
+        original = OpCommitted.__init__
 
         def tracing_init(self, *args):
             constructed.append(args)
             original(self, *args)
 
-        IntervalBoundary.__init__ = tracing_init
+        OpCommitted.__init__ = tracing_init
         try:
-            Pipeline(CoreConfig(), AlwaysSpeculatePredictor()).run(
-                Trace(alu_block(5000))
-            )
+            Pipeline(
+                CoreConfig(), AlwaysSpeculatePredictor(), check_invariants=False
+            ).run(Trace(alu_block(5000)))
             assert constructed == []
         finally:
-            IntervalBoundary.__init__ = original
+            OpCommitted.__init__ = original
 
     def test_events_expose_slots_no_dict(self):
         event = OpCommitted(0, None, 0, 0, 0, True)

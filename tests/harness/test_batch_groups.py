@@ -281,6 +281,23 @@ class TestSweepPlanning:
         assert all(isinstance(job, CellSpec) for job in jobs)
 
     def test_uncovered_cells_stay_solo(self, tmp_path):
+        from repro.mdp.store_sets import StoreSetsPredictor
+        from repro.sim.simulator import register_predictor, unregister_predictor
+
+        store = ResultStore(tmp_path / "store")
+        runner = SweepRunner(store, ProcessCellExecutor(), precompile=False)
+        names = ["solo-test-a", "solo-test-b"]
+        for name in names:
+            register_predictor(name, StoreSetsPredictor)
+        try:
+            cells = build_cells(["511.povray"], names, num_ops=100, backend="batch")
+            jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
+        finally:
+            for name in names:
+                unregister_predictor(name)
+        assert all(isinstance(job, CellSpec) for job in jobs)
+
+    def test_invariant_checked_cells_are_grouped(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         runner = SweepRunner(
             store,
@@ -291,7 +308,7 @@ class TestSweepPlanning:
             ["511.povray"], ["phast", "nosq"], num_ops=100, backend="batch"
         )
         jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert len(jobs) == 1 and isinstance(jobs[0], BatchGroup)
 
     def test_unknown_backend_cells_fail_solo_with_clear_error(self, tmp_path):
         store = ResultStore(tmp_path / "store")

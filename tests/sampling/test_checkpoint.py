@@ -120,3 +120,9 @@ def test_version_2_artifact_in_store_is_rewarmed(tmp_path):
     # v2 held TAGE and the MDP tables as one object per entry.
     assert CHECKPOINT_VERSION > 2
     _assert_stale_version_rewarmed(tmp_path, 2)
+
+
+def test_version_3_artifact_in_store_is_rewarmed(tmp_path):
+    # v3 carried the stage context's fields and a probe-state list.
+    assert CHECKPOINT_VERSION > 3
+    _assert_stale_version_rewarmed(tmp_path, 3)

@@ -22,7 +22,6 @@ from repro.sampling.checkpoint import (
     encode_checkpoint,
 )
 from repro.sampling.state import capture_state, restore_run
-from repro.sim.intervals import IntervalMetricsProbe
 from repro.sim.simulator import available_predictors, get_trace, make_predictor
 
 OPS = 2500
@@ -65,26 +64,22 @@ def test_resume_is_bit_identical_for_every_predictor(trace, name):
 
 
 def test_resume_preserves_interval_windows(trace):
-    def run_with_probe(resume: bool):
-        probe = IntervalMetricsProbe(interval_ops=500)
+    def run_windows(resume: bool):
         pipeline = Pipeline(
             CoreConfig(),
             make_predictor("phast"),
             branch_predictor=TAGEPredictor(),
-            probes=[probe],
         )
-        run = pipeline.begin(trace, warmup_ops=WARMUP)
+        run = pipeline.begin(trace, warmup_ops=WARMUP, interval_ops=500)
         if resume:
             run.advance(PAUSE)
             state = decode_checkpoint(encode_checkpoint(capture_state(run)))
-            fresh_probe = IntervalMetricsProbe(interval_ops=500)
-            run = restore_run(state, trace, probes=[fresh_probe])
-            probe = fresh_probe
+            run = restore_run(state, trace)
         run.advance()
         run.finish()
-        return [window.to_dict() for window in probe.windows]
+        return [window.to_dict() for window in run.intervals]
 
-    assert run_with_probe(resume=True) == run_with_probe(resume=False)
+    assert run_windows(resume=True) == run_windows(resume=False)
 
 
 def test_restore_rejects_mismatched_trace(trace):

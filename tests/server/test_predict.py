@@ -21,8 +21,6 @@ from tests.server.stubs import FabricatingExecutor
 from tests.server.test_server import _ServerHarness
 from tests.surrogate.conftest import NUM_OPS, PREDICTORS, WORKLOADS, populate
 
-pytest.importorskip("numpy")
-
 
 @pytest.fixture(scope="module")
 def model(tmp_path_factory):

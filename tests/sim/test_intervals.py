@@ -8,7 +8,6 @@ from repro.analysis.export import intervals_to_csv, intervals_to_records
 from repro.sim.intervals import (
     DEFAULT_INTERVAL_OPS,
     HEARTBEAT_ENV,
-    IntervalMetricsProbe,
     IntervalWindow,
     heartbeat_interval_ops,
 )
@@ -52,11 +51,11 @@ class TestIntervalWindow:
         # Derived metrics travel in the payload for schema-free consumers.
         assert payload["ipc"] == pytest.approx(window.ipc)
 
-    def test_probe_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            IntervalMetricsProbe(interval_ops=0)
-        with pytest.raises(ValueError):
-            IntervalMetricsProbe(interval_ops=-5)
+    def test_spec_rejects_nonpositive_interval(self):
+        with pytest.raises(ValueError, match="interval_ops"):
+            RunSpec("511.povray", "phast", interval_ops=0)
+        with pytest.raises(ValueError, match="interval_ops"):
+            RunSpec("511.povray", "phast", interval_ops=-5)
 
 
 class TestReconciliation:

@@ -75,9 +75,7 @@ def seeded_store(tmp_path) -> ResultStore:
 def trained(tmp_path_factory):
     """(store, dataset, model) trained once per module — training is fast
     but there is no reason to repeat identical deterministic fits."""
-    model_mod = pytest.importorskip("repro.surrogate.model")
-    if not model_mod.have_numpy():
-        pytest.skip("surrogate model layer needs numpy")
+    from repro.surrogate import model as model_mod
     from repro.surrogate.dataset import build_store_dataset
 
     root = tmp_path_factory.mktemp("surrogate-trained")

@@ -6,18 +6,12 @@ import pytest
 
 from repro.core.config import CoreConfig
 from repro.surrogate.dataset import build_dataset, extract_store_records
-
-model_mod = pytest.importorskip("repro.surrogate.model")
-if not model_mod.have_numpy():  # pragma: no cover - numpy is baked in
-    pytest.skip("surrogate model layer needs numpy", allow_module_level=True)
-
-from repro.surrogate.model import (  # noqa: E402
+from repro.surrogate.model import (
     SurrogateError,
     load_model,
     train_model,
 )
-
-from tests.surrogate.conftest import NUM_OPS, PREDICTORS, WORKLOADS  # noqa: E402
+from tests.surrogate.conftest import NUM_OPS, PREDICTORS, WORKLOADS
 
 
 class TestTraining:

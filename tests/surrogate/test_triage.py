@@ -26,8 +26,6 @@ from repro.surrogate.triage import (
 from tests.server.stubs import FabricatingExecutor
 from tests.surrogate.conftest import NUM_OPS, PREDICTORS, WORKLOADS
 
-pytest.importorskip("numpy")
-
 
 def _cells(predictors=PREDICTORS, workloads=None):
     return build_cells(workloads or WORKLOADS, predictors, num_ops=NUM_OPS)

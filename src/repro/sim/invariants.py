@@ -392,9 +392,10 @@ class InvariantProbe(Probe):
     runs inside :func:`repro.core.lsq.resolve_load`, which receives the
     checker directly.
 
-    ``stats`` is the run's :class:`~repro.core.pipeline.PipelineStats`; the
-    stats probe must be attached *before* this probe so the end-of-run
-    aggregate checks see the final cycle count.
+    ``stats`` is the run's :class:`~repro.core.pipeline.PipelineStats`. The
+    loop adds its counters to it when each ``advance`` call returns and sets
+    ``cycles`` in ``finish`` before emitting ``RunFinished``, so the
+    end-of-run aggregate checks see the final totals.
     """
 
     __slots__ = ("checker", "stats")

@@ -1,5 +1,9 @@
 """Tests for the Omnipredictor (shared branch/MDP TAGE storage)."""
 
+import json
+from dataclasses import asdict, replace
+from pathlib import Path
+
 import pytest
 
 from repro.isa.microop import BranchKind
@@ -121,3 +125,40 @@ class TestIntegration:
             RunSpec(workload="511.povray", predictor="phast", num_ops=10000)
         )
         assert phast_result.ipc >= omni_result.ipc - 0.02
+
+
+#: Stats of Omnipredictor runs with its own branch view as the front end,
+#: generated once by the stage-interpreter timing model, which observed each
+#: branch in program order between the MDP hooks of neighbouring loads.
+OMNI_FIXTURE = Path(__file__).parent.parent / "core" / "golden" / "omni_branch_view.json"
+
+
+def _omni_cell(name):
+    from repro.core.config import CoreConfig
+    from repro.sim.spec import RunSpec
+
+    config, workload = name.split("/")
+    core = CoreConfig()
+    if config == "wrong-path-16":
+        core = replace(core, wrong_path_depth=16)
+    omni = OmniPredictor()
+    return RunSpec(workload, omni, config=core, num_ops=6000, warmup_ops=500,
+                   branch_predictor=omni.branch_view)
+
+
+class TestSharedFrontEndOrder:
+    """The branch view shares folded history, tables, the tick counter and
+    the RNG with the MDP side, so the timing loop must observe each branch
+    in program order with the memory dependence hooks."""
+
+    EXPECTED = json.loads(OMNI_FIXTURE.read_text())
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_matches_program_order_fixture(self, name):
+        from repro.sim.simulator import simulate
+
+        result = simulate(_omni_cell(name))
+        assert {"pipeline": asdict(result.pipeline), "mdp": asdict(result.mdp)} == (
+            self.EXPECTED[name]
+        )
+

@@ -1183,7 +1183,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the interval fan-out (1 = inline)",
+        help="worker processes (1 = everything inline); above 1, the "
+        "interval runs fan out and, under the fork start method with "
+        "wrong-path replay off, a helper warms the cache hierarchy and "
+        "default TAGE on a second core",
     )
     sample.add_argument(
         "--trace-store",

@@ -82,6 +82,21 @@ def default_workers() -> int:
     return env_int(ENV_WORKERS, 1, min_value=1)
 
 
+def default_mp_context():
+    """The multiprocessing context worker processes start from.
+
+    ``REPRO_SWEEP_MP`` names the start method; unset, it is fork where the
+    platform has it and the platform default elsewhere.
+    """
+    method = os.environ.get(ENV_MP)
+    if method:
+        return get_context(method)
+    try:
+        return get_context("fork")
+    except ValueError:  # platforms without fork
+        return get_context()
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One sweep cell: everything needed to run it in a fresh process.
@@ -401,16 +416,7 @@ class ProcessCellExecutor:
                 f"breaker_threshold must be >= 1, got {breaker_threshold}"
             )
         self.breaker_threshold = breaker_threshold
-        if mp_context is None:
-            method = os.environ.get(ENV_MP)
-            if method:
-                mp_context = get_context(method)
-            else:
-                try:
-                    mp_context = get_context("fork")
-                except ValueError:  # platforms without fork
-                    mp_context = get_context()
-        self.mp = mp_context
+        self.mp = default_mp_context() if mp_context is None else mp_context
 
     # --------------------------------------------------------- lifecycle --
 

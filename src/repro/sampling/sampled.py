@@ -11,7 +11,8 @@
    when one was warmed before (keyed by run identity, trace digest, op
    index and both format/semantics versions), else by a *single ascending
    functional-warming pass* (:class:`~repro.sampling.warming.
-   FunctionalWarmer`) that snapshots at every missing index;
+   FunctionalWarmer`) that snapshots at every missing index — with
+   ``workers > 1`` its machine half may run in a forked helper;
 3. runs each representative interval in detail — restored from its
    checkpoint, with a short detailed-warmup lead replayed in front of the
    measured region — inline or fanned out across worker processes through
@@ -40,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.simpoints import SimPoint, choose_simpoints
 from repro.common.env import env_int
 from repro.core.pipeline import PipelineStats
-from repro.harness.executor import ProcessCellExecutor
+from repro.harness.executor import ProcessCellExecutor, default_mp_context
 from repro.isa.artifacts import CheckpointStore, TraceStore, checkpoint_key
 from repro.isa.trace import Trace
 from repro.mdp.base import MDPStats
@@ -51,7 +52,7 @@ from repro.sampling.checkpoint import (
     encode_checkpoint,
 )
 from repro.sampling.state import MachineState, restore_run
-from repro.sampling.warming import FunctionalWarmer
+from repro.sampling.warming import FunctionalWarmer, MachineHelper
 from repro.sim.metrics import SamplingSummary, SimResult
 from repro.sim.replication import WeightedMetric
 from repro.sim.simulator import get_trace, make_predictor
@@ -170,13 +171,29 @@ def _interval_worker(conn, job: IntervalJob, check_invariants: bool) -> None:
         conn.close()
 
 
-def _fresh_predictor(spec: RunSpec):
-    """The predictor to warm: a fresh named one, or a copy of the spec's
-    instance, so its configuration reaches the checkpoints and the instance
-    itself is left untouched."""
+def _fresh_components(spec: RunSpec):
+    """The predictor and front-end override to warm: a fresh named predictor
+    or a copy of the spec's instance, and a copy of any override, so their
+    configuration reaches the checkpoints and the spec's objects are left
+    untouched. One deep copy covers both: an override may share state with
+    its predictor (``OmniPredictor.branch_view``)."""
     if isinstance(spec.predictor, str):
-        return make_predictor(spec.predictor)
-    return copy.deepcopy(spec.predictor)
+        return make_predictor(spec.predictor), copy.deepcopy(spec.branch_predictor)
+    return copy.deepcopy((spec.predictor, spec.branch_predictor))
+
+
+def _checkpoint_run(spec: RunSpec) -> Dict[str, object]:
+    """The run identity a checkpoint is keyed by: ``spec.describe()``, plus
+    the front end's kind and size when the spec overrides it. Default-TAGE
+    keys (and the stores holding them) are unchanged by the addition."""
+    run = spec.describe()
+    front_end = spec.branch_predictor
+    if front_end is not None:
+        run["front_end"] = {
+            "name": front_end.name,
+            "storage_bits": front_end.storage_bits(),
+        }
+    return run
 
 
 def _acquire_checkpoints(
@@ -186,15 +203,22 @@ def _acquire_checkpoints(
     interval_ops: int,
     lead_ops: int,
     store: Optional[CheckpointStore],
+    workers: int,
 ) -> Tuple[List[bytes], int, int]:
     """An encoded checkpoint per representative; returns (blobs, reused, warmed).
 
     Store hits are decode-validated here — any corruption mode reads as a
     miss and the index is re-warmed. Misses are filled by one ascending
     functional-warming pass over the trace prefix, snapshotting (and
-    persisting) at each missing pause index.
+    persisting) at each missing pause index. With ``workers > 1``, a fork
+    start method and wrong-path replay off, a
+    :class:`~repro.sampling.warming.MachineHelper` runs the machine pass on
+    another core; each pause's state is encoded,
+    saved and dropped before the next one, and the helper is joined (or
+    killed) before this returns or raises.
     """
     trace_digest = spec.trace_key().digest
+    run = _checkpoint_run(spec)
     pause_ops = []
     keys = []
     for point in points:
@@ -202,7 +226,7 @@ def _acquire_checkpoints(
         pause_ops.append(start - min(lead_ops, start))
         keys.append(
             checkpoint_key(
-                spec.describe(),
+                run,
                 trace_digest,
                 pause_ops[-1],
                 CHECKPOINT_VERSION,
@@ -227,24 +251,38 @@ def _acquire_checkpoints(
     missing = sorted(
         {pause for slot, pause in enumerate(pause_ops) if blobs[slot] is None}
     )
-    warmed = len(missing)
     if missing:
-        warmer = FunctionalWarmer(
-            trace,
-            predictor=_fresh_predictor(spec),
-            config=spec.resolved_config(),
-            branch_predictor=spec.branch_predictor,
-        )
-        fresh: Dict[int, bytes] = {}
-        for pause in missing:
-            warmer.advance(pause)
-            fresh[pause] = encode_checkpoint(warmer.snapshot())
-        for slot, pause in enumerate(pause_ops):
-            if blobs[slot] is None:
-                blobs[slot] = fresh[pause]
-                if store is not None:
-                    store.save(keys[slot], fresh[pause])
-    return [blob for blob in blobs if blob is not None], reused, warmed
+        predictor, branch_predictor = _fresh_components(spec)
+        config = spec.resolved_config()
+        helper = None
+        # The helper inherits the trace, so it needs a fork start; with
+        # wrong-path replay on, the machine pass waits on branch outcomes.
+        if workers > 1 and not config.wrong_path_depth:
+            context = default_mp_context()
+            if context.get_start_method() == "fork":
+                helper = MachineHelper(
+                    trace, config, branch_predictor, missing, context
+                )
+        try:
+            warmer = FunctionalWarmer(
+                trace,
+                predictor=predictor,
+                config=config,
+                branch_predictor=branch_predictor,
+                machine=helper,
+            )
+            for pause in missing:
+                warmer.advance(pause)
+                blob = encode_checkpoint(warmer.snapshot())
+                for slot, slot_pause in enumerate(pause_ops):
+                    if slot_pause == pause and blobs[slot] is None:
+                        blobs[slot] = blob
+                        if store is not None:
+                            store.save(keys[slot], blob)
+        finally:
+            if helper is not None:
+                helper.close()
+    return [blob for blob in blobs if blob is not None], reused, len(missing)
 
 
 def _scaled_stats(
@@ -283,10 +321,15 @@ def run_sampled(
     environment knobs. ``seed`` seeds the k-means clustering.
     ``checkpoint_store``, when given, makes warmed checkpoints durable and
     reusable across processes (and across predictors' *detailed* phases —
-    the key includes the predictor, so each run warms its own). With
+    the key includes the predictor and any front-end override, so each run
+    warms its own). With
     ``workers > 1`` the interval runs fan out through the harness executor
     in worker processes (the spec must then be picklable — use registry
-    predictor names); ``workers <= 1`` runs them inline.
+    predictor names), and under a fork start method with wrong-path replay
+    off a helper process warms the cache hierarchy (and default TAGE)
+    beside the parent's predictor warming; ``workers <= 1`` does
+    everything inline. Either way the checkpoints and the result are the
+    same.
 
     The returned :class:`~repro.sim.metrics.SimResult` is an *estimate*:
     ``pipeline``/``mdp`` counters are cluster-weight-scaled to the whole
@@ -309,7 +352,7 @@ def run_sampled(
     num_intervals = len(trace) // interval_ops
     points = choose_simpoints(trace, interval_ops, max_clusters, seed=seed)
     blobs, reused, warmed = _acquire_checkpoints(
-        spec, trace, points, interval_ops, lead_ops, checkpoint_store
+        spec, trace, points, interval_ops, lead_ops, checkpoint_store, workers
     )
 
     jobs = [

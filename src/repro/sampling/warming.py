@@ -7,25 +7,43 @@ cannot afford to pay detailed-simulation cost for the prefix. Functional
 warming is the standard answer: walk every op of the prefix updating only
 the long-lived architectural structures, skipping all cycle accounting.
 
-What is warmed, mirroring exactly what the detailed model touches:
+What is warmed mirrors exactly what the detailed model touches, split into
+two passes over the trace, each with its own cursor. The split follows what
+each structure depends on.
 
-* the cache hierarchy — one ``fetch_access`` per fetch-line change (the
-  detailed loop's filter) and one ``load_access`` per load (which also
-  trains the stride prefetcher); stores never touch the hierarchy, same as
-  the detailed model (store data drains through the SB off the timing path);
-* the branch predictor (``observe`` per branch) and the global history log;
-* the memory dependence predictor — dispatch hooks for every load and
+* The **machine pass** (:class:`MachinePass`) warms state that depends on
+  the trace alone: the cache hierarchy — one ``fetch_access`` per
+  fetch-line change (the detailed loop's filter) and one ``load_access``
+  per load, which also trains the stride prefetcher — and
+  ``reset_transients()`` at each pause. Stores never touch the hierarchy,
+  same as the detailed model (store data drains through the SB off the
+  timing path). It also warms the front end when that is the default TAGE
+  and wrong-path replay is off.
+* The **predictor pass** (:class:`PredictorPass`) warms what PHAST's
+  context-sensitive prediction reads in program order: the global history
+  log, the in-flight store window, the SQ allocation cursors
+  (``load_count``/``store_count`` — the distance-to-store-number conversion
+  in the detailed model depends on cursor continuity) and the memory
+  dependence predictor. The MDP gets the dispatch hooks for every load and
   store, plus *approximate* training: the truth store is the youngest
   overlapping store still in the window, a missed truth trains
   ``on_violation``, and every load delivers ``on_load_commit`` feedback —
   the same hooks the detailed loop calls, minus cycle-accurate issue
-  timing;
-* the in-flight store window and the SQ allocation cursors
-  (``load_count``/``store_count``) — the distance-to-store-number
-  conversion in the detailed model depends on cursor continuity;
-* the wrong-path replay map, and phantom-load cache/predictor pollution
-  after mispredicted branches (a one-line approximation of the detailed
-  wrong-path replay).
+  timing. A front-end override stays here too, since it may share state
+  with the MDP (``OmniPredictor.branch_view`` does).
+* With ``wrong_path_depth > 0`` phantom loads after a mispredicted branch
+  pollute both the caches and the MDP (a one-line approximation of the
+  detailed wrong-path replay), so they need branch outcomes. The front end
+  and the wrong-path replay map then stay in the predictor pass, which
+  hands the machine pass the phantom-load starts of each stretch it warms.
+  The machine pass runs the same code in every case.
+
+:class:`FunctionalWarmer` drives both passes in-process: the predictor
+pass up to a stop, then the machine pass. When the machine pass needs
+nothing from the predictor pass (``wrong_path_depth == 0``), the sampled
+scheduler may instead run it in a forked :class:`MachineHelper` on another
+core; the helper streams the machine state of each pause back to the
+parent, which assembles the same checkpoint from it.
 
 What is *not* warmed — anything cycle-stamped: cursors, rings, port books,
 MSHRs, the register scoreboard. A checkpoint taken here rebases the clock
@@ -33,15 +51,12 @@ to zero; ``snapshot`` therefore writes store-window records with zeroed
 cycles (invisible to forwarding/violation — the warmed store's data is
 semantically "already in the cache" — and imposing no wait-edge delay) and
 clears the hierarchy's in-flight MSHRs.
-
-The warmer advances several times faster than detailed simulation (the
-``benchmarks/sampling_speedup.py`` harness measures the ratio end to end),
-which is the entire budget the sampled pipeline spends on coverage.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import traceback
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import CoreConfig
 from repro.core.lsq import StoreRecord, StoreWindow
@@ -61,38 +76,118 @@ from repro.mdp.base import (
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sampling.state import MachineState, component_digests
 
+#: ``(branch index, first wrong-path op index)`` of one mispredicted branch.
+Phantom = Tuple[int, int]
 
-class FunctionalWarmer:
-    """Fast-forwards a trace, warming architectural state only.
+#: The machine pass's state at a pause: ``(config, hierarchy, front end)``,
+#: the front end ``None`` when the predictor pass warms it. One tuple, so
+#: that pickled together each level's ``CacheConfig`` stays shared with
+#: ``config.hierarchy``.
+MachineParts = Tuple[CoreConfig, MemoryHierarchy, Optional[BranchPredictor]]
 
-    One warmer makes one ascending pass over one trace; ``advance(until)``
-    moves the cursor forward and ``snapshot()`` captures a functional
-    :class:`~repro.sampling.state.MachineState` at the current op index.
-    The sampled scheduler snapshots once per representative interval on a
-    single pass — snapshots pickle the live tree, so warming continues
-    unaffected afterwards.
-    """
+
+def machine_warms_front_end(
+    config: CoreConfig, branch_predictor: Optional[BranchPredictor]
+) -> bool:
+    """Whether the machine pass warms the front end: the default TAGE with
+    wrong-path replay off. Otherwise the predictor pass warms it."""
+    return branch_predictor is None and not config.wrong_path_depth
+
+
+class MachinePass:
+    """Warms the memory hierarchy, and the front end when it owns one."""
+
+    def __init__(
+        self,
+        trace: Trace,
+        config: CoreConfig,
+        front_end: Optional[BranchPredictor] = None,
+    ) -> None:
+        self.trace = trace
+        self.config = config
+        self.front_end = front_end
+        self.hierarchy = MemoryHierarchy(config.hierarchy)
+        self.next_index = 0
+        self.last_fetch_line = -1
+
+    def advance(self, until: int, phantoms: Sequence[Phantom] = ()) -> None:
+        """Warm ops up to (but excluding) ``until``.
+
+        ``phantoms`` are the stretch's mispredicted branches in program
+        order; each one's wrong-path loads access the caches right after
+        the branch, as in the single loop.
+        """
+        depth = self.config.wrong_path_depth
+        ops = self.trace.ops
+        load_access = self.hierarchy.load_access
+        for branch_index, start in phantoms:
+            self._walk(branch_index + 1)
+            for phantom_index in range(start, min(len(ops), start + depth)):
+                op = ops[phantom_index]
+                if op.kind is OpKind.LOAD:
+                    load_access(op.pc, op.mem.address, branch_index)
+        self._walk(until)
+
+    def _walk(self, stop: int) -> None:
+        start = self.next_index
+        if stop <= start:
+            return
+        ops = self.trace.ops
+        fetch_access = self.hierarchy.fetch_access
+        load_access = self.hierarchy.load_access
+        observe = self.front_end.observe if self.front_end is not None else None
+        last_line = self.last_fetch_line
+        load_kind = OpKind.LOAD
+        branch_kind = OpKind.BRANCH
+        for index in range(start, stop):
+            op = ops[index]
+            pc = op.pc
+            line = pc >> 6
+            if line != last_line:
+                last_line = line
+                fetch_access(pc, index)
+            kind = op.kind
+            if kind is load_kind:
+                load_access(pc, op.mem.address, index)
+            elif kind is branch_kind and observe is not None:
+                branch = op.branch
+                observe(pc, branch.kind, branch.taken, branch.target)
+        self.last_fetch_line = last_line
+        self.next_index = stop
+
+    def pause(self, op_index: int) -> MachineParts:
+        """The machine state at ``op_index``, with cycle-stamped MSHRs dropped.
+
+        The parts alias the live objects: encode them before advancing.
+        """
+        if op_index != self.next_index:
+            raise ValueError(
+                f"machine pass is at op {self.next_index}, not {op_index}"
+            )
+        self.hierarchy.reset_transients()
+        return self.config, self.hierarchy, self.front_end
+
+
+class PredictorPass:
+    """Warms the history, store window, SQ cursors, MDP and any override."""
 
     def __init__(
         self,
         trace: Trace,
         predictor: MDPredictor,
-        config: Optional[CoreConfig] = None,
-        branch_predictor: Optional[BranchPredictor] = None,
+        config: CoreConfig,
+        front_end: Optional[BranchPredictor] = None,
     ) -> None:
         self.trace = trace
-        self.config = config or CoreConfig()
         self.predictor = predictor
-        self.branch_predictor = branch_predictor or TAGEPredictor()
-        self.hierarchy = MemoryHierarchy(self.config.hierarchy)
+        self.front_end = front_end
         self.history = GlobalHistory()
-        self.window = StoreWindow(capacity=self.config.sq_entries + 32)
+        self.window = StoreWindow(capacity=config.sq_entries + 32)
         self.next_index = 0
         self.load_count = 0
         self.store_count = 0
-        self.last_fetch_line = -1
         self.wrong_path_after = {}
-        self._wrong_path_depth = self.config.wrong_path_depth
+        self._wrong_path_depth = config.wrong_path_depth
         # Transient hand-off records, same reuse discipline as the loop.
         self._load_info = LoadDispatchInfo(
             pc=0, seq=0, hist_snapshot=0, store_count=0, history=self.history
@@ -108,7 +203,6 @@ class FunctionalWarmer:
         window = self.window
         mem = op.mem
         store_count = self.store_count
-        self.hierarchy.load_access(op.pc, mem.address, index)
 
         candidates = window.candidates(mem.address, mem.size)
         truth = candidates[-1] if candidates else None
@@ -205,16 +299,15 @@ class FunctionalWarmer:
         )
         self.store_count += 1
 
-    def _warm_wrong_path(self, start_index: int, depth: int, index: int) -> None:
-        """Phantom loads after a misprediction: cache + predictor pollution."""
-        trace = self.trace
+    def _warm_wrong_path(self, start_index: int) -> None:
+        """Phantom loads after a misprediction: predictor pollution."""
+        ops = self.trace.ops
         info = self._load_info
-        end = min(len(trace), start_index + depth)
+        end = min(len(ops), start_index + self._wrong_path_depth)
         for phantom_index in range(start_index, end):
-            op = trace[phantom_index]
-            if not op.is_load:
+            op = ops[phantom_index]
+            if op.kind is not OpKind.LOAD:
                 continue
-            self.hierarchy.load_access(op.pc, op.mem.address, index)
             info.pc = op.pc
             info.seq = -phantom_index - 1
             info.hist_snapshot = self.history.snapshot()
@@ -225,48 +318,100 @@ class FunctionalWarmer:
 
     # ------------------------------------------------------------ driving --
 
-    def advance(self, until: Optional[int] = None) -> int:
-        """Warm ops up to (but excluding) index ``until``; returns the cursor."""
-        trace = self.trace
-        total = len(trace)
-        stop = total if until is None else min(until, total)
-        start = self.next_index
-        if stop <= start:
-            return start
+    def advance(self, until: int) -> List[Phantom]:
+        """Warm ops up to (but excluding) ``until``.
 
-        hierarchy = self.hierarchy
+        Returns the stretch's mispredicted branches that start a wrong path,
+        for the machine pass; always empty with wrong-path replay off.
+        """
+        start = self.next_index
+        if until <= start:
+            return []
+        ops = self.trace.ops
         history = self.history
-        observe = self.branch_predictor.observe
         snapshot_of = history.snapshot
-        wrong_path_depth = self._wrong_path_depth
+        record = history.record
+        warm_load = self._warm_load
+        warm_store = self._warm_store
+        observe = self.front_end.observe if self.front_end is not None else None
+        wrong_path = self._wrong_path_depth > 0
         wrong_path_after = self.wrong_path_after
+        phantoms: List[Phantom] = []
         load_kind = OpKind.LOAD
         store_kind = OpKind.STORE
         branch_kind = OpKind.BRANCH
 
-        for index in range(start, stop):
-            op = trace[index]
-            fetch_line = op.pc >> 6
-            if fetch_line != self.last_fetch_line:
-                self.last_fetch_line = fetch_line
-                hierarchy.fetch_access(op.pc, index)
+        for index in range(start, until):
+            op = ops[index]
             kind = op.kind
             if kind is load_kind:
-                self._warm_load(op, index, snapshot_of())
+                warm_load(op, index, snapshot_of())
             elif kind is store_kind:
-                self._warm_store(op, index, snapshot_of())
+                warm_store(op, index, snapshot_of())
             elif kind is branch_kind:
                 branch = op.branch
-                mispredicted = observe(op.pc, branch.kind, branch.taken, branch.target)
-                if wrong_path_depth:
-                    if mispredicted:
-                        wrong_index = wrong_path_after.get((op.pc, not branch.taken))
-                        if wrong_index is not None:
-                            self._warm_wrong_path(wrong_index, wrong_path_depth, index)
-                    wrong_path_after.setdefault((op.pc, branch.taken), index + 1)
-                history.record(op.pc, branch)
-        self.next_index = stop
-        return stop
+                if observe is not None:
+                    mispredicted = observe(
+                        op.pc, branch.kind, branch.taken, branch.target
+                    )
+                    if wrong_path:
+                        if mispredicted:
+                            wrong_index = wrong_path_after.get((op.pc, not branch.taken))
+                            if wrong_index is not None:
+                                self._warm_wrong_path(wrong_index)
+                                phantoms.append((index, wrong_index))
+                        wrong_path_after.setdefault((op.pc, branch.taken), index + 1)
+                record(op.pc, branch)
+        self.next_index = until
+        return phantoms
+
+
+class FunctionalWarmer:
+    """Fast-forwards a trace, warming architectural state only.
+
+    One warmer makes one ascending pass over one trace; ``advance(until)``
+    moves the cursor forward and ``snapshot()`` captures a functional
+    :class:`~repro.sampling.state.MachineState` at the current op index.
+    The sampled scheduler snapshots once per representative interval on a
+    single pass — snapshots pickle the live tree, so warming continues
+    unaffected afterwards.
+
+    ``machine`` replaces the in-process :class:`MachinePass`, e.g. with a
+    :class:`MachineHelper` built for the same trace, config and override.
+    """
+
+    def __init__(
+        self,
+        trace: Trace,
+        predictor: MDPredictor,
+        config: Optional[CoreConfig] = None,
+        branch_predictor: Optional[BranchPredictor] = None,
+        machine=None,
+    ) -> None:
+        self.trace = trace
+        config = config or CoreConfig()
+        on_machine = machine_warms_front_end(config, branch_predictor)
+        self.predictor_pass = PredictorPass(
+            trace,
+            predictor,
+            config,
+            None if on_machine else branch_predictor or TAGEPredictor(),
+        )
+        if machine is None:
+            machine = MachinePass(trace, config, TAGEPredictor() if on_machine else None)
+        self.machine = machine
+
+    @property
+    def next_index(self) -> int:
+        return self.predictor_pass.next_index
+
+    def advance(self, until: Optional[int] = None) -> int:
+        """Warm ops up to (but excluding) index ``until``; returns the cursor."""
+        total = len(self.trace)
+        stop = total if until is None else min(until, total)
+        if stop > self.next_index:
+            self.machine.advance(stop, self.predictor_pass.advance(stop))
+        return self.next_index
 
     def snapshot(self) -> MachineState:
         """Capture a functional checkpoint at the current op index.
@@ -274,7 +419,8 @@ class FunctionalWarmer:
         The returned tree aliases the warmer's live objects — encode it
         (which pickles a copy) before calling ``advance`` again.
         """
-        self.hierarchy.reset_transients()  # MSHRs are cycle-stamped: drop them
+        config, hierarchy, front_end = self.machine.pause(self.next_index)
+        warmed = self.predictor_pass
         return MachineState(
             mode="functional",
             trace_name=self.trace.name,
@@ -282,18 +428,109 @@ class FunctionalWarmer:
             op_index=self.next_index,
             total=len(self.trace),
             warmup_ops=0,
-            config=self.config,
-            predictor=self.predictor,
-            branch_predictor=self.branch_predictor,
-            hierarchy=self.hierarchy,
-            history=self.history,
+            config=config,
+            predictor=warmed.predictor,
+            branch_predictor=front_end if front_end is not None else warmed.front_end,
+            hierarchy=hierarchy,
+            history=warmed.history,
             stats=PipelineStats(),
             checker_state=None,
             run_state={
-                "window": self.window,
-                "load_count": self.load_count,
-                "store_count": self.store_count,
-                "wrong_path_after": self.wrong_path_after,
+                "window": warmed.window,
+                "load_count": warmed.load_count,
+                "store_count": warmed.store_count,
+                "wrong_path_after": warmed.wrong_path_after,
             },
-            digests=component_digests(self.history, self.hierarchy, self.predictor),
+            digests=component_digests(warmed.history, hierarchy, warmed.predictor),
         )
+
+
+class MachineHelper:
+    """The machine pass in a forked helper process, as a warmer's machine.
+
+    The helper warms the hierarchy (and front end) over ``pauses``, which
+    must be ascending, and streams one :data:`MachineParts` pickle per
+    pause. It runs ahead of the parent on its own, so it takes only configs
+    with wrong-path replay off, whose machine pass needs nothing from the
+    predictor pass. ``context`` must be a fork context: the helper inherits
+    the trace. Always ``close()`` it; that kills and joins a helper still
+    running.
+    """
+
+    def __init__(
+        self,
+        trace: Trace,
+        config: CoreConfig,
+        branch_predictor: Optional[BranchPredictor],
+        pauses: Sequence[int],
+        context,
+    ) -> None:
+        if config.wrong_path_depth:
+            raise ValueError(
+                "the warming helper needs wrong_path_depth == 0, "
+                f"got {config.wrong_path_depth}"
+            )
+        self._conn, child_conn = context.Pipe(duplex=False)
+        self._process = context.Process(
+            target=_machine_helper_main,
+            args=(
+                child_conn,
+                self._conn,
+                trace,
+                config,
+                machine_warms_front_end(config, branch_predictor),
+                list(pauses),
+            ),
+            name="functional-warming helper",
+            daemon=True,
+        )
+        self._process.start()
+        child_conn.close()
+
+    def _describe(self) -> str:
+        return f"functional-warming helper (pid {self._process.pid})"
+
+    def _lost(self, error: BaseException) -> RuntimeError:
+        self._process.join(timeout=5)
+        return RuntimeError(
+            f"{self._describe()} exited with code {self._process.exitcode} "
+            f"({type(error).__name__})"
+        )
+
+    def advance(self, until: int, phantoms: Sequence[Phantom] = ()) -> None:
+        """Nothing to do: the helper warms ahead on its own."""
+
+    def pause(self, op_index: int) -> MachineParts:
+        try:
+            tag, index, payload = self._conn.recv()
+        except (EOFError, OSError) as error:
+            raise self._lost(error) from None
+        if tag == "error":
+            raise RuntimeError(f"{self._describe()} failed:\n{payload}")
+        if index != op_index:
+            raise RuntimeError(
+                f"{self._describe()} paused at op {index}, expected {op_index}"
+            )
+        return payload
+
+    def close(self) -> None:
+        if self._process.is_alive():
+            self._process.kill()
+        self._process.join()
+        self._conn.close()
+
+
+def _machine_helper_main(
+    conn, parent_conn, trace: Trace, config: CoreConfig, front_end: bool, pauses
+) -> None:
+    """Helper process body: warm, and send the machine state at each pause."""
+    parent_conn.close()
+    try:
+        machine = MachinePass(trace, config, TAGEPredictor() if front_end else None)
+        for pause in pauses:
+            machine.advance(pause)
+            conn.send(("state", pause, machine.pause(pause)))
+    except Exception:  # noqa: BLE001 — report; the parent raises
+        conn.send(("error", None, traceback.format_exc()))
+    finally:
+        conn.close()

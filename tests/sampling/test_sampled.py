@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.common.env import EnvVarError
+from repro.frontend.branch_predictors import GSharePredictor
 from repro.isa.artifacts import CheckpointStore
+from repro.mdp.omnipredictor import OmniPredictor
 from repro.mdp.phast import PHASTPredictor
 from repro.sampling.checkpoint import decode_checkpoint
 from repro.sampling.sampled import (
@@ -101,14 +105,88 @@ def test_corrupted_stored_checkpoint_is_rewarmed(spec, tmp_path):
     assert again.sampling.checkpoints_warmed == again.sampling.num_representatives
 
 
-def test_worker_fanout_matches_inline(spec, sampled):
+def _stored(root):
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*.ckpt")}
+
+
+def test_worker_fanout_matches_inline(spec, sampled, tmp_path):
+    inline_store = tmp_path / "inline"
+    run_sampled(
+        spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=4,
+        checkpoint_store=CheckpointStore(inline_store),
+    )
+    parallel_store = tmp_path / "parallel"
     parallel = run_sampled(
-        spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=4, workers=2
+        spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=4, workers=2,
+        checkpoint_store=CheckpointStore(parallel_store),
     )
     assert parallel.sampling.ipc == sampled.sampling.ipc
     assert parallel.sampling.violation_mpki == sampled.sampling.violation_mpki
     assert parallel.pipeline == sampled.pipeline
     assert parallel.mdp == sampled.mdp
+    assert _stored(inline_store)
+    assert _stored(parallel_store) == _stored(inline_store)
+
+
+def _override_spec(front_end: str) -> RunSpec:
+    if front_end == "gshare":
+        return RunSpec(
+            workload="505.mcf", predictor="phast", num_ops=8000,
+            branch_predictor=GSharePredictor(),
+        )
+    omni = OmniPredictor()
+    return RunSpec(
+        workload="505.mcf", predictor=omni, num_ops=8000,
+        branch_predictor=omni.branch_view,
+    )
+
+
+@pytest.mark.parametrize("front_end", ["omni-branch-view", "gshare"])
+def test_front_end_override_is_copied_not_warmed_in_place(front_end, tmp_path):
+    """A sampled run warms copies of the spec's predictor and override.
+
+    It once deep-copied the predictor but warmed the override in place, so
+    the caller's objects changed and a repeated run gave another result.
+    A store-backed run warms the same checkpoints and a rerun reuses them.
+    """
+    spec = _override_spec(front_end)
+    before = pickle.dumps((spec.predictor, spec.branch_predictor))
+    first = run_sampled(spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=3)
+    second = run_sampled(spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=3)
+    assert second == first
+    assert pickle.dumps((spec.predictor, spec.branch_predictor)) == before
+
+    store = CheckpointStore(tmp_path / "store")
+    runs = [
+        run_sampled(
+            spec, interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=3,
+            checkpoint_store=store,
+        )
+        for _ in range(2)
+    ]
+    assert runs[0].sampling.checkpoints_reused == 0
+    assert runs[1].sampling.checkpoints_warmed == 0
+    for run in runs:
+        assert run.pipeline == first.pipeline
+        assert run.mdp == first.mdp
+    assert pickle.dumps((spec.predictor, spec.branch_predictor)) == before
+
+
+def test_front_end_override_does_not_reuse_default_front_end_checkpoints(tmp_path):
+    """The checkpoint key names an override front end, so a store warmed on
+    the default TAGE (or before the key named overrides) is a miss for it."""
+    store = CheckpointStore(tmp_path / "store")
+    geometry = dict(interval_ops=INTERVAL, warmup_ops=LEAD, max_clusters=3)
+    default = RunSpec(workload="505.mcf", predictor="phast", num_ops=8000)
+    run_sampled(default, checkpoint_store=store, **geometry)
+    override = _override_spec("gshare")
+    shared = run_sampled(override, checkpoint_store=store, **geometry)
+    assert shared.sampling.checkpoints_reused == 0
+    alone = run_sampled(override, **geometry)
+    assert shared.pipeline == alone.pipeline
+    assert shared.mdp == alone.mdp
+    again = run_sampled(default, checkpoint_store=store, **geometry)
+    assert again.sampling.checkpoints_warmed == 0
 
 
 def test_configured_predictor_instance_is_warmed_as_configured(tmp_path):

@@ -32,8 +32,8 @@ def test_warmer_counts_match_trace_prefix(trace):
     warmer.advance(1500)
     loads = sum(1 for i in range(1500) if trace[i].is_load)
     stores = sum(1 for i in range(1500) if trace[i].is_store)
-    assert warmer.load_count == loads
-    assert warmer.store_count == stores
+    assert warmer.predictor_pass.load_count == loads
+    assert warmer.predictor_pass.store_count == stores
 
 
 def test_functional_snapshot_resumes_into_detailed_run(trace):

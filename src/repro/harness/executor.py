@@ -257,10 +257,36 @@ def _cell_worker(conn, spec: CellSpec, check_invariants: bool) -> None:
         conn.close()
 
 
+def _compile_group_trace(group: BatchGroup) -> None:
+    """Compile the group's trace in this worker, before its first cell.
+
+    The sweep leaves a group's trace to the group (it is the trace's only
+    reader), so the groups of a sweep build their traces in parallel. The
+    compile loads the artifact from the cells' ``trace_dir``, or builds and
+    persists it without a rebuild marker; the trace then sits in this
+    process's trace cache for the backend. Cells without a ``trace_dir``
+    (a sweep run with ``precompile=False``) and unknown workloads are left
+    to the cells themselves, which report any error per cell.
+    """
+    from repro.isa.artifacts import TraceStore
+    from repro.sim.simulator import compile_trace
+
+    cell = group.cells[0]
+    if not cell.trace_dir:
+        return
+    spec = cell.run_spec()
+    try:
+        profile = spec.resolved_profile()
+    except KeyError:
+        return
+    compile_trace(profile, spec.resolved_num_ops(), TraceStore(cell.trace_dir))
+
+
 def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None:
     """Subprocess entry point for a :class:`BatchGroup`.
 
-    Runs every cell through the group's backend instance (so all cells of
+    Compiles the group's trace first (:func:`_compile_group_trace`), then
+    runs every cell through the group's backend instance (so all cells of
     the trace share one decode/prep), streaming a ``("cell", i, tag,
     payload)`` message per finished cell — ``"ok"`` with the result record,
     or the usual in-band failure tags. Heartbeat windows carry a ``"cell"``
@@ -273,6 +299,7 @@ def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None
 
     try:
         backend = get_backend(group.backend)
+        _compile_group_trace(group)
         hb_ops = heartbeat_interval_ops()
         for index, cell in enumerate(group.cells):
             spec = cell.run_spec(check_invariants=check_invariants or None)

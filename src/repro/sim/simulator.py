@@ -187,6 +187,22 @@ def get_trace(
     return trace
 
 
+def compile_trace(
+    profile: WorkloadProfile, num_ops: int, store: TraceStore
+) -> Tuple[Trace, bool]:
+    """Compile a trace through ``store`` and keep it in the in-process cache.
+
+    :meth:`TraceStore.compile <repro.isa.artifacts.TraceStore.compile>`
+    loads the artifact, or builds and persists it without a rebuild marker;
+    the trace it returns then serves this process's ``get_trace`` calls (and
+    a fork-started worker's), even when the disk refused the artifact.
+    Returns ``(trace, built)``.
+    """
+    trace, built = store.compile(profile, num_ops)
+    _TRACE_CACHE.put((profile.name, profile.seed, num_ops), trace)
+    return trace, built
+
+
 def clear_trace_cache() -> None:
     _TRACE_CACHE.clear()
 

@@ -27,6 +27,7 @@ from repro.workloads.motifs import (
     SpillChurn,
     StableConflict,
     StoreSetStress,
+    shared_ops,
 )
 
 #: Bump whenever a change to the generator (motif layout, RNG draws, op
@@ -104,10 +105,16 @@ def build_trace(profile: WorkloadProfile, num_ops: int) -> Trace:
     """Generate a deterministic trace of ``num_ops`` micro-ops for ``profile``.
 
     The same (profile, num_ops) pair always yields the identical trace: all
-    randomness flows from the profile's seed.
+    randomness flows from the profile's seed. Equal ops share one object
+    (:func:`~repro.workloads.motifs.shared_ops`), as in a decoded trace.
     """
     if num_ops <= 0:
         raise ValueError(f"num_ops must be positive, got {num_ops}")
+    with shared_ops():
+        return _build(profile, num_ops)
+
+
+def _build(profile: WorkloadProfile, num_ops: int) -> Trace:
     layout = LayoutContext.fresh()
     rng = DeterministicRNG(profile.seed)
     instances: List[Motif] = []

@@ -32,7 +32,9 @@ them — the situation that makes memory dependence prediction necessary.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+import contextlib
+from contextvars import ContextVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRNG
 from repro.isa.microop import BranchInfo, BranchKind, MemInfo, MicroOp, OpKind
@@ -44,23 +46,79 @@ from repro.workloads.layout import LayoutContext
 # --------------------------------------------------------------------------- #
 
 
+#: The op table of the build in progress: each builder's field tuple maps to
+#: the one :class:`MicroOp` with those fields. ``build_trace`` installs a
+#: fresh table per call (:func:`shared_ops`), so a built trace shares equal
+#: ops exactly like a decoded one; outside a build (no table) every call
+#: returns a fresh op. A context variable, not a module dict, so concurrent
+#: builds on different threads never share a table.
+_BUILD_OPS: ContextVar[Optional[Dict[tuple, MicroOp]]] = ContextVar(
+    "build_ops", default=None
+)
+
+
+@contextlib.contextmanager
+def shared_ops() -> Iterator[None]:
+    """Share equal ops among every builder call inside the block."""
+    token = _BUILD_OPS.set({})
+    try:
+        yield
+    finally:
+        _BUILD_OPS.reset(token)
+
+
+def _op(
+    key: tuple,
+    kind: OpKind,
+    pc: int,
+    dst: Optional[int] = None,
+    srcs: Tuple[int, ...] = (),
+    mem: Optional[Tuple[int, int]] = None,
+    branch: Optional[Tuple[BranchKind, bool, int]] = None,
+    data: Tuple[int, ...] = (),
+) -> MicroOp:
+    # ``key`` is the builder's name plus its field tuple: a string and ints
+    # hash in C, where the enums would hash in Python on every call.
+    table = _BUILD_OPS.get()
+    if table is not None:
+        op = table.get(key)
+        if op is not None:
+            return op
+    op = MicroOp(
+        pc=pc,
+        kind=kind,
+        dst_reg=dst,
+        src_regs=srcs,
+        mem=None if mem is None else MemInfo(*mem),
+        branch=None if branch is None else BranchInfo(*branch),
+        store_data_regs=data,
+    )
+    if table is not None:
+        table[key] = op
+    return op
+
+
 def alu(pc: int, dst: Optional[int], srcs: Sequence[int] = ()) -> MicroOp:
-    return MicroOp(pc=pc, kind=OpKind.ALU, dst_reg=dst, src_regs=tuple(srcs))
+    srcs = tuple(srcs)
+    return _op(("alu", pc, dst, srcs), OpKind.ALU, pc, dst, srcs)
 
 
 def fp_op(pc: int, dst: Optional[int], srcs: Sequence[int] = ()) -> MicroOp:
-    return MicroOp(pc=pc, kind=OpKind.FP, dst_reg=dst, src_regs=tuple(srcs))
+    srcs = tuple(srcs)
+    return _op(("fp", pc, dst, srcs), OpKind.FP, pc, dst, srcs)
 
 
 def load(
     pc: int, address: int, size: int, dst: Optional[int], srcs: Sequence[int] = ()
 ) -> MicroOp:
-    return MicroOp(
-        pc=pc,
-        kind=OpKind.LOAD,
-        dst_reg=dst,
-        src_regs=tuple(srcs),
-        mem=MemInfo(address=address, size=size),
+    srcs = tuple(srcs)
+    return _op(
+        ("load", pc, address, size, dst, srcs),
+        OpKind.LOAD,
+        pc,
+        dst,
+        srcs,
+        mem=(address, size),
     )
 
 
@@ -71,45 +129,49 @@ def store(
     addr_srcs: Sequence[int] = (),
     data_srcs: Sequence[int] = (),
 ) -> MicroOp:
-    return MicroOp(
-        pc=pc,
-        kind=OpKind.STORE,
-        src_regs=tuple(addr_srcs),
-        store_data_regs=tuple(data_srcs),
-        mem=MemInfo(address=address, size=size),
+    addr_srcs = tuple(addr_srcs)
+    data_srcs = tuple(data_srcs)
+    return _op(
+        ("store", pc, address, size, addr_srcs, data_srcs),
+        OpKind.STORE,
+        pc,
+        srcs=addr_srcs,
+        mem=(address, size),
+        data=data_srcs,
     )
 
 
 def cond_branch(pc: int, taken: bool, taken_target: int) -> MicroOp:
     target = taken_target if taken else pc + 4
-    return MicroOp(
-        pc=pc,
-        kind=OpKind.BRANCH,
-        branch=BranchInfo(kind=BranchKind.CONDITIONAL, taken=taken, target=target),
+    return _op(
+        ("cond", pc, taken, target),
+        OpKind.BRANCH,
+        pc,
+        branch=(BranchKind.CONDITIONAL, taken, target),
     )
 
 
 def indirect_branch(pc: int, target: int) -> MicroOp:
-    return MicroOp(
-        pc=pc,
-        kind=OpKind.BRANCH,
-        branch=BranchInfo(kind=BranchKind.INDIRECT, taken=True, target=target),
+    return _op(
+        ("indirect", pc, target),
+        OpKind.BRANCH,
+        pc,
+        branch=(BranchKind.INDIRECT, True, target),
     )
 
 
 def call_branch(pc: int, target: int) -> MicroOp:
-    return MicroOp(
-        pc=pc,
-        kind=OpKind.BRANCH,
-        branch=BranchInfo(kind=BranchKind.CALL, taken=True, target=target),
+    return _op(
+        ("call", pc, target), OpKind.BRANCH, pc, branch=(BranchKind.CALL, True, target)
     )
 
 
 def return_branch(pc: int, target: int) -> MicroOp:
-    return MicroOp(
-        pc=pc,
-        kind=OpKind.BRANCH,
-        branch=BranchInfo(kind=BranchKind.RETURN, taken=True, target=target),
+    return _op(
+        ("return", pc, target),
+        OpKind.BRANCH,
+        pc,
+        branch=(BranchKind.RETURN, True, target),
     )
 
 

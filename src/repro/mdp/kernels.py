@@ -36,14 +36,15 @@ Kernels exist for the predictors where precomputation pays:
   PC hash memo; ``_sync`` degenerates to one table read.
 * ``nosq`` — the 8-bit history word per snapshot, precomputed; sensitive /
   insensitive key hashes memoized per (pc, word).
-* ``store-sets`` — SSIT index hash memoized per PC.
 * ``store-vector`` — decoded distance tuples memoized per vector value
   (prediction objects reused; vectors repeat heavily).
-* ``cht`` — prediction objects memoized per distance.
 
-The unlimited limit-study predictors key on exact window tuples (no folds)
-and the perceptron/omnipredictor entangle per-cell state with their hashing,
-so they run unkerneled on the shared plan.
+Store Sets and CHT had memoisation kernels (an SSIT hash memo; prediction
+objects per distance); measured over the sweep-batch grid they were no
+faster than the plain predictors, so those run unkerneled. The unlimited
+limit-study predictors key on exact window tuples (no folds) and the
+perceptron/omnipredictor entangle per-cell state with their hashing, so
+they too run unkerneled on the shared plan.
 """
 
 from __future__ import annotations
@@ -54,11 +55,9 @@ import numpy as _np
 
 from repro.common.bitops import mask, pc_hash_index, pc_hash_tag
 from repro.mdp.base import NO_DEPENDENCE, MDPredictor, Prediction
-from repro.mdp.cht import CHTPredictor
 from repro.mdp.mdp_tage import HISTORY_CHUNK_BITS, TARGET_BITS, MDPTagePredictor
 from repro.mdp.nosq import NoSQPredictor
 from repro.mdp.phast import PHASTPredictor
-from repro.mdp.store_sets import StoreSetsPredictor
 from repro.mdp.store_vector import StoreVectorPredictor
 from repro.isa.microop import BranchKind
 
@@ -275,21 +274,6 @@ class _KernelNoSQ(NoSQPredictor):
         return keys
 
 
-class _KernelStoreSets(StoreSetsPredictor):
-    """Store Sets with the SSIT index hash memoized per PC."""
-
-    def __init__(self, prep) -> None:
-        super().__init__()
-        self._ssit_memo: Dict[int, int] = {}
-
-    def _ssit_index(self, pc):
-        index = self._ssit_memo.get(pc)
-        if index is None:
-            index = StoreSetsPredictor._ssit_index(self, pc)
-            self._ssit_memo[pc] = index
-        return index
-
-
 class _KernelStoreVector(StoreVectorPredictor):
     """Store Vectors with decoded distance tuples memoized per vector."""
 
@@ -318,28 +302,6 @@ class _KernelStoreVector(StoreVectorPredictor):
         return prediction
 
 
-class _KernelCHT(CHTPredictor):
-    """CHT with prediction objects memoized per distance (at most 128)."""
-
-    def __init__(self, prep) -> None:
-        super().__init__()
-        self._prediction_memo: Dict[int, Prediction] = {}
-
-    def on_load_dispatch(self, load):
-        self.stats.load_predictions += 1
-        self.stats.table_reads += 1
-        entry = self._table[self._index(load.pc)]
-        if entry is None or entry.confidence.value < self._threshold:
-            return NO_DEPENDENCE
-        self.stats.dependences_predicted += 1
-        distance = entry.distance
-        prediction = self._prediction_memo.get(distance)
-        if prediction is None:
-            prediction = Prediction(distances=(distance,))
-            self._prediction_memo[distance] = prediction
-        return prediction
-
-
 def _make_mdp_tage_s(prep) -> _KernelMDPTage:
     # Mirror MDPTagePredictor.tage_s()'s construction exactly.
     return _KernelMDPTage(
@@ -357,9 +319,7 @@ _KERNELS = {
     "mdp-tage": _KernelMDPTage,
     "mdp-tage-s": _make_mdp_tage_s,
     "nosq": _KernelNoSQ,
-    "store-sets": _KernelStoreSets,
     "store-vector": _KernelStoreVector,
-    "cht": _KernelCHT,
 }
 
 #: Predictor names with a batched kernel (the rest run unkerneled).

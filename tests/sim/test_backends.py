@@ -201,6 +201,14 @@ class TestBatchCoverage:
         assert row["available"] is True
         for name in KERNEL_NAMES:
             assert name in row["kernels"]
+        # Store Sets and CHT run unkerneled: their memo kernels did not pay.
+        assert set(KERNEL_NAMES) == {
+            "mdp-tage",
+            "mdp-tage-s",
+            "nosq",
+            "phast",
+            "store-vector",
+        }
 
 
 @pytest.mark.parametrize("backend", ["reference", "batch"])

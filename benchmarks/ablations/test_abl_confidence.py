@@ -7,53 +7,28 @@ no confidence at all (aliased or data-dependent entries then stall loads
 forever).
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.ablations.variants import PhastIncrementConfidence, PhastNoConfidence
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_mpki, mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
-from repro.mdp.base import LoadCommitInfo
-from repro.mdp.phast import PHASTPredictor
+
+VARIANTS = {
+    "reset-to-max (paper)": "phast",
+    "increment-on-correct": PhastIncrementConfidence.name,
+    "no confidence": PhastNoConfidence.name,
+}
 
 
-class PhastIncrementConfidence(PHASTPredictor):
-    """+1 on correct instead of reset-to-max."""
-
-    name = "phast-increment-confidence"
-
-    def on_load_commit(self, commit: LoadCommitInfo) -> None:
-        pending = self._pending.pop(commit.seq, None)
-        if pending is None or not commit.prediction.is_dependence:
-            return
-        _, entry = pending
-        if commit.waited_correct:
-            entry.confidence = min(self._confidence_max, entry.confidence + 1)
-        else:
-            entry.confidence = max(0, entry.confidence - 1)
-
-
-class PhastNoConfidence(PHASTPredictor):
-    """Confidence pinned at maximum: entries never expire."""
-
-    name = "phast-no-confidence"
-
-    def on_load_commit(self, commit: LoadCommitInfo) -> None:
-        self._pending.pop(commit.seq, None)
-
-
-def test_confidence_policy_ablation(grid, emit, benchmark):
+def test_confidence_policy_ablation(runner, emit, benchmark):
     def compute():
+        grid = run_grid(runner, SUBSET, [*VARIANTS.values(), "ideal"], BENCH_OPS)
         results = {
-            "reset-to-max (paper)": grid.mean_normalized_ipc(SUBSET, "phast"),
-            "increment-on-correct": grid.mean_normalized_ipc(
-                SUBSET, "phast-inc-conf", predictor_factory=PhastIncrementConfidence
-            ),
-            "no confidence": grid.mean_normalized_ipc(
-                SUBSET, "phast-no-conf", predictor_factory=PhastNoConfidence
-            ),
+            label: mean_normalized_ipc(grid, SUBSET, predictor)
+            for label, predictor in VARIANTS.items()
         }
         fp = {
-            "reset-to-max (paper)": grid.mean_mpki(SUBSET, "phast")[1],
-            "no confidence": grid.mean_mpki(
-                SUBSET, "phast-no-conf", predictor_factory=PhastNoConfidence
-            )[1],
+            label: mean_mpki(grid, SUBSET, VARIANTS[label])[1]
+            for label in ("reset-to-max (paper)", "no confidence")
         }
         return results, fp
 

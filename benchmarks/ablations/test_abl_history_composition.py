@@ -10,53 +10,25 @@ Two design choices are ablated:
   conditional destinations). The paper uses 5 bits.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.ablations.variants import PhastLengthN
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
-from repro.mdp.base import ViolationInfo
-from repro.mdp.phast import PHASTPredictor
+from repro.sim.simulator import predictor_variant
+
+VARIANTS = {
+    "N+1, 5 target bits (paper)": "phast",
+    "N (no pre-store branch)": PhastLengthN.name,
+    "N+1, 0 target bits": predictor_variant("phast", target_bits=0),
+}
 
 
-class PhastLengthN(PHASTPredictor):
-    """Trains with length N instead of N+1 (no pre-store branch)."""
-
-    name = "phast-length-n"
-
-    def on_violation(self, violation: ViolationInfo) -> None:
-        shrunk = _with_required(violation, max(0, violation.divergent_distance))
-        super().on_violation(shrunk)
-
-
-class _ShrunkViolation:
-    """ViolationInfo proxy with an overridden required history length."""
-
-    def __init__(self, inner: ViolationInfo, required: int) -> None:
-        self._inner = inner
-        self._required = required
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    @property
-    def required_history_length(self) -> int:
-        return self._required
-
-
-def _with_required(violation: ViolationInfo, required: int):
-    return _ShrunkViolation(violation, required)
-
-
-def test_history_composition_ablation(grid, emit, benchmark):
+def test_history_composition_ablation(runner, emit, benchmark):
     def compute():
+        grid = run_grid(runner, SUBSET, [*VARIANTS.values(), "ideal"], BENCH_OPS)
         return {
-            "N+1, 5 target bits (paper)": grid.mean_normalized_ipc(SUBSET, "phast"),
-            "N (no pre-store branch)": grid.mean_normalized_ipc(
-                SUBSET, "phast-length-n", predictor_factory=PhastLengthN
-            ),
-            "N+1, 0 target bits": grid.mean_normalized_ipc(
-                SUBSET,
-                "phast-t0",
-                predictor_factory=lambda: PHASTPredictor(target_bits=0),
-            ),
+            label: mean_normalized_ipc(grid, SUBSET, predictor)
+            for label, predictor in VARIANTS.items()
         }
 
     results = run_once(benchmark, compute)

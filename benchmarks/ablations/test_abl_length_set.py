@@ -6,9 +6,10 @@ short linear ladder (loses deep paths), a sparse ladder (truncation loses
 precision), and a single PC-only table (no context at all).
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
-from repro.mdp.phast import PHASTPredictor
+from repro.sim.simulator import predictor_variant
 
 LADDERS = {
     "(0,2,4,6,8,12,16,32) paper": (0, 2, 4, 6, 8, 12, 16, 32),
@@ -18,17 +19,16 @@ LADDERS = {
 }
 
 
-def test_length_ladder_ablation(grid, emit, benchmark):
+def test_length_ladder_ablation(runner, emit, benchmark):
     def compute():
+        variants = {
+            label: predictor_variant("phast", history_lengths=ladder)
+            for label, ladder in LADDERS.items()
+        }
+        grid = run_grid(runner, SUBSET, [*variants.values(), "ideal"], BENCH_OPS)
         return {
-            label: grid.mean_normalized_ipc(
-                SUBSET,
-                f"phast-ladder-{index}",
-                predictor_factory=lambda ladder=ladder: PHASTPredictor(
-                    history_lengths=ladder
-                ),
-            )
-            for index, (label, ladder) in enumerate(LADDERS.items())
+            label: mean_normalized_ipc(grid, SUBSET, predictor)
+            for label, predictor in variants.items()
         }
 
     results = run_once(benchmark, compute)

@@ -7,7 +7,8 @@ both types of prediction." This bench runs the shared-storage Omnipredictor
 PHAST + TAGE and against standalone MDP-TAGE + TAGE.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
 from repro.common.stats import geometric_mean
 from repro.mdp.omnipredictor import OmniPredictor
@@ -15,25 +16,28 @@ from repro.sim.simulator import simulate
 from repro.sim.spec import RunSpec
 
 
-def test_omnipredictor_ablation(grid, emit, benchmark):
+def test_omnipredictor_ablation(runner, emit, benchmark):
     def compute():
-        ideal = grid.run_suite(SUBSET, "ideal")
+        grid = run_grid(runner, SUBSET, ["ideal", "mdp-tage", "phast"], BENCH_OPS)
         omni_ipc = []
         evictions = 0
         for name in SUBSET:
+            # The branch view is an instance no wire can carry: the shared
+            # design runs in-process, with the predictor it shares storage
+            # with as its front end.
             omni = OmniPredictor()
             result = simulate(
                 RunSpec(
-                    workload=name, predictor=omni, num_ops=grid.num_ops,
+                    workload=name, predictor=omni, num_ops=BENCH_OPS,
                     branch_predictor=omni.branch_view,
                 )
             )
-            omni_ipc.append(result.ipc / ideal[name].ipc)
+            omni_ipc.append(result.ipc / grid[name, "ideal"].ipc)
             evictions += omni.branch_evicted_by_mdp + omni.mdp_evicted_by_branch
         return {
             "omnipredictor (shared)": geometric_mean(omni_ipc),
-            "mdp-tage (standalone)": grid.mean_normalized_ipc(SUBSET, "mdp-tage"),
-            "phast (tuned for MDP)": grid.mean_normalized_ipc(SUBSET, "phast"),
+            "mdp-tage (standalone)": mean_normalized_ipc(grid, SUBSET, "mdp-tage"),
+            "phast (tuned for MDP)": mean_normalized_ipc(grid, SUBSET, "phast"),
         }, evictions
 
     results, evictions = run_once(benchmark, compute)

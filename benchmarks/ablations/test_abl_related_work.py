@@ -6,16 +6,17 @@ implementation lands in that class: clearly better than blind speculation,
 within a few percent of Store Sets, below PHAST.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
 
+PREDICTORS = ("always-speculate", "perceptron-mdp", "store-sets", "phast")
 
-def test_perceptron_mdp_class(grid, emit, benchmark):
+
+def test_perceptron_mdp_class(runner, emit, benchmark):
     def compute():
-        return {
-            name: grid.mean_normalized_ipc(SUBSET, name)
-            for name in ("always-speculate", "perceptron-mdp", "store-sets", "phast")
-        }
+        grid = run_grid(runner, SUBSET, [*PREDICTORS, "ideal"], BENCH_OPS)
+        return {name: mean_normalized_ipc(grid, SUBSET, name) for name in PREDICTORS}
 
     results = run_once(benchmark, compute)
     emit(

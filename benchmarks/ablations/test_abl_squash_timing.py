@@ -9,22 +9,28 @@ checks the paper's claim from the other side: with a good predictor, lazy
 squash is nearly free; with blind speculation, eager recovery wins clearly.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
 from repro.core.config import CoreConfig
 
 
-def test_squash_timing_ablation(grid, emit, benchmark):
-    eager = CoreConfig().with_violation_squash("eager")
+def test_squash_timing_ablation(runner, emit, benchmark):
+    predictors = ("phast", "always-speculate")
+    modes = {"lazy": CoreConfig(), "eager": CoreConfig().with_violation_squash("eager")}
 
     def compute():
-        results = {}
-        for predictor in ("phast", "always-speculate"):
-            results[predictor] = {
-                "lazy": grid.mean_normalized_ipc(SUBSET, predictor),
-                "eager": grid.mean_normalized_ipc(SUBSET, predictor, eager),
+        grids = {
+            mode: run_grid(runner, SUBSET, [*predictors, "ideal"], BENCH_OPS, config)
+            for mode, config in modes.items()
+        }
+        return {
+            predictor: {
+                mode: mean_normalized_ipc(grids[mode], SUBSET, predictor)
+                for mode in modes
             }
-        return results
+            for predictor in predictors
+        }
 
     results = run_once(benchmark, compute)
     emit(

@@ -7,23 +7,18 @@ dependence (Fig. 3d), and with PHAST those wrong entries carry longer
 histories that outrank the correct ones.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.ablations.variants import PhastAtDetection
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
-from repro.mdp.phast import PHASTPredictor
 
 
-class PhastAtDetection(PHASTPredictor):
-    """PHAST variant trained when the violation is detected."""
-
-    name = "phast-at-detection"
-    trains_at_commit = False
-
-
-def test_update_timing_ablation(grid, emit, benchmark):
+def test_update_timing_ablation(runner, emit, benchmark):
     def compute():
-        at_commit = grid.mean_normalized_ipc(SUBSET, "phast")
-        at_detection = grid.mean_normalized_ipc(
-            SUBSET, "phast-at-detection", predictor_factory=PhastAtDetection
+        predictors = ["phast", PhastAtDetection.name]
+        grid = run_grid(runner, SUBSET, [*predictors, "ideal"], BENCH_OPS)
+        at_commit, at_detection = (
+            mean_normalized_ipc(grid, SUBSET, predictor) for predictor in predictors
         )
         return at_commit, at_detection
 

@@ -7,27 +7,33 @@ predictors can be trained by wrong-path conflicts; PHAST cannot, by
 construction.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
 from repro.core.config import CoreConfig
 
 WRONG_PATH_DEPTH = 24
 
 
-def test_wrong_path_ablation(grid, emit, benchmark):
+def test_wrong_path_ablation(runner, emit, benchmark):
+    predictors = ("phast", "mdp-tage", "nosq")
     wrong_path = CoreConfig().with_wrong_path(WRONG_PATH_DEPTH)
 
     def compute():
-        rows = {}
-        for predictor in ("phast", "mdp-tage", "nosq"):
-            clean = grid.mean_normalized_ipc(SUBSET, predictor)
-            polluted = grid.mean_normalized_ipc(SUBSET, predictor, wrong_path)
-            trainings = sum(
-                grid.run(name, predictor, wrong_path).pipeline.wrong_path_trainings
-                for name in SUBSET
+        cells = [*predictors, "ideal"]
+        clean = run_grid(runner, SUBSET, cells, BENCH_OPS)
+        polluted = run_grid(runner, SUBSET, cells, BENCH_OPS, wrong_path)
+        return {
+            predictor: (
+                mean_normalized_ipc(clean, SUBSET, predictor),
+                mean_normalized_ipc(polluted, SUBSET, predictor),
+                sum(
+                    polluted[name, predictor].pipeline.wrong_path_trainings
+                    for name in SUBSET
+                ),
             )
-            rows[predictor] = (clean, polluted, trainings)
-        return rows
+            for predictor in predictors
+        }
 
     rows = run_once(benchmark, compute)
     emit(

@@ -1,11 +1,18 @@
 """Shared fixtures for the reproduction benchmark harness.
 
 Each ``benchmarks/test_*.py`` regenerates one table or figure of the paper:
-it runs the required simulations (memoised across the whole session through
-one shared :class:`~repro.sim.experiment.ExperimentGrid`), prints the
-rows/series the paper reports, writes them under ``benchmarks/results/``, and
-asserts the *shape* of the result — who wins, in which direction, by roughly
-what kind of factor — not the absolute numbers (see DESIGN.md §1).
+it runs the required cells through one session-wide
+:class:`~repro.harness.sweep.SweepRunner` (so a cell shared by several
+figures is simulated once), prints the rows/series the paper reports, writes
+them under ``benchmarks/results/``, and asserts the *shape* of the result —
+who wins, in which direction, by roughly what kind of factor — not the
+absolute numbers (see DESIGN.md §1).
+
+Parameter sweeps and ablations are predictor variants: canonical labels
+such as ``phast(target_bits=0)``, or the ablation predictors that
+:mod:`benchmarks.ablations.variants` registers by name. Cells run in
+worker processes that must inherit that registry, so the benchmarks need
+fork-started workers (the default where the platform has fork).
 
 Trace length defaults to 25k micro-ops per simulation; raise it with
 ``REPRO_BENCH_OPS=100000`` for higher-fidelity runs.
@@ -18,9 +25,10 @@ from pathlib import Path
 
 import pytest
 
+import benchmarks.ablations.variants  # noqa: F401  (registers the ablations)
 from repro.common.env import env_int
 from repro.harness.store import ResultStore
-from repro.sim.experiment import ExperimentGrid
+from repro.harness.sweep import SweepRunner
 from repro.workloads.spec2017 import spec_suite
 
 #: Simulated micro-ops per (workload, predictor) cell. Validated like every
@@ -30,7 +38,8 @@ BENCH_OPS = env_int("REPRO_BENCH_OPS", 25000, min_value=1)
 #: Optional durable result store: point REPRO_RESULT_STORE at a directory
 #: and a killed/crashed benchmark session resumes from its completed cells
 #: (the per-cell entries are written atomically, so partial files cannot
-#: occur; see docs/harness.md).
+#: occur; see docs/harness.md). Unset, the session stores its cells in a
+#: temporary directory.
 STORE_PATH = os.environ.get("REPRO_RESULT_STORE")
 
 #: The full suite, used by the per-application figures (7-9, 14-16).
@@ -54,9 +63,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def grid() -> ExperimentGrid:
-    store = ResultStore(STORE_PATH) if STORE_PATH else None
-    return ExperimentGrid(num_ops=BENCH_OPS, store=store)
+def runner(tmp_path_factory) -> SweepRunner:
+    root = STORE_PATH or tmp_path_factory.mktemp("results")
+    return SweepRunner(ResultStore(root))
 
 
 @pytest.fixture(scope="session")
@@ -73,5 +82,5 @@ def emit():
 
 
 def run_once(benchmark, fn):
-    """Benchmark a figure computation exactly once (simulations memoise)."""
+    """Benchmark a figure computation exactly once (cells are stored)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -6,13 +6,15 @@ branch predictors; false-dependence MPKI (green extension) is significant
 for the set-based early predictors.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 
-def test_fig01_mpki_history(grid, emit, benchmark):
-    points = run_once(benchmark, lambda: figures.fig01_mpki_history(grid, SUBSET))
+def test_fig01_mpki_history(runner, emit, benchmark):
+    points = run_once(
+        benchmark, lambda: figures.fig01_mpki_history(runner, SUBSET, BENCH_OPS)
+    )
 
     rows = [
         [p.name, p.year, p.kind, p.mpki, p.false_dep_mpki]

@@ -6,13 +6,15 @@ performance gap to an ideal predictor widens with generation (Store Sets:
 1.8% on Nehalem -> 6.0% on Alder Lake), motivating the paper.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 
-def test_fig02_generations(grid, emit, benchmark):
-    rows = run_once(benchmark, lambda: figures.fig02_generations(grid, SUBSET))
+def test_fig02_generations(runner, emit, benchmark):
+    rows = run_once(
+        benchmark, lambda: figures.fig02_generations(runner, SUBSET, BENCH_OPS)
+    )
 
     emit(
         "fig02_generations",

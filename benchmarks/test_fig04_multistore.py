@@ -6,13 +6,15 @@ multiple writers overwhelmingly execute in order (70% on average) — which is
 what justifies predicting a single store distance (Sec. III-A).
 """
 
-from benchmarks.conftest import SUITE, run_once
+from benchmarks.conftest import BENCH_OPS, SUITE, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 
-def test_fig04_multi_store(grid, emit, benchmark):
-    rows = run_once(benchmark, lambda: figures.fig04_multi_store(grid, SUITE))
+def test_fig04_multi_store(runner, emit, benchmark):
+    rows = run_once(
+        benchmark, lambda: figures.fig04_multi_store(runner, SUITE, BENCH_OPS)
+    )
 
     emit(
         "fig04_multi_store",

@@ -7,17 +7,19 @@ paths; UnlimitedPHAST beats everything while tracking a fraction of the
 paths of long-history NoSQ.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 NOSQ_LENGTHS = (1, 2, 4, 6, 8, 12, 16)
 
 
-def test_fig06_unlimited_sweep(grid, emit, benchmark):
+def test_fig06_unlimited_sweep(runner, emit, benchmark):
     points = run_once(
         benchmark,
-        lambda: figures.fig06_unlimited_sweep(grid, SUBSET, nosq_lengths=NOSQ_LENGTHS),
+        lambda: figures.fig06_unlimited_sweep(
+            runner, SUBSET, BENCH_OPS, nosq_lengths=NOSQ_LENGTHS
+        ),
     )
 
     emit(

@@ -8,14 +8,16 @@ than five thousand paths, with the gcc inputs (and other huge-code apps) the
 exceptions.
 """
 
-from benchmarks.conftest import SUITE, run_once
+from benchmarks.conftest import BENCH_OPS, SUITE, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 from repro.common.stats import geometric_mean
 
 
-def test_fig07_09_unlimited_phast(grid, emit, benchmark):
-    rows = run_once(benchmark, lambda: figures.fig07_09_unlimited_phast(grid, SUITE))
+def test_fig07_09_unlimited_phast(runner, emit, benchmark):
+    rows = run_once(
+        benchmark, lambda: figures.fig07_09_unlimited_phast(runner, SUITE, BENCH_OPS)
+    )
 
     emit(
         "fig07_09_unlimited_phast",

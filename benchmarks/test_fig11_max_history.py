@@ -4,16 +4,17 @@ Paper shape: IPC climbs with the cap and a maximum of 32 branches already
 matches unlimited histories (most benchmarks need only 16).
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 CLAMPS = (4, 8, 16, 32, 64, None)
 
 
-def test_fig11_max_history(grid, emit, benchmark):
+def test_fig11_max_history(runner, emit, benchmark):
     series = run_once(
-        benchmark, lambda: figures.fig11_max_history(grid, SUBSET, clamps=CLAMPS)
+        benchmark,
+        lambda: figures.fig11_max_history(runner, SUBSET, BENCH_OPS, clamps=CLAMPS),
     )
 
     emit(

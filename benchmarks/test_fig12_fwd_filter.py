@@ -5,17 +5,19 @@ distance predictors gain ~2%, and PHAST gains the most (~5%) because without
 the filter it learns older incorrect dependences with longer histories.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 PREDICTORS = ("store-sets", "nosq", "mdp-tage", "phast")
 
 
-def test_fig12_forwarding_filter(grid, emit, benchmark):
+def test_fig12_forwarding_filter(runner, emit, benchmark):
     series = run_once(
         benchmark,
-        lambda: figures.fig12_forwarding_filter(grid, SUBSET, predictors=PREDICTORS),
+        lambda: figures.fig12_forwarding_filter(
+            runner, SUBSET, BENCH_OPS, predictors=PREDICTORS
+        ),
     )
 
     emit(

@@ -5,16 +5,19 @@ half-budget PHAST (7.25 KB) beats the full-size baselines; Store Sets and
 NoSQ show practically no improvement from doubling their storage.
 """
 
-from benchmarks.conftest import SUBSET, run_once
+from benchmarks.conftest import BENCH_OPS, SUBSET, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 FACTORS = (0.5, 1.0, 2.0)
 
 
-def test_fig13_storage_tradeoff(grid, emit, benchmark):
+def test_fig13_storage_tradeoff(runner, emit, benchmark):
     points = run_once(
-        benchmark, lambda: figures.fig13_storage_tradeoff(grid, SUBSET, factors=FACTORS)
+        benchmark,
+        lambda: figures.fig13_storage_tradeoff(
+            runner, SUBSET, BENCH_OPS, factors=FACTORS
+        ),
     )
 
     emit(

@@ -7,13 +7,15 @@ negatives for the suite's highest false-positive pressure; the
 data-dependent applications (parest, leela, nab) are hard for everyone.
 """
 
-from benchmarks.conftest import SUITE, run_once
+from benchmarks.conftest import BENCH_OPS, SUITE, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 
-def test_fig14_mpki_per_application(grid, emit, benchmark):
-    rows = run_once(benchmark, lambda: figures.fig14_15_per_application(grid, SUITE))
+def test_fig14_mpki_per_application(runner, emit, benchmark):
+    rows = run_once(
+        benchmark, lambda: figures.fig14_15_per_application(runner, SUITE, BENCH_OPS)
+    )
 
     emit(
         "fig14_mpki_per_app",

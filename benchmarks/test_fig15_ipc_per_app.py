@@ -6,14 +6,16 @@ badly where multiple instances of a store are in flight (500.perlbench_3);
 PHAST shines on 500.perlbench_1, 511.povray and 531.deepsjeng.
 """
 
-from benchmarks.conftest import SUITE, run_once
+from benchmarks.conftest import BENCH_OPS, SUITE, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 from repro.common.stats import geometric_mean
 
 
-def test_fig15_ipc_per_application(grid, emit, benchmark):
-    rows = run_once(benchmark, lambda: figures.fig14_15_per_application(grid, SUITE))
+def test_fig15_ipc_per_application(runner, emit, benchmark):
+    rows = run_once(
+        benchmark, lambda: figures.fig14_15_per_application(runner, SUITE, BENCH_OPS)
+    )
 
     emit(
         "fig15_ipc_per_app",

@@ -6,13 +6,13 @@ the remaining predictors are comparable to each other, and reads dominate
 writes everywhere.
 """
 
-from benchmarks.conftest import SUITE, run_once
+from benchmarks.conftest import BENCH_OPS, SUITE, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 
-def test_fig16_energy(grid, emit, benchmark):
-    rows = run_once(benchmark, lambda: figures.fig16_energy(grid, SUITE))
+def test_fig16_energy(runner, emit, benchmark):
+    rows = run_once(benchmark, lambda: figures.fig16_energy(runner, SUITE, BENCH_OPS))
 
     emit(
         "fig16_energy",

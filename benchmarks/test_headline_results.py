@@ -9,13 +9,15 @@ DESIGN.md §1):
 * Average MPKI 0.766; 62.0% total-MPKI reduction vs NoSQ.
 """
 
-from benchmarks.conftest import SUITE, run_once
+from benchmarks.conftest import BENCH_OPS, SUITE, run_once
 from repro.analysis import figures
 from repro.analysis.report import format_table
 
 
-def test_headline_results(grid, emit, benchmark):
-    summary = run_once(benchmark, lambda: figures.headline_summary(grid, SUITE))
+def test_headline_results(runner, emit, benchmark):
+    summary = run_once(
+        benchmark, lambda: figures.headline_summary(runner, SUITE, BENCH_OPS)
+    )
 
     emit(
         "headline_results",

@@ -8,8 +8,10 @@ point is the plumbing:
 
 1. subclass ``repro.mdp.base.MDPredictor``;
 2. ``register_predictor("pc-blacklist", PCBlacklistPredictor)``;
-3. every name-based API — ``simulate``, ``RunSpec``, ``ExperimentGrid``,
-   sweep cells — can now run it like a built-in.
+3. every name-based API — ``simulate``, ``RunSpec``, sweep cells, the
+   figure helpers (``repro.analysis.figures.run_grid``) — can now run it
+   like a built-in. Keyword arguments of a factory become predictor
+   variants: ``"pc-blacklist(k=v)"``, as with ``"phast(target_bits=0)"``.
 
 Usage:
     python examples/custom_predictor.py [workload] [num_ops]

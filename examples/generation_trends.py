@@ -10,9 +10,13 @@ Usage:
 """
 
 import sys
+import tempfile
 
-from repro import GENERATIONS, ExperimentGrid
+from repro import GENERATIONS
+from repro.analysis.figures import mean_mpki, mean_normalized_ipc, run_grid
 from repro.analysis.report import format_table
+from repro.harness.store import ResultStore
+from repro.harness.sweep import SweepRunner
 
 WORKLOADS = ["500.perlbench_1", "502.gcc_1", "511.povray", "541.leela"]
 PREDICTORS = ["store-sets", "phast"]
@@ -20,13 +24,18 @@ PREDICTORS = ["store-sets", "phast"]
 
 def main() -> None:
     num_ops = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
-    grid = ExperimentGrid(num_ops=num_ops)
+    with tempfile.TemporaryDirectory() as store:
+        runner = SweepRunner(ResultStore(store))
+        grids = {
+            name: run_grid(runner, WORKLOADS, PREDICTORS + ["ideal"], num_ops, config)
+            for name, config in GENERATIONS.items()
+        }
 
     rows = []
     for name, config in GENERATIONS.items():
         for predictor in PREDICTORS:
-            violations, false_deps = grid.mean_mpki(WORKLOADS, predictor, config)
-            normalized = grid.mean_normalized_ipc(WORKLOADS, predictor, config)
+            violations, false_deps = mean_mpki(grids[name], WORKLOADS, predictor)
+            normalized = mean_normalized_ipc(grids[name], WORKLOADS, predictor)
             rows.append(
                 [
                     name,

@@ -11,21 +11,26 @@ Usage:
 """
 
 import sys
+import tempfile
 
-from repro import ExperimentGrid
 from repro.analysis import figures
 from repro.analysis.report import format_table
+from repro.harness.store import ResultStore
+from repro.harness.sweep import SweepRunner
 
 WORKLOADS = ["500.perlbench_1", "502.gcc_1", "511.povray", "531.deepsjeng"]
 
 
 def main() -> None:
     num_ops = int(sys.argv[1]) if len(sys.argv) > 1 else 25_000
-    grid = ExperimentGrid(num_ops=num_ops)
+    with tempfile.TemporaryDirectory() as store:
+        study(SweepRunner(ResultStore(store)), num_ops)
 
+
+def study(runner: SweepRunner, num_ops: int) -> None:
     print("Fig. 6 — unlimited predictors (IPC vs ideal, mean tracked paths):")
     points = figures.fig06_unlimited_sweep(
-        grid, WORKLOADS, nosq_lengths=(1, 2, 4, 6, 8, 12, 16)
+        runner, WORKLOADS, num_ops, nosq_lengths=(1, 2, 4, 6, 8, 12, 16)
     )
     print(
         format_table(
@@ -48,7 +53,9 @@ def main() -> None:
     )
 
     print("\nFig. 11 — UnlimitedPHAST IPC at capped maximum history lengths:")
-    series = figures.fig11_max_history(grid, WORKLOADS, clamps=(4, 8, 16, 32, None))
+    series = figures.fig11_max_history(
+        runner, WORKLOADS, num_ops, clamps=(4, 8, 16, 32, None)
+    )
     print(
         format_table(
             ["cap", "IPC vs ideal"],

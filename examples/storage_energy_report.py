@@ -10,10 +10,12 @@ Usage:
 """
 
 import sys
+import tempfile
 
-from repro import ExperimentGrid
 from repro.analysis.charts import bar_chart
 from repro.analysis.figures import fig16_energy
+from repro.harness.store import ResultStore
+from repro.harness.sweep import SweepRunner
 from repro.mdp.storage import format_table2
 
 WORKLOADS = ["500.perlbench_1", "502.gcc_1", "511.povray", "541.leela"]
@@ -27,8 +29,8 @@ def main() -> None:
 
     print(f"\nFig. 16 — energy over {len(WORKLOADS)} workloads "
           f"({num_ops} micro-ops each):\n")
-    grid = ExperimentGrid(num_ops=num_ops)
-    rows = fig16_energy(grid, WORKLOADS)
+    with tempfile.TemporaryDirectory() as store:
+        rows = fig16_energy(SweepRunner(ResultStore(store)), WORKLOADS, num_ops)
     print(
         bar_chart(
             [(row.predictor, row.total_nj) for row in rows],

@@ -10,10 +10,14 @@ Usage:
 """
 
 import argparse
+import tempfile
 
-from repro import ExperimentGrid, spec_suite
+from repro import spec_suite
+from repro.analysis.figures import run_grid
 from repro.analysis.report import format_table
 from repro.common.stats import geometric_mean
+from repro.harness.store import ResultStore
+from repro.harness.sweep import SweepRunner
 
 PREDICTORS = ["store-sets", "nosq", "mdp-tage", "mdp-tage-s", "phast"]
 
@@ -26,19 +30,19 @@ def main() -> None:
     args = parser.parse_args()
 
     workloads = spec_suite(subset=args.subset)
-    grid = ExperimentGrid(num_ops=args.num_ops)
 
     print(f"Simulating {len(workloads)} workloads x {len(PREDICTORS) + 1} predictors "
           f"at {args.num_ops} micro-ops each...\n")
 
-    ideal = grid.run_suite(workloads, "ideal")
+    with tempfile.TemporaryDirectory() as store:
+        runner = SweepRunner(ResultStore(store))
+        grid = run_grid(runner, workloads, ["ideal"] + PREDICTORS, args.num_ops)
     table = []
     normalized = {name: [] for name in PREDICTORS}
     for workload in workloads:
         row = [workload]
         for name in PREDICTORS:
-            result = grid.run(workload, name)
-            ratio = result.ipc / ideal[workload].ipc
+            ratio = grid[workload, name].ipc / grid[workload, "ideal"].ipc
             normalized[name].append(ratio)
             row.append(ratio)
         table.append(row)

@@ -15,7 +15,8 @@ True
   the unlimited study predictors and the ideal/blind oracles.
 * :mod:`repro.workloads` — the synthetic SPEC CPU 2017-like suite.
 * :mod:`repro.core` — the out-of-order pipeline timing model (Table I).
-* :mod:`repro.sim` — experiment grids for regenerating the paper's figures.
+* :mod:`repro.sim` — one-call runs, the predictor registry and variants.
+* :mod:`repro.analysis` — the computation behind every figure of the paper.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for paper-versus-
 measured results on every table and figure.
@@ -35,12 +36,12 @@ from repro.mdp import (
     UnlimitedNoSQPredictor,
     UnlimitedPHASTPredictor,
 )
-from repro.sim.experiment import ExperimentGrid, normalize_to_ideal
 from repro.sim.metrics import SimResult
 from repro.sim.simulator import (
     PREDICTOR_FACTORIES,
     available_predictors,
     make_predictor,
+    predictor_variant,
     register_predictor,
     run_spec,
     simulate,
@@ -56,13 +57,12 @@ __all__ = [
     "run_spec",
     "RunSpec",
     "make_predictor",
+    "predictor_variant",
     "register_predictor",
     "unregister_predictor",
     "available_predictors",
     "PREDICTOR_FACTORIES",
     "SimResult",
-    "ExperimentGrid",
-    "normalize_to_ideal",
     "CoreConfig",
     "GENERATIONS",
     "MDPredictor",

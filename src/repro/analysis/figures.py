@@ -1,9 +1,12 @@
 """Computation behind every figure and table of the paper.
 
-Each function takes an :class:`~repro.sim.experiment.ExperimentGrid` (which
-memoises simulations, so figures sharing cells — e.g. the ideal baseline —
-are cheap after the first) plus the workload list, and returns plain data
-structures the benchmark harness formats and asserts on.
+Each function takes a :class:`~repro.harness.sweep.SweepRunner`, the
+workload list and the trace length, runs its cells through
+:func:`run_grid` and returns plain data structures the benchmark harness
+formats and asserts on. The runner's result store holds every finished
+cell, so figures sharing cells — e.g. the ideal baseline — simulate them
+once. Parameter sweeps are predictor variants (``"phast(target_bits=0)"``,
+:func:`~repro.sim.simulator.predictor_variant`), each its own stored cell.
 
 Figure index (paper -> function):
 
@@ -39,20 +42,15 @@ from repro.frontend.branch_predictors import (
     TwoLevelLocalPredictor,
 )
 from repro.frontend.tage import TAGEPredictor
+from repro.harness.sweep import SweepRunner, build_cells
 from repro.isa.trace import Trace
-from repro.mdp.base import MDPredictor
 from repro.mdp.energy import EnergyModel
-from repro.mdp.mdp_tage import MDPTagePredictor
-from repro.mdp.nosq import NoSQPredictor
-from repro.mdp.phast import PHASTPredictor
-from repro.mdp.store_sets import StoreSetsPredictor
-from repro.mdp.unlimited import (
-    UnlimitedMDPTagePredictor,
-    UnlimitedNoSQPredictor,
-    UnlimitedPHASTPredictor,
-)
-from repro.sim.experiment import ExperimentGrid
-from repro.sim.simulator import get_trace
+from repro.mdp.unlimited import UnlimitedPHASTPredictor
+from repro.sim.metrics import SimResult
+from repro.sim.simulator import get_trace, make_predictor, predictor_variant
+
+#: (workload, predictor label) -> result, for one core configuration.
+Grid = Dict[Tuple[str, str], SimResult]
 
 #: The five limited predictors of the main evaluation (Figs. 13-16).
 MAIN_PREDICTORS: Tuple[str, ...] = (
@@ -73,6 +71,57 @@ BRANCH_PREDICTOR_ROSTER: Tuple[Callable[[], BranchPredictor], ...] = (
     PerceptronPredictor,
     TAGEPredictor,
 )
+
+
+def run_grid(
+    runner: SweepRunner,
+    workloads: Sequence[str],
+    predictors: Sequence[str],
+    num_ops: int,
+    config: Optional[CoreConfig] = None,
+) -> Grid:
+    """Run every (workload, predictor) cell through ``runner``.
+
+    Cells the runner's store already holds are read back, not simulated.
+    The runner finishes a sweep with whatever succeeded; a figure missing a
+    cell would be silently wrong, so any failed cell raises, naming them.
+    """
+    cells = build_cells(workloads, dict.fromkeys(predictors), config, num_ops)
+    report = runner.run(cells)
+    if report.failures:
+        raise RuntimeError(
+            f"{len(report.failures)} of {len(cells)} cells failed: "
+            + "; ".join(
+                f"{f.cell.get('workload')}/{f.cell.get('predictor')}: {f.message}"
+                for f in report.failures
+            )
+        )
+    return report.results
+
+
+def normalize_to_ideal(
+    results: Dict[str, SimResult], ideal: Dict[str, SimResult]
+) -> Dict[str, float]:
+    """Per-workload IPC normalised to the ideal predictor's IPC."""
+    return {name: result.ipc / ideal[name].ipc for name, result in results.items()}
+
+
+def mean_normalized_ipc(grid: Grid, workloads: Sequence[str], predictor: str) -> float:
+    """Geometric-mean IPC normalised to the ideal predictor (paper metric)."""
+    return geometric_mean(
+        [grid[name, predictor].ipc / grid[name, "ideal"].ipc for name in workloads]
+    )
+
+
+def mean_mpki(
+    grid: Grid, workloads: Sequence[str], predictor: str
+) -> Tuple[float, float]:
+    """(mean violation MPKI, mean false-positive MPKI) over workloads."""
+    results = [grid[name, predictor] for name in workloads]
+    return (
+        sum(result.violation_mpki for result in results) / len(results),
+        sum(result.false_positive_mpki for result in results) / len(results),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -101,7 +150,7 @@ class Fig01Point:
 
 
 def fig01_mpki_history(
-    grid: ExperimentGrid, workloads: Sequence[str]
+    runner: SweepRunner, workloads: Sequence[str], num_ops: int
 ) -> List[Fig01Point]:
     """Fig. 1: branch- and memory-dependence-predictor MPKI over the years.
 
@@ -113,7 +162,7 @@ def fig01_mpki_history(
     for factory in BRANCH_PREDICTOR_ROSTER:
         mpkis = []
         for name in workloads:
-            trace = get_trace(name, grid.num_ops)
+            trace = get_trace(name, num_ops)
             mpkis.append(standalone_branch_mpki(factory(), trace))
         sample = factory()
         points.append(
@@ -132,9 +181,9 @@ def fig01_mpki_history(
         "mdp-tage": 2018,
         "phast": 2024,
     }
-    nehalem = GENERATIONS["nehalem"]
+    grid = run_grid(runner, workloads, list(mdp_years), num_ops, GENERATIONS["nehalem"])
     for predictor, year in mdp_years.items():
-        violations, false_deps = grid.mean_mpki(list(workloads), predictor, nehalem)
+        violations, false_deps = mean_mpki(grid, workloads, predictor)
         points.append(
             Fig01Point(
                 name=predictor,
@@ -163,16 +212,18 @@ class Fig02Row:
 
 
 def fig02_generations(
-    grid: ExperimentGrid,
+    runner: SweepRunner,
     workloads: Sequence[str],
+    num_ops: int,
     predictors: Sequence[str] = ("store-sets", "nosq", "mdp-tage", "phast"),
 ) -> List[Fig02Row]:
     """Fig. 2: MDP MPKI (a) and gap to ideal (b) across core generations."""
     rows: List[Fig02Row] = []
     for gen_name, config in GENERATIONS.items():
+        grid = run_grid(runner, workloads, [*predictors, "ideal"], num_ops, config)
         for predictor in predictors:
-            violations, false_deps = grid.mean_mpki(list(workloads), predictor, config)
-            normalized = grid.mean_normalized_ipc(list(workloads), predictor, config)
+            violations, false_deps = mean_mpki(grid, workloads, predictor)
+            normalized = mean_normalized_ipc(grid, workloads, predictor)
             rows.append(
                 Fig02Row(
                     generation=gen_name,
@@ -199,12 +250,13 @@ class Fig04Row:
 
 
 def fig04_multi_store(
-    grid: ExperimentGrid, workloads: Sequence[str]
+    runner: SweepRunner, workloads: Sequence[str], num_ops: int
 ) -> List[Fig04Row]:
     """Fig. 4: percentage of loads that depend on multiple stores."""
+    grid = run_grid(runner, workloads, ["ideal"], num_ops)
     rows: List[Fig04Row] = []
     for name in workloads:
-        result = grid.run(name, "ideal")
+        result = grid[name, "ideal"]
         stats = result.pipeline
         multi = stats.multi_store_loads
         rows.append(
@@ -230,29 +282,31 @@ class Fig06Point:
 
 
 def fig06_unlimited_sweep(
-    grid: ExperimentGrid,
+    runner: SweepRunner,
     workloads: Sequence[str],
+    num_ops: int,
     nosq_lengths: Sequence[int] = (1, 2, 4, 6, 8, 12, 16),
 ) -> List[Fig06Point]:
     """Fig. 6: UnlimitedNoSQ history sweep vs UnlimitedMDPTAGE vs UnlimitedPHAST."""
+    variants = {
+        f"unlimited-nosq-h{length}": predictor_variant(
+            "unlimited-nosq", history_branches=length
+        )
+        for length in nosq_lengths
+    }
+    variants["unlimited-mdp-tage"] = "unlimited-mdp-tage"
+    variants["unlimited-phast"] = "unlimited-phast"
+    grid = run_grid(runner, workloads, [*variants.values(), "ideal"], num_ops)
     points: List[Fig06Point] = []
-
-    def run_variant(label: str, factory: Callable[[], MDPredictor]) -> None:
-        results = grid.run_suite(workloads, label, predictor_factory=factory)
-        ideal = grid.run_suite(workloads, "ideal")
-        normalized = geometric_mean(
-            [results[w].ipc / ideal[w].ipc for w in workloads]
+    for label, predictor in variants.items():
+        paths = [grid[w, predictor].paths_tracked or 0 for w in workloads]
+        points.append(
+            Fig06Point(
+                label,
+                mean_normalized_ipc(grid, workloads, predictor),
+                sum(paths) / len(paths),
+            )
         )
-        paths = [results[w].paths_tracked or 0 for w in workloads]
-        points.append(Fig06Point(label, normalized, sum(paths) / len(paths)))
-
-    for length in nosq_lengths:
-        run_variant(
-            f"unlimited-nosq-h{length}",
-            lambda length=length: UnlimitedNoSQPredictor(history_branches=length),
-        )
-    run_variant("unlimited-mdp-tage", UnlimitedMDPTagePredictor)
-    run_variant("unlimited-phast", UnlimitedPHASTPredictor)
     return points
 
 
@@ -271,13 +325,14 @@ class UnlimitedPhastRow:
 
 
 def fig07_09_unlimited_phast(
-    grid: ExperimentGrid, workloads: Sequence[str]
+    runner: SweepRunner, workloads: Sequence[str], num_ops: int
 ) -> List[UnlimitedPhastRow]:
     """Figs. 7-9: UnlimitedPHAST IPC, MPKI and path count per application."""
+    grid = run_grid(runner, workloads, ["unlimited-phast", "ideal"], num_ops)
     rows: List[UnlimitedPhastRow] = []
     for name in workloads:
-        result = grid.run(name, "unlimited-phast")
-        ideal = grid.run(name, "ideal")
+        result = grid[name, "unlimited-phast"]
+        ideal = grid[name, "ideal"]
         rows.append(
             UnlimitedPhastRow(
                 workload=name,
@@ -320,26 +375,23 @@ def fig10_conflict_length_histogram(
 
 
 def fig11_max_history(
-    grid: ExperimentGrid,
+    runner: SweepRunner,
     workloads: Sequence[str],
+    num_ops: int,
     clamps: Sequence[Optional[int]] = (4, 8, 16, 32, 64, None),
 ) -> Dict[str, float]:
     """Fig. 11: UnlimitedPHAST IPC at several maximum history lengths."""
-    ideal = grid.run_suite(workloads, "ideal")
-    series: Dict[str, float] = {}
-    for clamp in clamps:
-        label = f"unlimited-phast-max{clamp if clamp is not None else 'inf'}"
-        results = grid.run_suite(
-            workloads,
-            label,
-            predictor_factory=lambda clamp=clamp: UnlimitedPHASTPredictor(
-                max_history=clamp
-            ),
+    variants = {
+        f"unlimited-phast-max{'inf' if clamp is None else clamp}": (
+            predictor_variant("unlimited-phast", max_history=clamp)
         )
-        series[label] = geometric_mean(
-            [results[w].ipc / ideal[w].ipc for w in workloads]
-        )
-    return series
+        for clamp in clamps
+    }
+    grid = run_grid(runner, workloads, [*variants.values(), "ideal"], num_ops)
+    return {
+        label: mean_normalized_ipc(grid, workloads, predictor)
+        for label, predictor in variants.items()
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -348,40 +400,40 @@ def fig11_max_history(
 
 
 def fig12_forwarding_filter(
-    grid: ExperimentGrid,
+    runner: SweepRunner,
     workloads: Sequence[str],
+    num_ops: int,
     predictors: Sequence[str] = ("store-sets", "nosq", "mdp-tage", "phast"),
 ) -> Dict[str, Dict[str, float]]:
     """Fig. 12: normalised IPC with and without the Sec. IV-A1 FWD filter.
 
     Both modes are normalised to the FWD-on ideal predictor, as in the paper.
     """
-    from repro.mdp.ideal import IdealPredictor
-
     base_config = CoreConfig()
-    nofwd_config = base_config.with_forwarding_filter(False)
-    ideal = grid.run_suite(workloads, "ideal", base_config)
-    series: Dict[str, Dict[str, float]] = {}
-    for predictor in predictors:
-        fwd = grid.run_suite(workloads, predictor, base_config)
-        nofwd = grid.run_suite(workloads, predictor, nofwd_config)
-        series[predictor] = {
-            "fwd": geometric_mean([fwd[w].ipc / ideal[w].ipc for w in workloads]),
-            "nofwd": geometric_mean([nofwd[w].ipc / ideal[w].ipc for w in workloads]),
-        }
     # The ideal predictor itself, without the filter (strictness relaxed).
-    nofwd_ideal = grid.run_suite(
+    nofwd_ideal = predictor_variant("ideal", strict=False)
+    fwd = run_grid(runner, workloads, [*predictors, "ideal"], num_ops, base_config)
+    nofwd = run_grid(
+        runner,
         workloads,
-        "ideal-nofwd",
-        nofwd_config,
-        predictor_factory=lambda: IdealPredictor(strict=False),
+        [*predictors, nofwd_ideal],
+        num_ops,
+        base_config.with_forwarding_filter(False),
     )
-    series["ideal"] = {
-        "fwd": 1.0,
-        "nofwd": geometric_mean(
-            [nofwd_ideal[w].ipc / ideal[w].ipc for w in workloads]
-        ),
+
+    def normalized(grid: Grid, predictor: str) -> float:
+        return geometric_mean(
+            [grid[w, predictor].ipc / fwd[w, "ideal"].ipc for w in workloads]
+        )
+
+    series: Dict[str, Dict[str, float]] = {
+        predictor: {
+            "fwd": normalized(fwd, predictor),
+            "nofwd": normalized(nofwd, predictor),
+        }
+        for predictor in predictors
     }
+    series["ideal"] = {"fwd": 1.0, "nofwd": normalized(nofwd, nofwd_ideal)}
     return series
 
 
@@ -397,33 +449,47 @@ class Fig13Point:
     normalized_ipc: float
 
 
+#: Fig. 13's size variants: the parameters that scale each predictor's
+#: tables by ``f`` (``f = 1`` is the Table II configuration).
+SCALED_PARAMETERS: Dict[str, Callable[[float], Dict[str, int]]] = {
+    "store-sets": lambda f: {
+        "ssit_entries": max(64, int(8192 * f)),
+        "lfst_entries": max(32, int(4096 * f)),
+    },
+    "nosq": lambda f: {"entries_per_table": max(64, int(2048 * f))},
+    "mdp-tage": lambda f: {"total_entries": max(96, int(16384 * f))},
+    "mdp-tage-s": lambda f: {"total_entries": max(64, int(4096 * f))},
+    "phast": lambda f: {"sets_per_table": max(8, int(128 * f))},
+}
+
+
+def scaled_variant(name: str, factor: float) -> str:
+    """The label of ``name`` with its tables scaled by ``factor`` (Fig. 13)."""
+    return predictor_variant(name, **SCALED_PARAMETERS[name](factor))
+
+
 def fig13_storage_tradeoff(
-    grid: ExperimentGrid,
+    runner: SweepRunner,
     workloads: Sequence[str],
+    num_ops: int,
     factors: Sequence[float] = (0.5, 1.0, 2.0),
 ) -> List[Fig13Point]:
     """Fig. 13: geometric-mean IPC vs storage for size-scaled predictors."""
-    scaled_factories: Dict[str, Callable[[float], MDPredictor]] = {
-        "store-sets": StoreSetsPredictor.scaled,
-        "nosq": NoSQPredictor.scaled,
-        "mdp-tage": MDPTagePredictor.scaled,
-        "mdp-tage-s": lambda f: MDPTagePredictor.tage_s(
-            total_entries=max(64, int(4096 * f))
-        ),
-        "phast": PHASTPredictor.scaled,
-    }
-    points: List[Fig13Point] = []
-    for name, scaled in scaled_factories.items():
-        for factor in factors:
-            sample = scaled(factor)
-            label = f"{name}-x{factor:g}"
-            normalized = grid.mean_normalized_ipc(
-                list(workloads),
-                label,
-                predictor_factory=lambda scaled=scaled, factor=factor: scaled(factor),
-            )
-            points.append(Fig13Point(name, sample.storage_kb(), normalized))
-    return points
+    variants = [
+        (name, scaled_variant(name, factor))
+        for name in SCALED_PARAMETERS
+        for factor in factors
+    ]
+    labels = [label for _, label in variants]
+    grid = run_grid(runner, workloads, [*labels, "ideal"], num_ops)
+    return [
+        Fig13Point(
+            name,
+            make_predictor(label).storage_kb(),
+            mean_normalized_ipc(grid, workloads, label),
+        )
+        for name, label in variants
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -441,24 +507,24 @@ class PerAppRow:
 
 
 def fig14_15_per_application(
-    grid: ExperimentGrid,
+    runner: SweepRunner,
     workloads: Sequence[str],
+    num_ops: int,
     predictors: Sequence[str] = MAIN_PREDICTORS,
 ) -> List[PerAppRow]:
     """Figs. 14/15: per-application MPKI and ideal-normalised IPC."""
+    grid = run_grid(runner, workloads, ["ideal", *predictors], num_ops)
     rows: List[PerAppRow] = []
-    ideal = grid.run_suite(workloads, "ideal")
     for predictor in predictors:
-        results = grid.run_suite(workloads, predictor)
         for name in workloads:
-            result = results[name]
+            result = grid[name, predictor]
             rows.append(
                 PerAppRow(
                     workload=name,
                     predictor=predictor,
                     violation_mpki=result.violation_mpki,
                     false_dep_mpki=result.false_positive_mpki,
-                    normalized_ipc=result.ipc / ideal[name].ipc,
+                    normalized_ipc=result.ipc / grid[name, "ideal"].ipc,
                 )
             )
     return rows
@@ -481,17 +547,19 @@ class Fig16Row:
 
 
 def fig16_energy(
-    grid: ExperimentGrid,
+    runner: SweepRunner,
     workloads: Sequence[str],
+    num_ops: int,
     predictors: Sequence[str] = MAIN_PREDICTORS,
 ) -> List[Fig16Row]:
     """Fig. 16: predictor energy (reads/writes) over the suite."""
     model = EnergyModel.calibrated()
+    grid = run_grid(runner, workloads, predictors, num_ops)
     rows: List[Fig16Row] = []
     for predictor in predictors:
         reads = writes = 0
         for name in workloads:
-            result = grid.run(name, predictor)
+            result = grid[name, predictor]
             reads += result.mdp.table_reads
             writes += result.mdp.table_writes
         read_nj, write_nj = model.total_energy_nj(predictor, reads, writes)
@@ -517,22 +585,22 @@ class HeadlineSummary:
 
 
 def headline_summary(
-    grid: ExperimentGrid, workloads: Sequence[str]
+    runner: SweepRunner, workloads: Sequence[str], num_ops: int
 ) -> HeadlineSummary:
     """The abstract's quantitative claims, measured on this reproduction."""
-    names = list(workloads)
+    predictors = [*MAIN_PREDICTORS, "unlimited-phast"]
+    grid = run_grid(runner, workloads, [*predictors, "ideal"], num_ops)
     normalized = {
-        predictor: grid.mean_normalized_ipc(names, predictor)
-        for predictor in MAIN_PREDICTORS
+        predictor: mean_normalized_ipc(grid, workloads, predictor)
+        for predictor in predictors
     }
-    normalized["unlimited-phast"] = grid.mean_normalized_ipc(names, "unlimited-phast")
     phast = normalized["phast"]
 
     def speedup(baseline: str) -> float:
         return (phast / normalized[baseline] - 1.0) * 100.0
 
-    phast_viol, phast_fp = grid.mean_mpki(names, "phast")
-    nosq_viol, nosq_fp = grid.mean_mpki(names, "nosq")
+    phast_viol, phast_fp = mean_mpki(grid, workloads, "phast")
+    nosq_viol, nosq_fp = mean_mpki(grid, workloads, "nosq")
     phast_total = phast_viol + phast_fp
     nosq_total = nosq_viol + nosq_fp
     return HeadlineSummary(

@@ -33,6 +33,7 @@ from repro.sim.metrics import SimResult
 from repro.sim.simulator import (
     available_predictors,
     make_predictor,
+    predictor_variant,
     register_predictor,
     run_spec,
     simulate,
@@ -50,6 +51,7 @@ __all__ = [
     "unregister_predictor",
     "available_predictors",
     "make_predictor",
+    "predictor_variant",
     # remote submission
     "SweepClient",
     "ServerError",

@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -58,13 +59,14 @@ from repro.isa.artifacts import ENV_TRACE_STORE, CheckpointStore, TraceStore
 from repro.mdp.storage import format_table2
 from repro.sampling import run_sampled
 from repro.sim.backends import available_backends, get_backend
-from repro.sim.experiment import ExperimentGrid
 from repro.sim.intervals import DEFAULT_INTERVAL_OPS
 from repro.sim.spec import RunSpec
 from repro.sim.simulator import (
     available_predictors,
     default_num_ops,
     make_predictor,
+    parse_predictor,
+    run_spec,
     simulate,
 )
 from repro.workloads.spec2017 import SPEC_PROFILES, spec_suite, workload
@@ -91,12 +93,25 @@ def _core_config(name: str) -> CoreConfig:
         )
 
 
+def _split_predictors(text: str) -> List[str]:
+    """Split a ``--predictors`` list on the commas outside parentheses.
+
+    ``"phast,phast(history_lengths=(0,8),target_bits=0)"`` is two labels;
+    a comma is inside a label when a ``)`` follows it before any ``(``.
+    """
+    return re.split(r",(?![^()]*\))", text)
+
+
 def _predictors(args: argparse.Namespace) -> List[str]:
-    """The ``--predictors`` list, each name checked against the registry."""
-    predictors = args.predictors.split(",")
-    for name in predictors:
-        if name not in available_predictors():
-            raise SystemExit(f"unknown predictor {name!r}")
+    """The ``--predictors`` labels, each checked like a worker would."""
+    predictors = _split_predictors(args.predictors)
+    for label in predictors:
+        try:
+            parse_predictor(label)
+        except KeyError:
+            raise SystemExit(f"unknown predictor {label!r}") from None
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     return predictors
 
 
@@ -174,22 +189,33 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_cells(
+    args: argparse.Namespace, workloads: List[str], predictors: List[str]
+) -> dict:
+    """(workload, predictor) -> result, each distinct cell simulated once."""
+    config = _core_config(args.core)
+    return {
+        (name, predictor): run_spec(
+            RunSpec(name, predictor, config, num_ops=args.num_ops, seed=args.seed)
+        )
+        for name in workloads
+        for predictor in dict.fromkeys(predictors)
+    }
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     workloads = spec_suite(subset=args.subset)
     predictors = _predictors(args)
-    grid = ExperimentGrid(num_ops=args.num_ops)
     config = _core_config(args.core)
-    ideal = {
-        name: grid.run(name, "ideal", config, seed=args.seed) for name in workloads
-    }
+    results = _run_cells(args, workloads, ["ideal"] + predictors)
 
     rows = []
     normalized = {name: [] for name in predictors}
     for workload_name in workloads:
         row: List[object] = [workload_name]
         for name in predictors:
-            result = grid.run(workload_name, name, config, seed=args.seed)
-            ratio = result.ipc / ideal[workload_name].ipc
+            result = results[workload_name, name]
+            ratio = result.ipc / results[workload_name, "ideal"].ipc
             normalized[name].append(ratio)
             row.append(ratio)
         rows.append(row)
@@ -254,7 +280,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         # so a surrogate dataset built from this file featurizes exactly
         # like one built from the originating store (docs/surrogate.md).
         from repro.analysis.export import dump_provenance
-        from repro.sim.simulator import run_spec
 
         pairs = []
         for name in workloads:
@@ -271,12 +296,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         dump_provenance(pairs, args.output)
         print(f"wrote {len(pairs)} provenance records to {args.output}")
         return 0
-    grid = ExperimentGrid(num_ops=args.num_ops)
-    results = [
-        grid.run(workload, predictor, config, seed=args.seed)
-        for workload in workloads
-        for predictor in predictors
-    ]
+    results = list(_run_cells(args, workloads, predictors).values())
     dump_results(results, args.output)
     print(f"wrote {len(results)} records to {args.output}")
     return 0
@@ -534,7 +554,7 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
     if model is None:
         raise SystemExit(f"model at {args.model} is missing or corrupt")
     workloads = _workloads(args)
-    predictors = args.predictors.split(",")
+    predictors = _split_predictors(args.predictors)
     config = _core_config(args.core)
     estimates = []
     try:
@@ -667,7 +687,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         receipt = client.submit_grid(
             workloads,
-            args.predictors.split(","),
+            _split_predictors(args.predictors),
             config=_core_config(args.core),
             num_ops=args.num_ops,
             seed=args.seed,

@@ -1,7 +1,7 @@
 """Fault-tolerant experiment harness.
 
-Layered under :class:`~repro.sim.experiment.ExperimentGrid`, the CLI and the
-benchmark suite:
+Layered under the figure computations (:func:`repro.analysis.figures.run_grid`),
+the CLI's ``sweep`` command, the server and the benchmark suite:
 
 * :mod:`repro.harness.store` — durable, content-hash-keyed, crash-safe
   result store (atomic temp-file + rename writes; corruption reads as a

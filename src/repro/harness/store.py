@@ -118,9 +118,11 @@ def cell_key(
 ) -> CellKey:
     """Build the full content-hash key of a sweep cell.
 
-    ``predictor`` is the cache *label*; parameter-sweep variants built via a
-    factory must encode the variant in the label (as `ExperimentGrid` already
-    requires). ``seed`` is a workload seed override (None = profile default).
+    ``predictor`` is the cache *label*: a registry name, or a canonical
+    variant label such as ``"phast(target_bits=0)"`` that names its
+    parameters (:func:`repro.sim.simulator.parse_predictor`), so a variant
+    is its own cell. ``seed`` is a workload seed override (None = profile
+    default).
     """
     core = config or CoreConfig()
     config_sha = config_fingerprint(core)

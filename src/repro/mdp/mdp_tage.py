@@ -135,11 +135,6 @@ class MDPTagePredictor(MDPredictor):
             name="mdp-tage-s",
         )
 
-    @staticmethod
-    def scaled(factor: float) -> "MDPTagePredictor":
-        """A Fig. 13 size variant of the standard configuration."""
-        return MDPTagePredictor(total_entries=max(96, int(16384 * factor)))
-
     # -- history sync ------------------------------------------------------------
 
     def _sync(self, history: GlobalHistory, snapshot: int) -> None:

@@ -168,8 +168,3 @@ class NoSQPredictor(MDPredictor):
         entry_bits = self._tag_bits + self._confidence_bits + self._distance_bits + 2
         total_entries = self._insensitive.total_entries + self._sensitive.total_entries
         return total_entries * entry_bits
-
-    @staticmethod
-    def scaled(factor: float) -> "NoSQPredictor":
-        """A Fig. 13 size variant."""
-        return NoSQPredictor(entries_per_table=max(64, int(2048 * factor)))

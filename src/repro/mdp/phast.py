@@ -250,8 +250,3 @@ class PHASTPredictor(MDPredictor):
         entry_bits = self._tag_bits + self._distance_bits + self._confidence_bits + 2
         total_entries = sum(table.total_entries for table in self._tables)
         return total_entries * entry_bits
-
-    @staticmethod
-    def scaled(factor: float) -> "PHASTPredictor":
-        """A Fig. 13 size variant (sets per table scaled)."""
-        return PHASTPredictor(sets_per_table=max(8, int(128 * factor)))

@@ -157,11 +157,3 @@ class StoreSetsPredictor(MDPredictor):
         ssit_bits = self._ssit_entries * (1 + self._ssid_bits)
         lfst_bits = self._lfst_entries * (1 + self._store_id_bits)
         return ssit_bits + lfst_bits
-
-    @staticmethod
-    def scaled(factor: float) -> "StoreSetsPredictor":
-        """A Fig. 13 size variant: tables scaled by ``factor``."""
-        return StoreSetsPredictor(
-            ssit_entries=max(64, int(8192 * factor)),
-            lfst_entries=max(32, int(4096 * factor)),
-        )

@@ -416,7 +416,7 @@ def run_sampled(
     )
     return SimResult(
         workload=trace.name,
-        predictor=results[0].predictor if results else spec.predictor_label,
+        predictor=spec.predictor_label,
         core=spec.resolved_config().name,
         pipeline=pipeline,
         mdp=mdp,

@@ -121,10 +121,9 @@ def validate_names(specs: Sequence[RunSpec]) -> None:
     :class:`~repro.api.wire.WireError` (→ structured 422) naming the field.
     """
     from repro.sim.backends import available_backends
-    from repro.sim.simulator import available_predictors
+    from repro.sim.simulator import available_predictors, parse_predictor
     from repro.workloads.spec2017 import SPEC_PROFILES
 
-    predictors = set(available_predictors())
     backends = set(available_backends())
     for spec in specs:
         if spec.workload_name not in SPEC_PROFILES:
@@ -134,13 +133,19 @@ def validate_names(specs: Sequence[RunSpec]) -> None:
                 value=spec.workload_name,
                 choices=sorted(SPEC_PROFILES),
             )
-        if spec.predictor_label not in predictors:
+        try:
+            parse_predictor(spec.predictor_label)
+        except KeyError:
             raise WireError(
                 f"unknown predictor {spec.predictor_label!r}",
                 field="predictor",
                 value=spec.predictor_label,
-                choices=sorted(predictors),
-            )
+                choices=list(available_predictors()),
+            ) from None
+        except ValueError as exc:
+            raise WireError(
+                str(exc), field="predictor", value=spec.predictor_label
+            ) from None
         if spec.backend is not None and spec.backend not in backends:
             raise WireError(
                 f"unknown backend {spec.backend!r}",

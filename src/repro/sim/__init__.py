@@ -1,6 +1,5 @@
-"""Simulation orchestration: one-call runs, metrics, and experiment grids."""
+"""Simulation orchestration: one-call runs, metrics and the predictor registry."""
 
-from repro.sim.experiment import ExperimentGrid, normalize_to_ideal
 from repro.sim.intervals import IntervalWindow
 from repro.sim.metrics import SimResult
 from repro.sim.simulator import (
@@ -11,6 +10,8 @@ from repro.sim.simulator import (
     default_warmup_ops,
     get_trace,
     make_predictor,
+    parse_predictor,
+    predictor_variant,
     register_predictor,
     run_spec,
     simulate,
@@ -25,6 +26,8 @@ __all__ = [
     "simulate",
     "run_spec",
     "make_predictor",
+    "parse_predictor",
+    "predictor_variant",
     "register_predictor",
     "unregister_predictor",
     "available_predictors",
@@ -35,7 +38,5 @@ __all__ = [
     "clear_trace_cache",
     "trace_cache_info",
     "IntervalWindow",
-    "ExperimentGrid",
-    "normalize_to_ideal",
 ]
 

@@ -30,6 +30,9 @@ def simulate_cell(
 ) -> SimResult:
     """Run ``spec`` on ``trace`` with ``predictor``; ``prep`` shares a plan.
 
+    The result is labelled with the spec's predictor label when it is a
+    name, so a variant's result names the variant and not its base.
+
     Interval windows are cut at ``spec.interval_ops``, else at
     ``heartbeat_ops``; ``on_window`` receives each one. Only the spec's own
     windows are attached to the result.
@@ -51,9 +54,10 @@ def simulate_cell(
     )
     run.advance()
     stats = run.finish()
+    label = spec.predictor if isinstance(spec.predictor, str) else predictor.name
     return SimResult(
         workload=trace.name,
-        predictor=predictor.name,
+        predictor=label,
         core=config.name,
         pipeline=stats,
         mdp=predictor.stats,

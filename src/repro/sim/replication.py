@@ -16,9 +16,8 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.config import CoreConfig
 from repro.harness.store import ResultStore, cell_key
-from repro.mdp.base import MDPredictor
 from repro.sim.metrics import SimResult
-from repro.sim.simulator import default_num_ops, make_predictor, simulate
+from repro.sim.simulator import default_num_ops, simulate
 from repro.sim.spec import RunSpec
 from repro.workloads.generator import WorkloadProfile
 from repro.workloads.spec2017 import workload
@@ -151,7 +150,7 @@ def seed_replicas(
 
 def _replica_result(
     replica: WorkloadProfile,
-    predictor: MDPredictor,
+    predictor: str,
     config: Optional[CoreConfig],
     num_ops: int,
     store: Optional[ResultStore],
@@ -160,7 +159,8 @@ def _replica_result(
 
     The store key carries the replica's seed, so re-seeded copies of the
     same profile occupy distinct cells and a replication campaign resumes
-    from its completed replicas after a crash.
+    from its completed replicas after a crash. ``predictor`` is a label
+    (name or variant), so a variant never shares its base's cells.
     """
     spec = RunSpec(
         workload=replica, predictor=predictor, config=config, num_ops=num_ops
@@ -168,7 +168,7 @@ def _replica_result(
     if store is None:
         return simulate(spec)
     key = cell_key(
-        replica.name, predictor.name, config or CoreConfig(), num_ops, replica.seed
+        replica.name, predictor, config or CoreConfig(), num_ops, replica.seed
     )
     cached = store.get(key)
     if cached is not None:
@@ -180,7 +180,7 @@ def _replica_result(
 
 def replicate(
     profile: Union[str, WorkloadProfile],
-    predictor_factory: Union[str, Callable[[], MDPredictor]],
+    predictor: str,
     replicas: int = 5,
     num_ops: Optional[int] = None,
     config: Optional[CoreConfig] = None,
@@ -188,18 +188,12 @@ def replicate(
     metric_name: str = "ipc",
     store: Optional[ResultStore] = None,
 ) -> ReplicatedMetric:
-    """Run ``replicas`` re-seeded copies and aggregate ``metric``."""
-    if isinstance(predictor_factory, str):
-        name = predictor_factory
-        predictor_factory = lambda: make_predictor(name)  # noqa: E731
+    """Run ``replicas`` re-seeded copies of ``predictor`` (a name or variant
+    label) and aggregate ``metric``."""
     samples = []
     for replica in seed_replicas(profile, replicas):
         result = _replica_result(
-            replica,
-            predictor_factory(),
-            config,
-            num_ops or default_num_ops(),
-            store,
+            replica, predictor, config, num_ops or default_num_ops(), store
         )
         samples.append(metric(result))
     return ReplicatedMetric(name=metric_name, samples=tuple(samples))
@@ -221,8 +215,8 @@ def replicated_speedup(
     samples = []
     length = num_ops or default_num_ops()
     for replica in seed_replicas(profile, replicas):
-        new = _replica_result(replica, make_predictor(predictor), None, length, store)
-        base = _replica_result(replica, make_predictor(baseline), None, length, store)
+        new = _replica_result(replica, predictor, None, length, store)
+        base = _replica_result(replica, baseline, None, length, store)
         samples.append((new.ipc / base.ipc - 1.0) * 100.0)
     return ReplicatedMetric(
         name=f"speedup {predictor} vs {baseline} (%)", samples=tuple(samples)

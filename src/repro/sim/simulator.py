@@ -16,6 +16,9 @@ effect.
 
 from __future__ import annotations
 
+import ast
+import inspect
+import re
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -122,15 +125,104 @@ def available_predictors() -> Tuple[str, ...]:
     return tuple(sorted(PREDICTOR_FACTORIES))
 
 
-def make_predictor(name: str) -> MDPredictor:
-    """Instantiate a predictor by registry name."""
+_VARIANT_LABEL = re.compile(r"([^()\s]+)\((.*)\)", re.DOTALL)
+#: The value types a parameter admits, by the type of its default; any
+#: other default (None, or none at all) admits every literal type.
+_ADMITTED = {bool: (bool,), int: (int,), float: (float, int), tuple: (tuple,)}
+_LITERALS = (bool, int, float, type(None), tuple)
+
+
+def _parameters(name: str) -> Mapping[str, inspect.Parameter]:
+    """The keyword parameters of registry predictor ``name``'s factory."""
     try:
         factory = PREDICTOR_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown predictor {name!r}; available: {', '.join(available_predictors())}"
+    except (KeyError, TypeError):
+        available = ", ".join(available_predictors())
+        raise KeyError(f"unknown predictor {name!r}; available: {available}") from None
+    return inspect.signature(factory).parameters
+
+
+def _canonical(name: str, params: Mapping[str, object], parameters) -> str:
+    spelled = [
+        f"{key}={repr(value).replace(' ', '')}"
+        for key, value in sorted(params.items())
+        if not (
+            key in parameters
+            and type(value) is type(parameters[key].default)
+            and value == parameters[key].default
+        )
+    ]
+    return f"{name}({','.join(spelled)})" if spelled else name
+
+
+def predictor_variant(name: str, **params: object) -> str:
+    """The canonical label of registry predictor ``name`` built with ``params``.
+
+    ``predictor_variant("phast", target_bits=0) == "phast(target_bits=0)"``:
+    parameters sorted by name, ``repr`` values without spaces, and those
+    equal to the factory's default left out, so a variant that builds the
+    default predictor is the plain name. The label is checked like any
+    other (:func:`parse_predictor`).
+    """
+    label = _canonical(name, params, _parameters(name))
+    parse_predictor(label)
+    return label
+
+
+def parse_predictor(label: str) -> Tuple[str, Dict[str, object]]:
+    """Split a predictor label into ``(registry name, parameters)``, checked.
+
+    A label is a registry name, or a variant ``name(k=v,...)`` whose
+    parameters are keyword arguments of the registry factory with literal
+    values — int, float, bool, None, or a tuple of ints — typed like the
+    parameter's default. They are checked by binding them to the factory's
+    signature, without building the predictor. Only the canonical spelling
+    (:func:`predictor_variant`) is accepted, so one cell never has two
+    keys. Raises ``KeyError`` for an unknown name and ``ValueError`` for any
+    other bad label, naming the canonical form where there is one.
+    """
+    if isinstance(label, str) and label in PREDICTOR_FACTORIES:
+        return label, {}
+    match = _VARIANT_LABEL.fullmatch(label) if isinstance(label, str) else None
+    name, body = match.groups() if match else (label, "")
+    parameters = _parameters(name)
+    try:
+        call = ast.parse(f"f({body})", mode="eval").body
+        if call.args or any(keyword.arg is None for keyword in call.keywords):
+            raise ValueError
+        params = {k.arg: ast.literal_eval(k.value) for k in call.keywords}
+    except (AttributeError, SyntaxError, ValueError, RecursionError, MemoryError):
+        raise ValueError(
+            f"predictor {label!r}: write parameters as k=v with literal values"
         ) from None
-    return factory()
+    for key, value in params.items():
+        default = parameters[key].default if key in parameters else None
+        if type(value) not in _ADMITTED.get(type(default), _LITERALS) or (
+            isinstance(value, tuple) and any(type(item) is not int for item in value)
+        ):
+            raise ValueError(
+                f"predictor {label!r}: {key}={value!r} is not an int, float, "
+                f"bool, None or tuple of ints typed like the default {default!r}"
+            )
+    try:
+        inspect.Signature(list(parameters.values())).bind(**params)
+    except TypeError as exc:
+        raise ValueError(
+            f"predictor {label!r}: {exc}; {name!r} takes "
+            f"{', '.join(parameters) or 'no parameters'}"
+        ) from None
+    canonical = _canonical(name, params, parameters)
+    if label != canonical:
+        raise ValueError(
+            f"predictor {label!r} is not in canonical form; write {canonical!r}"
+        )
+    return name, params
+
+
+def make_predictor(label: str) -> MDPredictor:
+    """Instantiate a predictor by registry name or variant label."""
+    name, params = parse_predictor(label)
+    return PREDICTOR_FACTORIES[name](**params)
 
 
 def _trace_cache_size() -> int:

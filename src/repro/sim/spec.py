@@ -35,7 +35,8 @@ class RunSpec:
     Attributes:
         workload: profile name (e.g. ``"511.povray"``) or a full
             :class:`~repro.workloads.generator.WorkloadProfile`.
-        predictor: registry name (e.g. ``"phast"``) or a predictor instance.
+        predictor: registry name (e.g. ``"phast"``), variant label (e.g.
+            ``"phast(target_bits=0)"``) or a predictor instance.
             Instances make the spec non-picklable and non-cacheable by name;
             prefer names plus :func:`repro.sim.simulator.register_predictor`.
         config: core configuration; None means the default
@@ -95,9 +96,11 @@ class RunSpec:
     def predictor_label(self) -> str:
         """The registry/cache label for the predictor.
 
-        For instances this is the object's ``name`` — callers sweeping
-        parameter variants must encode the variant in the label themselves
-        (as ``ExperimentGrid`` already requires).
+        A name is its own label, variants included
+        (``"phast(target_bits=0)"``, see
+        :func:`repro.sim.simulator.parse_predictor`). For an instance this
+        is the object's ``name``, which does not tell a parameter variant
+        from its base; pass the variant's label to keep their cells apart.
         """
         if isinstance(self.predictor, str):
             return self.predictor

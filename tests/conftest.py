@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.config import CoreConfig
-from repro.sim.experiment import ExperimentGrid
+from repro.harness.executor import ProcessCellExecutor
+from repro.harness.store import ResultStore
+from repro.harness.sweep import SweepRunner
 from repro.sim.simulator import get_trace
 
 # A conservative hypothesis profile: deterministic, no deadline flakes from
@@ -29,9 +31,12 @@ TEST_OPS = 6000
 
 
 @pytest.fixture(scope="session")
-def grid() -> ExperimentGrid:
-    """A session-wide memoised simulation grid on short traces."""
-    return ExperimentGrid(num_ops=TEST_OPS)
+def runner(tmp_path_factory) -> SweepRunner:
+    """A session-wide sweep runner: every cell it finishes is stored once,
+    so tests sharing a cell simulate it once. Two workers, one per core of
+    a small CI host."""
+    store = ResultStore(tmp_path_factory.mktemp("results"))
+    return SweepRunner(store, ProcessCellExecutor(workers=2))
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.figures import scaled_variant
 from repro.frontend.tage import geometric_history_lengths
 from repro.mdp.mdp_tage import ALL_OLDER, MDPTagePredictor
+from repro.sim.simulator import make_predictor
 from tests.mdp.helpers import PredictorHarness
 
 
@@ -31,7 +33,8 @@ class TestConfiguration:
         assert MDPTagePredictor.tage_s().storage_kb() == pytest.approx(13.0, abs=0.5)
 
     def test_scaled(self):
-        assert MDPTagePredictor.scaled(0.5).storage_kb() == pytest.approx(
+        half = make_predictor(scaled_variant("mdp-tage", 0.5))
+        assert half.storage_kb() == pytest.approx(
             38.6 / 2, abs=1.5
         )
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.figures import scaled_variant
 from repro.isa.microop import BranchKind
 from repro.mdp.nosq import NoSQPredictor, nosq_history_bits
+from repro.sim.simulator import make_predictor
 from tests.mdp.helpers import PredictorHarness
 
 
@@ -114,4 +116,5 @@ class TestStorage:
         assert NoSQPredictor().storage_kb() == pytest.approx(19.0, abs=0.1)
 
     def test_scaled(self):
-        assert NoSQPredictor.scaled(2.0).storage_kb() == pytest.approx(38.0, abs=0.2)
+        double = make_predictor(scaled_variant("nosq", 2.0))
+        assert double.storage_kb() == pytest.approx(38.0, abs=0.2)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.figures import scaled_variant
 from repro.isa.microop import BranchKind
 from repro.mdp.phast import DEFAULT_HISTORY_LENGTHS, PHASTPredictor
+from repro.sim.simulator import make_predictor
 from tests.mdp.helpers import PredictorHarness
 
 
@@ -24,7 +26,8 @@ class TestConfiguration:
 
     def test_scaled_half_budget(self):
         """The 7.25 KB point of Fig. 13."""
-        assert PHASTPredictor.scaled(0.5).storage_kb() == pytest.approx(7.25, abs=0.1)
+        half = make_predictor(scaled_variant("phast", 0.5))
+        assert half.storage_kb() == pytest.approx(7.25, abs=0.1)
 
     def test_invalid_lengths(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.figures import scaled_variant
 from repro.mdp.store_sets import StoreSetsPredictor
+from repro.sim.simulator import make_predictor
 from tests.mdp.helpers import PredictorHarness
 
 
@@ -112,5 +114,5 @@ class TestStorage:
         assert predictor.storage_kb() == pytest.approx(18.5, abs=0.1)
 
     def test_scaled(self):
-        half = StoreSetsPredictor.scaled(0.5)
+        half = make_predictor(scaled_variant("store-sets", 0.5))
         assert half.storage_kb() == pytest.approx(18.5 / 2, abs=0.1)

@@ -179,6 +179,21 @@ class TestEndToEnd:
         # And the results are immediately servable.
         assert len(harness.client.results(second["id"])) == 2
 
+    def test_variant_grid_completes_and_resubmission_is_cached(self, harness):
+        variants = ["phast", "phast(target_bits=0)", "ideal(strict=False)"]
+        first = harness.client.submit_grid(WORKLOADS, variants, num_ops=OPS)
+        assert first["cells"] == 3 and first["scheduled"] == 3
+        status = harness.client.wait(first["id"], timeout=120)
+        assert status["state"] == "completed"
+        assert status["counts"] == {"ok": 3}
+        results = harness.client.results(first["id"])
+        assert len(results) == 3
+        assert all(result.predictor == p for (_, p), result in results.items())
+
+        second = harness.client.submit_grid(WORKLOADS, variants, num_ops=OPS)
+        assert second["cached"] == 3 and second["scheduled"] == 0
+        assert harness.client.status(second["id"])["counts"] == {"cached": 3}
+
     def test_single_spec_submission_round_trip(self, harness):
         spec = RunSpec(
             workload="511.povray", predictor="ideal", num_ops=OPS, seed=5
@@ -232,6 +247,20 @@ class TestValidation:
         assert excinfo.value.status == 422
         assert excinfo.value.field == "predictor"
         assert "phast" in excinfo.value.choices
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "phast(target_bits=0 )",  # not canonical
+            "phast(bogus=1)",  # not a keyword of the factory
+            "phast(target_bits=len)",  # not a literal
+        ],
+    )
+    def test_bad_variant_is_a_structured_422(self, fake_harness, label):
+        with pytest.raises(ServerError) as excinfo:
+            fake_harness.client.submit_grid(WORKLOADS, [label], num_ops=OPS)
+        assert excinfo.value.status == 422
+        assert excinfo.value.field == "predictor"
 
     def test_unknown_workload_is_a_structured_422(self, fake_harness):
         with pytest.raises(ServerError) as excinfo:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.store import ResultStore
 from repro.sim.replication import (
     ReplicatedMetric,
     WeightedMetric,
@@ -82,6 +83,18 @@ class TestReplicate:
         )
         assert metric.name == "violations"
         assert all(sample >= 0 for sample in metric.samples)
+
+    def test_variant_does_not_shadow_its_base_in_the_store(self, tmp_path):
+        # Regression: replica cells were keyed by the instance's name, so a
+        # variant's cached samples came back for its base predictor.
+        store = ResultStore(tmp_path / "store")
+        replicate(
+            "511.povray", "phast(target_bits=0)", replicas=2, num_ops=2500, store=store
+        )
+        plain = replicate("511.povray", "phast", replicas=2, num_ops=2500, store=store)
+        assert len(store) == 4
+        fresh = replicate("511.povray", "phast", replicas=2, num_ops=2500)
+        assert plain.samples == fresh.samples
 
     def test_paired_speedup(self):
         metric = replicated_speedup(

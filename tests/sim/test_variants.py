@@ -1,0 +1,140 @@
+"""Predictor variants: canonical labels, checking, keys and the wire."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.api.wire import WireError
+from repro.cli import main
+from repro.mdp.phast import PHASTPredictor
+from repro.server.jobs import validate_names
+from repro.sim.backends import get_backend
+from repro.sim.simulator import (
+    make_predictor,
+    parse_predictor,
+    predictor_variant,
+    simulate,
+)
+from repro.sim.spec import RunSpec
+
+#: Malformed labels, each with the reason it must be refused.
+BAD_LABELS = [
+    "phast(target_bits=0 )",  # a space: not canonical
+    "phast(target_bits=0,sets_per_table=64)",  # unsorted: not canonical
+    "phast(target_bits=5)",  # the default: canonical form is "phast"
+    "phast()",  # no parameters: canonical form is "phast"
+    "phast(bogus=1)",  # not a keyword of the factory
+    "phast(target_bits=len)",  # not a literal
+    "phast(target_bits='0')",  # a str is not a parameter type
+    "phast(target_bits=0.5)",  # the default is an int
+    "phast(0)",  # positional
+    "ideal(strict=1)",  # the default is a bool
+    "mdp-tage(history_lengths=(1,2.5))",  # tuples hold ints only
+]
+
+
+class TestCanonicalForm:
+    def test_plain_name_is_its_own_label(self):
+        assert parse_predictor("phast") == ("phast", {})
+        assert predictor_variant("phast") == "phast"
+
+    def test_variant_label_spelling(self):
+        assert predictor_variant("phast", target_bits=0) == "phast(target_bits=0)"
+        assert (
+            predictor_variant("phast", target_bits=0, sets_per_table=64)
+            == "phast(sets_per_table=64,target_bits=0)"
+        )
+        assert (
+            predictor_variant("phast", history_lengths=(0, 8, 32))
+            == "phast(history_lengths=(0,8,32))"
+        )
+        assert predictor_variant("ideal", strict=False) == "ideal(strict=False)"
+
+    def test_defaults_are_dropped(self):
+        assert predictor_variant("unlimited-phast", max_history=None) == (
+            "unlimited-phast"
+        )
+        assert predictor_variant("mdp-tage-s", total_entries=4096) == "mdp-tage-s"
+
+    def test_error_names_the_canonical_form(self):
+        with pytest.raises(ValueError, match=r"write 'phast\(target_bits=0\)'"):
+            parse_predictor("phast(target_bits=0 )")
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_bad_labels_are_refused(self, label):
+        with pytest.raises(ValueError):
+            parse_predictor(label)
+
+    def test_unknown_base_name_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            parse_predictor("phasst(target_bits=0)")
+
+    def test_make_predictor_builds_the_variant(self):
+        predictor = make_predictor("phast(sets_per_table=64,target_bits=0)")
+        expected = PHASTPredictor(sets_per_table=64, target_bits=0)
+        assert predictor.storage_kb() == expected.storage_kb()
+        assert predictor._target_bits == 0
+
+
+class TestRefusedAtTheBoundaries:
+    @pytest.mark.parametrize("label", BAD_LABELS + ["phasst"])
+    def test_cli_refuses(self, label, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["suite", "--predictors", f"phast,{label}", "--subset", "1"])
+        assert excinfo.value.code not in (0, None)
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_validate_names_refuses(self, label):
+        with pytest.raises(WireError) as excinfo:
+            validate_names([RunSpec("511.povray", label, num_ops=600)])
+        assert excinfo.value.field == "predictor"
+
+    def test_validate_names_accepts_a_variant(self):
+        validate_names([RunSpec("511.povray", "phast(target_bits=0)", num_ops=600)])
+
+
+#: Generated variants: a registry factory plus parameters of the right type.
+_variants = st.one_of(
+    st.builds(
+        lambda bits, sets, lengths: predictor_variant(
+            "phast", target_bits=bits, sets_per_table=sets, history_lengths=lengths
+        ),
+        st.integers(0, 5),
+        st.sampled_from([8, 32, 64, 128, 256]),
+        st.lists(st.integers(0, 64), min_size=1, max_size=8, unique=True).map(
+            lambda lengths: tuple(sorted(lengths))
+        ),
+    ),
+    st.builds(
+        lambda clamp: predictor_variant("unlimited-phast", max_history=clamp),
+        st.one_of(st.none(), st.integers(1, 128)),
+    ),
+    st.builds(
+        lambda branches: predictor_variant("unlimited-nosq", history_branches=branches),
+        st.integers(0, 32),
+    ),
+    st.builds(
+        lambda entries: predictor_variant("mdp-tage-s", total_entries=entries),
+        st.sampled_from([512, 1024, 2048, 4096, 8192]),
+    ),
+    st.builds(lambda strict: predictor_variant("ideal", strict=strict), st.booleans()),
+)
+
+
+@given(label=_variants, seed=st.one_of(st.none(), st.integers(0, 2**31)))
+def test_variant_survives_the_wire_with_its_key(label, seed):
+    spec = RunSpec("511.povray", label, num_ops=5000, seed=seed)
+    decoded = RunSpec.from_wire(spec.to_wire())
+    assert decoded.predictor == label
+    assert decoded.key() == spec.key()
+    assert parse_predictor(label)[0] in label
+
+
+def test_variant_results_are_labelled_and_backend_independent():
+    label = "phast(target_bits=0)"
+    spec = RunSpec("511.povray", label, num_ops=2000)
+    assert not get_backend("batch").covers(spec)
+    reference = simulate(spec.with_overrides(backend="reference"))
+    batch = simulate(spec.with_overrides(backend="batch"))
+    assert reference.predictor == label
+    assert batch.to_record() == reference.to_record()

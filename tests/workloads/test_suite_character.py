@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.experiment import ExperimentGrid
+from repro.analysis.figures import mean_normalized_ipc, run_grid
 from repro.workloads.spec2017 import spec_suite
 
 #: Profiles designed without memory conflicts (pure compute / streaming).
@@ -24,35 +24,39 @@ CONFLICT_LIGHT = {
 
 NUM_OPS = 15_000
 
+#: Conflict-bearing profiles for the suite-wide prediction check.
+SUBSET = sorted(set(spec_suite()) - CONFLICT_FREE - CONFLICT_LIGHT)[:6]
+
 
 @pytest.fixture(scope="module")
-def grid():
-    return ExperimentGrid(num_ops=NUM_OPS)
+def grid(runner):
+    grid = run_grid(runner, spec_suite(), ["always-speculate"], NUM_OPS)
+    grid.update(run_grid(runner, SUBSET, ["phast", "ideal"], NUM_OPS))
+    return grid
 
 
 @pytest.mark.parametrize("name", sorted(set(spec_suite()) - CONFLICT_FREE - CONFLICT_LIGHT))
 def test_integer_profiles_have_real_conflicts(grid, name):
     """Blind speculation must squash on every conflict-bearing profile."""
-    result = grid.run(name, "always-speculate")
+    result = grid[name, "always-speculate"]
     assert result.pipeline.violations > 0, name
 
 
 @pytest.mark.parametrize("name", sorted(CONFLICT_FREE))
 def test_conflict_free_profiles_never_squash(grid, name):
-    result = grid.run(name, "always-speculate")
+    result = grid[name, "always-speculate"]
     assert result.pipeline.violations == 0
 
 
 def test_prediction_matters_suite_wide(grid):
     """PHAST must beat blind speculation over the conflict-bearing subset."""
-    subset = sorted(set(spec_suite()) - CONFLICT_FREE - CONFLICT_LIGHT)[:6]
-    phast = grid.mean_normalized_ipc(subset, "phast")
-    blind = grid.mean_normalized_ipc(subset, "always-speculate")
+    phast = mean_normalized_ipc(grid, SUBSET, "phast")
+    blind = mean_normalized_ipc(grid, SUBSET, "always-speculate")
     assert phast > blind
 
 
 def test_every_profile_has_reasonable_branch_behaviour(grid):
     """Branch MPKI stays within plausible CPU-workload bounds everywhere."""
     for name in spec_suite():
-        result = grid.run(name, "always-speculate")
+        result = grid[name, "always-speculate"]
         assert result.branch_mpki < 120, name

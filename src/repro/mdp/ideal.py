@@ -28,7 +28,9 @@ class IdealPredictor(MDPredictor):
     With the forwarding filter enabled (the paper's FWD configuration) the
     ideal predictor provably never squashes, and ``strict=True`` asserts it.
     Without the filter, even perfect waiting squashes in the Fig. 3(c)
-    pattern, so NoFWD studies construct it with ``strict=False``.
+    pattern, so NoFWD studies construct it with ``strict=False``. Phantom
+    conflicts of wrong-path loads (``load_seq < 0``) never commit, so they
+    are counted as trainings and never asserted on.
     """
 
     name = "ideal"
@@ -51,7 +53,7 @@ class IdealPredictor(MDPredictor):
         return Prediction(distances=(distance,))
 
     def on_violation(self, violation: ViolationInfo) -> None:
-        if self._strict:
+        if self._strict and violation.load_seq >= 0:
             raise AssertionError(
                 "the ideal predictor must never cause a memory-order violation: "
                 f"load {violation.load_pc:#x} squashed on store {violation.store_pc:#x}"
@@ -79,7 +81,11 @@ class AlwaysSpeculatePredictor(MDPredictor):
 
 
 class AlwaysWaitPredictor(MDPredictor):
-    """Every load waits for every older store: no speculation at all."""
+    """Every load waits for every older store: no speculation at all.
+
+    Only a wrong-path load, which never waits, can conflict; such phantom
+    conflicts (``load_seq < 0``) are counted as trainings.
+    """
 
     name = "always-wait"
 
@@ -89,9 +95,11 @@ class AlwaysWaitPredictor(MDPredictor):
         return Prediction(wait_all_older=True)
 
     def on_violation(self, violation: ViolationInfo) -> None:
-        raise AssertionError(
-            "a load waiting on all older stores cannot violate memory order"
-        )
+        if violation.load_seq >= 0:
+            raise AssertionError(
+                "a load waiting on all older stores cannot violate memory order"
+            )
+        self.stats.trainings += 1
 
     def storage_bits(self) -> int:
         return 0

@@ -76,8 +76,6 @@ BACKENDS = ("reference", "batch")
 SKIPPED = {
     "nofwd/502.gcc_1/ideal": "strict IdealPredictor raises AssertionError "
     "without the forwarding filter (Fig. 3c squashes even perfect waiting)",
-    "wrong-path-16/502.gcc_1/always-wait": "AlwaysWaitPredictor raises "
-    "AssertionError when a wrong-path phantom load, which never waits, violates",
 }
 
 FRONT_END_PREDICTORS = ("store-sets", "nosq", "phast", "mdp-tage", "cht")

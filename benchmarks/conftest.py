@@ -10,9 +10,12 @@ absolute numbers (see DESIGN.md §1).
 
 Parameter sweeps and ablations are predictor variants: canonical labels
 such as ``phast(target_bits=0)``, or the ablation predictors that
-:mod:`benchmarks.ablations.variants` registers by name. Cells run in
-worker processes that must inherit that registry, so the benchmarks need
-fork-started workers (the default where the platform has fork).
+:mod:`benchmarks.ablations.variants` registers by name. Figure grids run
+on the batch backend (:func:`repro.analysis.figures.run_grid`), so every
+cell of a trace, variants and ablations included, shares one plan in one
+worker. Cells run in worker processes that must inherit the ablation
+registry, so the benchmarks need fork-started workers (the default where
+the platform has fork).
 
 Trace length defaults to 25k micro-ops per simulation; raise it with
 ``REPRO_BENCH_OPS=100000`` for higher-fidelity runs.

@@ -82,11 +82,15 @@ def run_grid(
 ) -> Grid:
     """Run every (workload, predictor) cell through ``runner``.
 
-    Cells the runner's store already holds are read back, not simulated.
-    The runner finishes a sweep with whatever succeeded; a figure missing a
-    cell would be silently wrong, so any failed cell raises, naming them.
+    Cells run on the batch backend, so every cell of a trace shares one
+    plan; cells the runner's store already holds are read back, not
+    simulated. The runner finishes a sweep with whatever succeeded; a
+    figure missing a cell would be silently wrong, so any failed cell
+    raises, naming them.
     """
-    cells = build_cells(workloads, dict.fromkeys(predictors), config, num_ops)
+    cells = build_cells(
+        workloads, dict.fromkeys(predictors), config, num_ops, backend="batch"
+    )
     report = runner.run(cells)
     if report.failures:
         raise RuntimeError(

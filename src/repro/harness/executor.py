@@ -147,9 +147,9 @@ class CellSpec:
 class BatchGroup:
     """Several cells of one trace, scheduled as a single worker unit.
 
-    The sweep planner groups pending cells that share an input trace and a
-    batch-capable backend; the worker then plans the trace once and runs
-    every cell against the shared :class:`~repro.core.pipeline.TracePrep`.
+    The sweep planner groups pending ``batch`` cells that share an input
+    trace; the worker then plans the trace once and runs every cell on the
+    batch backend against the shared :class:`~repro.core.pipeline.TracePrep`.
     The group occupies one worker slot and one per-group timeout budget
     (``timeout × len(cells)``), but results stay per-cell: each completed
     cell is streamed back and persisted individually, so a crash mid-group
@@ -158,7 +158,6 @@ class BatchGroup:
     """
 
     cells: Tuple[CellSpec, ...]
-    backend: str = "batch"
 
     @property
     def workload(self) -> str:
@@ -169,7 +168,7 @@ class BatchGroup:
     def describe(self) -> Dict[str, object]:
         return {
             "batch_group": {
-                "backend": self.backend,
+                "backend": "batch",
                 "cells": [cell.describe() for cell in self.cells],
             }
         }
@@ -227,6 +226,23 @@ def _simulate_cell(
     )
 
 
+def _error_payload(exc: BaseException) -> dict:
+    """The ``error`` message payload for ``exc`` (call while handling it)."""
+    return {
+        "message": f"{type(exc).__name__}: {exc}",
+        "detail": {"traceback": traceback.format_exc()},
+    }
+
+
+def _worker_failure(exc: BaseException) -> Tuple[str, dict]:
+    """The tagged ``(tag, payload)`` a worker sends for a failed cell."""
+    if isinstance(exc, SimInvariantError):
+        return "invariant", {"message": str(exc), "detail": exc.to_dict()}
+    if isinstance(exc, MemoryError):
+        return "oom", {"message": "MemoryError in worker"}
+    return "error", _error_payload(exc)
+
+
 def _cell_worker(conn, spec: CellSpec, check_invariants: bool) -> None:
     """Subprocess entry point: simulate, send a tagged message, exit.
 
@@ -239,20 +255,8 @@ def _cell_worker(conn, spec: CellSpec, check_invariants: bool) -> None:
     try:
         result = _simulate_cell(spec, check_invariants, on_heartbeat=heartbeat)
         conn.send(("ok", result.to_record()))
-    except SimInvariantError as exc:
-        conn.send(("invariant", {"message": str(exc), "detail": exc.to_dict()}))
-    except MemoryError:
-        conn.send(("oom", {"message": "MemoryError in worker"}))
     except BaseException as exc:  # noqa: BLE001 — report, parent classifies
-        conn.send(
-            (
-                "error",
-                {
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "detail": {"traceback": traceback.format_exc()},
-                },
-            )
-        )
+        conn.send(_worker_failure(exc))
     finally:
         conn.close()
 
@@ -286,8 +290,8 @@ def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None
     """Subprocess entry point for a :class:`BatchGroup`.
 
     Compiles the group's trace first (:func:`_compile_group_trace`), then
-    runs every cell through the group's backend instance (so all cells of
-    the trace share one decode/prep), streaming a ``("cell", i, tag,
+    runs every cell through the batch backend (so all cells of the trace
+    share one decode/prep), streaming a ``("cell", i, tag,
     payload)`` message per finished cell — ``"ok"`` with the result record,
     or the usual in-band failure tags. Heartbeat windows carry a ``"cell"``
     index so the parent's last-interval stash stays meaningful. A final
@@ -298,7 +302,7 @@ def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None
     from repro.sim.intervals import heartbeat_interval_ops
 
     try:
-        backend = get_backend(group.backend)
+        backend = get_backend("batch")
         _compile_group_trace(group)
         hb_ops = heartbeat_interval_ops()
         for index, cell in enumerate(group.cells):
@@ -319,42 +323,11 @@ def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None
                     on_heartbeat=on_heartbeat,
                     heartbeat_ops=hb_ops or None,
                 )
-            except SimInvariantError as exc:
-                conn.send(
-                    (
-                        "cell",
-                        index,
-                        "invariant",
-                        {"message": str(exc), "detail": exc.to_dict()},
-                    )
-                )
-            except MemoryError:
-                conn.send(
-                    ("cell", index, "oom", {"message": "MemoryError in worker"})
-                )
             except BaseException as exc:  # noqa: BLE001 — report, keep going
-                conn.send(
-                    (
-                        "cell",
-                        index,
-                        "error",
-                        {
-                            "message": f"{type(exc).__name__}: {exc}",
-                            "detail": {"traceback": traceback.format_exc()},
-                        },
-                    )
-                )
+                conn.send(("cell", index, *_worker_failure(exc)))
         conn.send(("ok", {"cells": len(group.cells)}))
     except BaseException as exc:  # noqa: BLE001 — setup failed before any cell
-        conn.send(
-            (
-                "error",
-                {
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "detail": {"traceback": traceback.format_exc()},
-                },
-            )
-        )
+        conn.send(("error", _error_payload(exc)))
     finally:
         conn.close()
 
@@ -574,54 +547,20 @@ class ProcessCellExecutor:
         kind, reason = classify_exitcode(entry.proc.exitcode)
         return self._failure(entry, kind, reason, elapsed)
 
-    def _kill_timed_out(self, entry: _Running) -> CellFailure:
-        self._drain(entry)  # salvage any last heartbeats before killing
-        entry.proc.kill()
-        entry.proc.join(5)
-        entry.conn.close()
-        elapsed = time.monotonic() - entry.started
-        budget = entry.deadline - entry.started  # timeout × cells for groups
-        return self._failure(
-            entry,
-            FailureKind.TIMEOUT,
-            f"cell exceeded the {budget:.1f}s timeout",
-            elapsed,
-        )
+    def _kill(
+        self, entry: _Running, kind: FailureKind, message: str, detail=None
+    ) -> CellFailure:
+        """Kill an in-flight worker (timeout, deadline cut or stop request).
 
-    def _kill_cut(self, entry: _Running, deadline: float) -> CellFailure:
-        """Kill an in-flight worker at the campaign deadline (clean shutdown)."""
-        self._drain(entry)  # salvage heartbeats: the manifest says where it was
-        entry.proc.kill()
-        entry.proc.join(5)
-        entry.conn.close()
-        elapsed = time.monotonic() - entry.started
-        return self._failure(
-            entry,
-            FailureKind.DEADLINE,
-            f"killed at the {deadline:.1f}s campaign deadline",
-            elapsed,
-            detail={"deadline_seconds": deadline, "phase": "running"},
-        )
-
-    def _kill_cancelled(self, entry: _Running) -> CellFailure:
-        """Kill an in-flight worker after a stop request (cancellation).
-
-        Same clean-shutdown semantics as a deadline cut: kind ``deadline``
-        (ephemeral — never persisted), last heartbeats salvaged into the
-        manifest, and the cell stays pending for a resumed run.
+        Pending heartbeats are drained first, so the failure's detail says
+        where the cell was when it was killed.
         """
         self._drain(entry)
         entry.proc.kill()
         entry.proc.join(5)
         entry.conn.close()
         elapsed = time.monotonic() - entry.started
-        return self._failure(
-            entry,
-            FailureKind.DEADLINE,
-            "cancelled: killed by a stop request",
-            elapsed,
-            detail={"cancelled": True, "phase": "running"},
-        )
+        return self._failure(entry, kind, message, elapsed, detail=detail)
 
     def _failure(
         self,
@@ -821,14 +760,15 @@ class ProcessCellExecutor:
             failure: Optional[CellFailure],
             cut: bool = False,
             cut_phase: str = "running",
-            cut_message: Optional[str] = None,
+            cut_message: str = "",
             cut_detail: Optional[Dict[str, object]] = None,
         ) -> None:
             """Settle a batch group from whatever its worker got done.
 
             Every cell with a salvaged ``"ok"`` event settles as a success
             (persisted individually). The rest either settle as per-cell
-            ``deadline`` cuts (``cut=True`` — the campaign is over) or are
+            ``deadline`` cuts (``cut=True`` — the campaign is over; they
+            carry ``cut_message`` and ``cut_detail`` plus the phase) or are
             re-enqueued as *solo* cells: one bad cell — or one injected
             fault — must never poison the verdict of its groupmates, so
             retries always drop back to full per-cell isolation, where the
@@ -858,20 +798,12 @@ class ProcessCellExecutor:
                         progress(sub)
                 elif cut:
                     tries = attempt + (1 if cut_phase == "running" else 0)
-                    detail = dict(cut_detail) if cut_detail is not None else {
-                        "deadline_seconds": float(deadline)
-                    }
-                    detail["phase"] = cut_phase
                     cell_failure = CellFailure(
                         kind=FailureKind.DEADLINE,
-                        message=cut_message
-                        or (
-                            f"batch group cut at the "
-                            f"{float(deadline):.1f}s campaign deadline"
-                        ),
+                        message=cut_message,
                         cell=cell.describe(),
                         attempts=tries,
-                        detail=detail,
+                        detail={**cut_detail, "phase": cut_phase},
                     )
                     sub = CellOutcome(
                         spec=cell, failure=cell_failure, attempts=tries
@@ -976,43 +908,52 @@ class ProcessCellExecutor:
                 # reap only on a final message or a dead worker.
                 final = self._drain(entry) if entry.conn in ready else None
                 is_group = isinstance(entry.spec, BatchGroup)
+                result = None
                 if final is not None or not entry.proc.is_alive():
                     if is_group:
                         failure = self._reap_group(entry, final)
-                        settle_batch(
-                            entry.index,
-                            entry.spec,
-                            entry.attempt,
-                            entry.cell_events,
-                            failure,
-                        )
                     else:
                         result, failure = self._reap(entry, final)
-                        settle(
-                            entry.index, entry.spec, entry.attempt, result, failure
-                        )
                 elif now >= entry.deadline:
-                    failure = self._kill_timed_out(entry)
-                    if is_group:
-                        settle_batch(
-                            entry.index,
-                            entry.spec,
-                            entry.attempt,
-                            entry.cell_events,
-                            failure,
-                        )
-                    else:
-                        settle(entry.index, entry.spec, entry.attempt, None, failure)
+                    budget = entry.deadline - entry.started  # timeout × cells
+                    failure = self._kill(
+                        entry,
+                        FailureKind.TIMEOUT,
+                        f"cell exceeded the {budget:.1f}s timeout",
+                    )
                 else:
                     still_running.append(entry)
+                    continue
+                if is_group:
+                    settle_batch(
+                        entry.index,
+                        entry.spec,
+                        entry.attempt,
+                        entry.cell_events,
+                        failure,
+                    )
+                else:
+                    settle(entry.index, entry.spec, entry.attempt, result, failure)
             running = still_running
 
-        # Cancellation: same clean partial-result shutdown as a deadline cut,
-        # with "cancelled" bookkeeping so the status surface can tell the two
-        # apart. Nothing is persisted; the cells stay pending for a resume.
-        if stopped and (pending or running):
+        def cut_unfinished(
+            kill_message: str,
+            group_message: str,
+            pending_message: str,
+            detail: Dict[str, object],
+        ) -> None:
+            """Kill what is in flight and settle everything unfinished as
+            ``deadline`` cuts: nothing is persisted (the cells stay pending
+            for a resumed run), and every result that completed first is
+            already durable in the store. A group keeps the cells it
+            streamed before the cut; the rest settle as per-cell cuts."""
             for entry in running:
-                failure = self._kill_cancelled(entry)
+                failure = self._kill(
+                    entry,
+                    FailureKind.DEADLINE,
+                    kill_message,
+                    {**detail, "phase": "running"},
+                )
                 if isinstance(entry.spec, BatchGroup):
                     settle_batch(
                         entry.index,
@@ -1021,8 +962,8 @@ class ProcessCellExecutor:
                         entry.cell_events,
                         failure,
                         cut=True,
-                        cut_message="batch group cancelled by a stop request",
-                        cut_detail={"cancelled": True},
+                        cut_message=group_message,
+                        cut_detail=detail,
                     )
                 else:
                     settle(entry.index, entry.spec, entry.attempt, None, failure)
@@ -1036,66 +977,38 @@ class ProcessCellExecutor:
                         None,
                         cut=True,
                         cut_phase="pending",
-                        cut_message="batch group cancelled by a stop request",
-                        cut_detail={"cancelled": True},
+                        cut_message=group_message,
+                        cut_detail=detail,
                     )
                     continue
                 failure = CellFailure(
                     kind=FailureKind.DEADLINE,
-                    message="never started: cancelled by a stop request",
+                    message=pending_message,
                     cell=spec.describe(),
                     attempts=attempt,
-                    detail={"cancelled": True, "phase": "pending"},
+                    detail={**detail, "phase": "pending"},
                 )
                 settle(index, spec, attempt, None, failure)
-            pending, running = [], []
 
-        # Deadline expiry: clean partial-result shutdown. Kill what is in
-        # flight, settle everything unfinished as cut — nothing is persisted
-        # (the cells stay pending for a resumed run), and every result that
-        # completed before the cut is already durable in the store.
-        if cutoff is not None and (pending or running):
-            for entry in running:
-                failure = self._kill_cut(entry, float(deadline))
-                if isinstance(entry.spec, BatchGroup):
-                    # Completed cells were streamed before the cut: keep
-                    # them; the rest settle as per-cell deadline cuts.
-                    settle_batch(
-                        entry.index,
-                        entry.spec,
-                        entry.attempt,
-                        entry.cell_events,
-                        failure,
-                        cut=True,
-                    )
-                else:
-                    settle(entry.index, entry.spec, entry.attempt, None, failure)
-            for index, spec, attempt, _ in pending:
-                if isinstance(spec, BatchGroup):
-                    settle_batch(
-                        index,
-                        spec,
-                        attempt,
-                        {},
-                        None,
-                        cut=True,
-                        cut_phase="pending",
-                    )
-                    continue
-                failure = CellFailure(
-                    kind=FailureKind.DEADLINE,
-                    message=(
-                        f"never started: campaign hit its "
-                        f"{float(deadline):.1f}s deadline"
-                    ),
-                    cell=spec.describe(),
-                    attempts=attempt,
-                    detail={
-                        "deadline_seconds": float(deadline),
-                        "phase": "pending",
-                    },
-                )
-                settle(index, spec, attempt, None, failure)
+        # The loop stops early only on a stop request or the campaign
+        # deadline. Cancellation is the same clean shutdown as a deadline
+        # cut, with "cancelled" bookkeeping so the status surface can tell
+        # the two apart.
+        if stopped and (pending or running):
+            cut_unfinished(
+                "cancelled: killed by a stop request",
+                "batch group cancelled by a stop request",
+                "never started: cancelled by a stop request",
+                {"cancelled": True},
+            )
+        elif pending or running:
+            budget = float(deadline)
+            cut_unfinished(
+                f"killed at the {budget:.1f}s campaign deadline",
+                f"batch group cut at the {budget:.1f}s campaign deadline",
+                f"never started: campaign hit its {budget:.1f}s deadline",
+                {"deadline_seconds": budget},
+            )
 
         # Groups append solo-retry outcomes past ``len(specs)``; the sorted
         # index walk keeps the per-spec prefix in order and the extras after.

@@ -251,52 +251,35 @@ class SweepRunner:
     def _plan_jobs(
         self, cells: Sequence[CellSpec], resume: bool, quarantine: bool
     ) -> List[object]:
-        """Group pending batch-covered cells by trace into worker units.
+        """Group pending batch cells by trace into worker units.
 
-        Cells whose backend batches (anything but ``reference``) and whose
-        spec the backend covers natively are grouped by input trace —
-        (workload, seed, num_ops) — into :class:`BatchGroup` jobs, so one
-        worker compiles and plans the trace once for the whole group.
-        Everything else (reference cells, uncovered specs, cached or
-        quarantined cells, singleton groups) stays a solo cell: the
-        executor's resume and quarantine logic only sees solo jobs, and
-        per-cell store entries are preserved either way.
+        Pending cells on the ``batch`` backend are grouped by input trace —
+        (workload, seed, num_ops, trace_dir) — into :class:`BatchGroup`
+        jobs, so one worker compiles and plans the trace once for the whole
+        group, whatever its predictors. Everything else (reference cells,
+        cells naming an unknown backend, which then fail with a clear
+        error, cached or quarantined cells, singleton groups) stays a solo
+        cell: the executor's resume and quarantine logic only sees solo
+        jobs, and per-cell store entries are preserved either way.
         """
-        from repro.sim.backends import default_backend_name, get_backend
+        from repro.sim.backends import default_backend_name
 
         jobs: List[object] = []
         groupable: Dict[tuple, List[CellSpec]] = {}
         for cell in cells:
-            backend_name = cell.backend or default_backend_name()
-            grouped = False
-            if backend_name != "reference":
-                pending = not (resume and self.store.contains(cell.key()))
-                if pending and quarantine:
-                    pending = self.store.get_failure(cell.key()) is None
-                if pending:
-                    try:
-                        backend = get_backend(backend_name)
-                        spec = cell.run_spec(
-                            check_invariants=self.executor.check_invariants
-                            or None
-                        )
-                        grouped = backend.covers(spec)
-                    except Exception:
-                        grouped = False  # unknown backend: fail solo, clearly
-            if grouped:
-                key = (
-                    backend_name,
-                    cell.workload,
-                    cell.seed,
-                    cell.num_ops,
-                    cell.trace_dir,
-                )
+            pending = (cell.backend or default_backend_name()) == "batch" and not (
+                resume and self.store.contains(cell.key())
+            )
+            if pending and quarantine:
+                pending = self.store.get_failure(cell.key()) is None
+            if pending:
+                key = (cell.workload, cell.seed, cell.num_ops, cell.trace_dir)
                 groupable.setdefault(key, []).append(cell)
             else:
                 jobs.append(cell)
-        for (backend_name, *_), members in groupable.items():
+        for members in groupable.values():
             if len(members) >= 2:
-                jobs.append(BatchGroup(cells=tuple(members), backend=backend_name))
+                jobs.append(BatchGroup(cells=tuple(members)))
             else:
                 jobs.extend(members)
         return jobs

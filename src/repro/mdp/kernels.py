@@ -329,11 +329,17 @@ KERNEL_NAMES: Tuple[str, ...] = tuple(sorted(_KERNELS))
 def make_kernel_predictor(name: str, prep) -> Optional[MDPredictor]:
     """A kernel-accelerated predictor for ``name``, or ``None``.
 
-    ``None`` means "no kernel for this predictor": the caller falls back to
-    the registry factory. Returned predictors are only valid
-    for cells simulated against ``prep``'s trace.
+    ``None`` means "no kernel for this predictor": the caller builds it
+    from the registry. A built-in name whose registry entry was replaced
+    (``register_predictor(..., replace=True)``) gets no kernel, since the
+    kernels were checked against the built-in factories only. Returned
+    predictors are only valid for cells simulated against ``prep``'s trace.
     """
+    from repro.sim.simulator import BUILTIN_PREDICTORS, PREDICTOR_FACTORIES
+
     factory = _KERNELS.get(name)
-    if factory is None:
+    # A restored classmethod factory is a new bound-method object: compare
+    # the entries for equality, not identity.
+    if factory is None or PREDICTOR_FACTORIES.get(name) != BUILTIN_PREDICTORS[name]:
         return None
     return factory(prep)

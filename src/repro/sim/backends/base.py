@@ -2,22 +2,20 @@
 
 A *backend* is a strategy for turning :class:`~repro.sim.spec.RunSpec`s
 into :class:`~repro.sim.metrics.SimResult`s. The contract is semantic
-bit-identity: for any spec a backend claims to cover, its result — every
+bit-identity: for every spec, a backend's result — every
 ``PipelineStats`` counter, every ``MDPStats`` counter, every interval
 window — must equal the ``reference`` backend's to the bit (the golden
 fixtures in ``tests/core`` enforce this for every registered predictor).
-Backends differ only in *how fast* they get there. Both built-ins run the
-same timing loop (:meth:`repro.core.pipeline.PipelineRun.advance`) and
-differ in where its plan comes from:
+Backends differ only in *how fast* they get there. Both run the same
+timing loop (:meth:`repro.core.pipeline.PipelineRun.advance`) and differ
+in where its plan comes from:
 
 * ``reference`` — one cell at a time, with its own front end and the
-  registry's predictors. Always available, covers every spec.
+  registry's predictors.
 * ``batch`` — one shared :class:`~repro.core.pipeline.TracePrep` per trace
-  plus predictor kernels (:mod:`repro.sim.backends.batch`). Falls back to
-  ``reference`` per cell for specs it cannot cover.
+  plus predictor kernels (:mod:`repro.sim.backends.batch`).
 
-``docs/backends.md`` documents the contract and how to register a third
-backend.
+``docs/backends.md`` documents the contract.
 """
 
 from __future__ import annotations
@@ -30,10 +28,6 @@ from repro.sim.spec import RunSpec
 
 if TYPE_CHECKING:
     from repro.sim.intervals import IntervalWindow
-
-
-class BackendError(RuntimeError):
-    """A backend cannot run (missing dependency, bad configuration)."""
 
 
 #: Callback signatures for batch execution: ``on_result(index, result)``
@@ -49,23 +43,14 @@ OnWindow = Optional[Callable[["IntervalWindow"], None]]
 class Backend(abc.ABC):
     """One execution strategy for simulation runs."""
 
-    #: Registry name (``repro backends ls``, ``RunSpec.backend``).
+    #: Backend name (``repro backends ls``, ``RunSpec.backend``).
     name: str = "abstract"
 
-    @abc.abstractmethod
     def run(self, spec: RunSpec) -> SimResult:
         """Execute one spec and return its result."""
+        return self.run_streaming(spec)
 
-    def covers(self, spec: RunSpec) -> bool:
-        """Can this backend execute ``spec`` natively (no fallback)?
-
-        The default claims everything; backends with partial coverage (like
-        ``batch``) override this, and ``run`` must still *accept* uncovered
-        specs by delegating to the reference backend — coverage gaps slow a
-        sweep down, they never block it.
-        """
-        return True
-
+    @abc.abstractmethod
     def run_streaming(
         self,
         spec: RunSpec,
@@ -74,11 +59,9 @@ class Backend(abc.ABC):
     ) -> SimResult:
         """Run one spec, passing each interval window to ``on_window``.
 
-        Windows are cut at ``spec.interval_ops``, else at ``heartbeat_ops``.
-        The default runs :meth:`run` and streams nothing; the built-in
-        backends stream from the loop's interval accumulator.
+        Windows are cut at ``spec.interval_ops``, else at ``heartbeat_ops``,
+        from the loop's interval accumulator.
         """
-        return self.run(spec)
 
     def run_many(
         self,
@@ -107,5 +90,5 @@ class Backend(abc.ABC):
         return results
 
     def describe(self) -> dict:
-        """Human-oriented registry row (``repro backends ls``)."""
+        """Human-oriented row for ``repro backends ls``."""
         return {"name": self.name, "class": type(self).__name__}

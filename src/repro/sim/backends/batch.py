@@ -3,7 +3,7 @@
 Every cell on the default front end sees the same committed branch stream,
 so a :class:`~repro.core.pipeline.TracePrep` — the plan builder run once
 over the trace with a fresh TAGE — serves all of them. The backend caches
-a prep per trace and runs each covered cell through the same loop as the
+a prep per trace and runs every cell through the same loop as the
 reference backend (:func:`~repro.sim.backends.reference.simulate_cell`),
 with a kernel-accelerated predictor where one exists
 (:mod:`repro.mdp.kernels`). Probes, invariant checking and wrong-path
@@ -11,14 +11,13 @@ replay all run on the shared plan. A cell that overrides the branch
 predictor plans with its own front end instead; its kernels still read the
 prep, whose branch history is the trace's and not the predictor's.
 Bit-identity with the reference backend is the contract
-(``tests/core/test_hot_path_identity.py`` and
-``tests/core/test_timing_envelope.py``), at a ≥3x group speedup on the
-15-predictor hot cell (``benchmarks/perf_smoke.py --check``).
+(``tests/core/test_hot_path_identity.py``,
+``tests/core/test_timing_envelope.py`` and ``tests/sim/test_variants.py``),
+at a ≥3x group speedup on the 15-predictor hot cell
+(``benchmarks/perf_smoke.py --check``).
 
-Coverage is one test: a built-in predictor name whose registration has not
-been shadowed — the kernels were checked against those factories. Any
-other spec silently runs on the reference backend; coverage gaps slow a
-sweep down, they never change results and never block.
+Every spec runs here: variants, registered names and predictor instances
+run their ordinary implementations on the shared plan.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Optional
 
 from repro.core.pipeline import TracePrep
 from repro.sim.backends.base import Backend, OnWindow
-from repro.sim.backends.reference import execute_reference, simulate_cell
+from repro.sim.backends.reference import simulate_cell
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
 
@@ -38,7 +37,7 @@ _PREP_CACHE_LIMIT = 4
 
 
 class BatchBackend(Backend):
-    """Shared-plan execution with per-cell reference fallback."""
+    """Shared-plan execution: one cached plan per trace."""
 
     name = "batch"
 
@@ -46,17 +45,6 @@ class BatchBackend(Backend):
         # (trace digest, trace_dir) -> prep; insertion-ordered for LRU-ish
         # eviction.
         self._preps: dict = {}
-
-    def covers(self, spec: RunSpec) -> bool:
-        """A built-in predictor name whose registration is not shadowed."""
-        from repro.sim.simulator import BUILTIN_PREDICTORS, PREDICTOR_FACTORIES
-
-        if not isinstance(spec.predictor, str):
-            return False
-        expected = BUILTIN_PREDICTORS.get(spec.predictor)
-        # A registry entry replaced by register_predictor(..., replace=True)
-        # no longer matches the factory the kernels were checked against.
-        return expected is not None and PREDICTOR_FACTORIES.get(spec.predictor) == expected
 
     def _prep_for(self, spec: RunSpec) -> TracePrep:
         from repro.isa.artifacts import TraceStore
@@ -75,24 +63,21 @@ class BatchBackend(Backend):
             self._preps[key] = prep
         return prep
 
-    def run(self, spec: RunSpec) -> SimResult:
-        return self.run_streaming(spec)
-
     def run_streaming(
         self,
         spec: RunSpec,
         on_window: OnWindow = None,
         heartbeat_ops: Optional[int] = None,
     ) -> SimResult:
-        if not self.covers(spec):
-            return execute_reference(spec, on_window, heartbeat_ops)
         from repro.mdp.kernels import make_kernel_predictor
         from repro.sim.simulator import make_predictor
 
         prep = self._prep_for(spec)
-        predictor = make_kernel_predictor(spec.predictor, prep) or make_predictor(
-            spec.predictor
-        )
+        predictor = spec.predictor
+        if isinstance(predictor, str):
+            predictor = make_kernel_predictor(predictor, prep) or make_predictor(
+                predictor
+            )
         # The shared plan holds the default TAGE's decisions.
         plan = prep if spec.branch_predictor is None else None
         return simulate_cell(spec, prep.trace, predictor, plan, on_window, heartbeat_ops)
@@ -102,6 +87,6 @@ class BatchBackend(Backend):
 
         row = super().describe()
         row["available"] = True
-        row["coverage"] = "built-in predictor names"
+        row["coverage"] = "all specs (one shared plan per trace)"
         row["kernels"] = ", ".join(KERNEL_NAMES)
         return row

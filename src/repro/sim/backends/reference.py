@@ -3,7 +3,8 @@
 Each spec builds its own :class:`~repro.core.pipeline.Pipeline` — the
 spec's branch predictor (a fresh TAGE by default), its own history and the
 registry's predictor — whose run plans the trace chunk by chunk as it
-advances and observes each branch in program order. It covers every spec and needs nothing but the simulator.
+advances and observes each branch in program order. It needs nothing but
+the simulator, and it is the oracle the batch backend is tested against.
 :func:`simulate_cell` is the one place a spec becomes a pipeline run; the
 batch backend calls it with a shared plan.
 """
@@ -69,7 +70,7 @@ def simulate_cell(
 def execute_reference(
     spec: RunSpec, on_window: OnWindow = None, heartbeat_ops: Optional[int] = None
 ) -> SimResult:
-    """Run one spec with its own front end (shared with batch fallbacks)."""
+    """Run one spec with its own front end."""
     # Imported late: repro.sim.simulator imports the backend registry for
     # dispatch, so a top-level import here would cycle.
     from repro.isa.artifacts import TraceStore
@@ -86,12 +87,9 @@ def execute_reference(
 
 
 class ReferenceBackend(Backend):
-    """One cell at a time; always available, covers everything."""
+    """One cell at a time, each with its own front end."""
 
     name = "reference"
-
-    def run(self, spec: RunSpec) -> SimResult:
-        return execute_reference(spec)
 
     def run_streaming(
         self,

@@ -60,8 +60,8 @@ def default_warmup_ops() -> int:
     return env_int("REPRO_WARMUP_OPS", _FALLBACK_WARMUP_OPS, min_value=0)
 
 
-#: The built-in predictor factories, read-only. The batch backend's
-#: coverage check compares registry entries against these.
+#: The built-in predictor factories, read-only. A registry entry that no
+#: longer equals its built-in gets no batch kernel (mdp/kernels.py).
 BUILTIN_PREDICTORS: Mapping[str, Callable[[], MDPredictor]] = MappingProxyType(
     {
         "ideal": IdealPredictor,
@@ -309,7 +309,7 @@ def run_spec(spec: RunSpec) -> SimResult:
 
         simulate(RunSpec("511.povray", "phast", num_ops=50_000))
 
-    Dispatches through the backend registry (:mod:`repro.sim.backends`):
+    Dispatches to an execution backend (:mod:`repro.sim.backends`):
     ``spec.backend``, else ``REPRO_SIM_BACKEND`` (validated at call time),
     else the ``reference`` interpreter. Backends are bit-identical by
     contract, so the choice affects wall-clock only, never the result.

@@ -53,11 +53,11 @@ class RunSpec:
         branch_predictor: front-end override (None = a fresh TAGE).
         trace_dir: directory of a trace artifact store to consult before
             building the trace (None = ``REPRO_TRACE_STORE`` or no store).
-        backend: execution backend name (``"reference"``, ``"batch"``, or a
-            registered third backend); None defers to ``REPRO_SIM_BACKEND``
-            at run time. Like ``trace_dir``, the backend is *execution*
+        backend: execution backend name, ``"reference"`` or ``"batch"``;
+            None defers to ``REPRO_SIM_BACKEND`` at run time. Either runs
+            every spec. Like ``trace_dir``, the backend is *execution*
             strategy, not identity — backends are bit-identical by contract
-            (the golden fixture enforces it), so results from different
+            (the golden fixtures enforce it), so results from different
             backends share one result-store key and interchange freely.
     """
 
@@ -135,10 +135,9 @@ class RunSpec:
     def resolved_backend(self) -> str:
         """The backend name this run executes on (``REPRO_SIM_BACKEND`` aware).
 
-        Resolved at call time like every other knob, and validated against
-        the backend registry — an unknown name (in the spec or the
-        environment) is an error naming the bad value, never a silent
-        fallback to the reference interpreter.
+        Resolved at call time like every other knob, and validated by name —
+        an unknown name (in the spec or the environment) is an error naming
+        the bad value, never a silent switch to the reference backend.
         """
         from repro.sim.backends import default_backend_name, validate_backend_name
 

@@ -14,11 +14,11 @@ counter), via::
 
     PYTHONPATH=src python tests/core/test_hot_path_identity.py --regen
 
-The same fixture gates the ``batch`` execution backend: for every predictor
-it covers, the shared-plan run with its predictor kernels must reproduce
-the reference results to the bit — pipeline counters, predictor counters,
-and every interval window. Uncovered or shadowed predictors must route to
-the reference fallback and still match.
+The same fixture gates the ``batch`` execution backend: for every predictor,
+the shared-plan run with its predictor kernels must reproduce the reference
+results to the bit — pipeline counters, predictor counters, and every
+interval window. A shadowed kernel name must run its shadow factory, not
+the kernel, and still match the reference backend.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.backends import get_backend
 from repro.sim.simulator import available_predictors, simulate
 from repro.sim.spec import RunSpec
 
@@ -113,71 +112,60 @@ def test_bit_identical_to_golden(golden, workload, predictor):
 def test_batch_backend_bit_identical_to_golden(golden, workload, predictor):
     """The backend contract: batch == reference, to the bit, per predictor.
 
-    Every built-in predictor must be *covered* (run on the shared plan, not
-    the fallback) and must reproduce the committed golden
-    results exactly — full ``PipelineStats``, full ``MDPStats`` and every
-    interval window.
+    Every built-in predictor runs on the shared plan (with its kernel where
+    one exists) and must reproduce the committed golden results exactly —
+    full ``PipelineStats``, full ``MDPStats`` and every interval window.
     """
     cell_key = f"{workload}/{predictor}"
     expected = golden["cells"].get(cell_key)
     if expected is None:
         pytest.fail(f"golden fixture has no cell {cell_key}; regenerate it")
-    spec = _cell_spec(workload, predictor, backend="batch")
-    assert get_backend("batch").covers(spec), (
-        f"batch backend no longer covers built-in predictor {predictor!r}; "
-        "the identity gate would silently test the fallback"
-    )
     actual = _run_cell(workload, predictor, backend="batch")
     assert actual["pipeline"] == expected["pipeline"], cell_key
     assert actual["mdp"] == expected["mdp"], cell_key
     assert actual["intervals"] == expected["intervals"], cell_key
 
 
-def test_batch_backend_routes_unclaimed_predictors_to_reference():
-    """Predictors the batch kernels were never validated against fall back.
+def test_shadowed_kernel_name_runs_the_shadow_factory(golden):
+    """A kernel name whose registry entry is replaced gets no kernel.
 
-    A freshly registered (or shadowed) predictor name is outside the
-    kernels' validated envelope: ``covers`` must say so, and ``run`` must
-    still produce the reference result rather than erroring.
+    The kernels were checked against the built-in factories only, so a
+    shadowed name must build the shadow factory's predictor on the batch
+    backend, with the reference backend's result for that factory.
     """
+    from repro.mdp.kernels import KERNEL_NAMES, make_kernel_predictor
     from repro.mdp.mdp_tage import MDPTagePredictor
+    from repro.mdp.phast import PHASTPredictor
     from repro.mdp.store_sets import StoreSetsPredictor
-    from repro.sim.simulator import register_predictor, unregister_predictor
+    from repro.sim.backends.batch import BatchBackend
+    from repro.sim.simulator import register_predictor
 
-    backend = get_backend("batch")
-    register_predictor("hot-path-test-custom", StoreSetsPredictor)
+    workload = WORKLOADS[0]
+    prep = BatchBackend()._prep_for(_cell_spec(workload, "phast"))
+    assert "phast" in KERNEL_NAMES
     try:
-        spec = _cell_spec(WORKLOADS[0], "hot-path-test-custom", backend="batch")
-        assert not backend.covers(spec)
-        via_batch = _run_cell(WORKLOADS[0], "hot-path-test-custom", backend="batch")
-        via_reference = _run_cell(WORKLOADS[0], "hot-path-test-custom")
-        assert via_batch == via_reference
+        register_predictor("phast", StoreSetsPredictor, replace=True)
+        assert make_kernel_predictor("phast", prep) is None
+        via_batch = _run_cell(workload, "phast", backend="batch")
+        via_reference = _run_cell(workload, "phast", backend="reference")
     finally:
-        unregister_predictor("hot-path-test-custom")
-
-    # Shadowing a covered name must also disqualify it: the kernels were
-    # validated against the built-in factory, not the override.
-    try:
-        register_predictor(
-            "store-sets", lambda: StoreSetsPredictor(), replace=True
-        )
-        spec = _cell_spec(WORKLOADS[0], "store-sets", backend="batch")
-        assert not backend.covers(spec)
-    finally:
-        register_predictor("store-sets", StoreSetsPredictor, replace=True)
-    assert backend.covers(spec)
+        register_predictor("phast", PHASTPredictor, replace=True)
+    assert via_batch == via_reference
+    # It ran the shadow: the result is Store Sets', not PHAST's.
+    assert via_batch == golden["cells"][f"{workload}/store-sets"]
+    assert via_batch != golden["cells"][f"{workload}/phast"]
+    assert make_kernel_predictor("phast", prep) is not None
 
     # Restoring a classmethod factory binds a new method object: it must
     # compare equal to the built-in entry, not be identical to it.
-    spec = _cell_spec(WORKLOADS[0], "mdp-tage-s", backend="batch")
     try:
         register_predictor(
             "mdp-tage-s", lambda: MDPTagePredictor.tage_s(), replace=True
         )
-        assert not backend.covers(spec)
+        assert make_kernel_predictor("mdp-tage-s", prep) is None
     finally:
         register_predictor("mdp-tage-s", MDPTagePredictor.tage_s, replace=True)
-    assert backend.covers(spec)
+    assert make_kernel_predictor("mdp-tage-s", prep) is not None
 
 
 def _regen() -> None:

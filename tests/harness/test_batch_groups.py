@@ -85,7 +85,7 @@ def _group(n=4, workload="wl"):
         CellSpec(workload=workload, predictor=f"p{i}", num_ops=100)
         for i in range(n)
     )
-    return BatchGroup(cells=cells, backend="batch")
+    return BatchGroup(cells=cells)
 
 
 def executor(group_worker, worker=_ok_solo_worker, **kwargs):
@@ -280,22 +280,21 @@ class TestSweepPlanning:
         jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
         assert all(isinstance(job, CellSpec) for job in jobs)
 
-    def test_uncovered_cells_stay_solo(self, tmp_path):
+    def test_registered_names_and_variants_are_grouped(self, tmp_path):
         from repro.mdp.store_sets import StoreSetsPredictor
         from repro.sim.simulator import register_predictor, unregister_predictor
 
         store = ResultStore(tmp_path / "store")
         runner = SweepRunner(store, ProcessCellExecutor(), precompile=False)
-        names = ["solo-test-a", "solo-test-b"]
-        for name in names:
-            register_predictor(name, StoreSetsPredictor)
+        names = ["group-test-a", "phast(target_bits=0)", "ideal(strict=False)"]
+        register_predictor("group-test-a", StoreSetsPredictor)
         try:
             cells = build_cells(["511.povray"], names, num_ops=100, backend="batch")
             jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
         finally:
-            for name in names:
-                unregister_predictor(name)
-        assert all(isinstance(job, CellSpec) for job in jobs)
+            unregister_predictor("group-test-a")
+        assert len(jobs) == 1 and isinstance(jobs[0], BatchGroup)
+        assert [cell.predictor for cell in jobs[0].cells] == names
 
     def test_invariant_checked_cells_are_grouped(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -330,7 +329,7 @@ class TestGroupWorkerBody:
             CellSpec(workload="511.povray", predictor=p, num_ops=1500)
             for p in ("ideal", "always-wait")
         )
-        group = BatchGroup(cells=cells, backend="batch")
+        group = BatchGroup(cells=cells)
         parent, child = multiprocessing.Pipe(duplex=False)
         _batch_group_worker(child, group, False)
         messages = []

@@ -113,24 +113,16 @@ class TestGroupCompile:
     def test_solo_cell_sharing_a_group_trace_is_precompiled_once(
         self, tmp_path, builds
     ):
-        from repro.mdp.store_sets import StoreSetsPredictor
-        from repro.sim.simulator import register_predictor, unregister_predictor
-
-        # A registered predictor the batch backend does not cover runs solo
-        # on the same trace as the group of built-in predictors.
-        register_predictor("compile-test-custom", StoreSetsPredictor)
-        try:
-            sweeps = _runner(tmp_path)
-            report = sweeps.run(
-                build_cells(
-                    ["511.povray"],
-                    ["phast", "nosq", "compile-test-custom"],
-                    num_ops=NUM_OPS,
-                    backend="batch",
-                )
+        # A reference cell runs solo on the same trace as the batch group.
+        sweeps = _runner(tmp_path)
+        report = sweeps.run(
+            build_cells(
+                ["511.povray"], ["phast", "nosq"], num_ops=NUM_OPS, backend="batch"
             )
-        finally:
-            unregister_predictor("compile-test-custom")
+            + build_cells(
+                ["511.povray"], ["store-sets"], num_ops=NUM_OPS, backend="reference"
+            )
+        )
         assert report.completed == 3
         assert report.precompiled == 1
         assert builds() == [str(os.getpid())]  # the parent, and only it

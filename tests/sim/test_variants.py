@@ -1,11 +1,12 @@
 """Predictor variants: canonical labels, checking, keys and the wire."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.wire import WireError
 from repro.cli import main
+from repro.core.config import CoreConfig
 from repro.mdp.phast import PHASTPredictor
 from repro.server.jobs import validate_names
 from repro.sim.backends import get_backend
@@ -13,7 +14,9 @@ from repro.sim.simulator import (
     make_predictor,
     parse_predictor,
     predictor_variant,
+    register_predictor,
     simulate,
+    unregister_predictor,
 )
 from repro.sim.spec import RunSpec
 
@@ -133,8 +136,57 @@ def test_variant_survives_the_wire_with_its_key(label, seed):
 def test_variant_results_are_labelled_and_backend_independent():
     label = "phast(target_bits=0)"
     spec = RunSpec("511.povray", label, num_ops=2000)
-    assert not get_backend("batch").covers(spec)
     reference = simulate(spec.with_overrides(backend="reference"))
     batch = simulate(spec.with_overrides(backend="batch"))
     assert reference.predictor == label
     assert batch.to_record() == reference.to_record()
+
+
+@pytest.fixture(scope="module")
+def ablations():
+    """The ablation predictors, registered for this module only (the golden
+    fixtures pin the registry to the built-in names)."""
+    from benchmarks.ablations import variants
+
+    classes = (
+        variants.PhastIncrementConfidence,
+        variants.PhastNoConfidence,
+        variants.PhastLengthN,
+        variants.PhastAtDetection,
+    )
+    for cls in classes:
+        register_predictor(cls.name, cls, replace=True)
+    yield tuple(cls.name for cls in classes)
+    for cls in classes:
+        unregister_predictor(cls.name)
+
+
+_ABLATION_NAMES = (
+    "phast-increment-confidence",
+    "phast-no-confidence",
+    "phast-length-n",
+    "phast-at-detection",
+)
+_CORES = (CoreConfig(), CoreConfig().with_wrong_path(24))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    label=st.one_of(_variants, st.sampled_from(_ABLATION_NAMES)),
+    instance=st.booleans(),
+    workload=st.sampled_from(["511.povray", "502.gcc_1"]),
+    config=st.sampled_from(_CORES),
+)
+def test_batch_equals_reference_for_every_kind_of_spec(
+    ablations, label, instance, workload, config
+):
+    """Variants, registered ablation names and predictor instances run on
+    the batch backend's shared plan with the reference backend's result."""
+    assert set(_ABLATION_NAMES) == set(ablations)
+
+    def run(backend):
+        predictor = make_predictor(label) if instance else label
+        spec = RunSpec(workload, predictor, config=config, num_ops=1500, warmup_ops=200)
+        return get_backend(backend).run(spec).to_record()
+
+    assert run("batch") == run("reference")

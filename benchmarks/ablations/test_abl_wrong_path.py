@@ -51,8 +51,8 @@ def test_wrong_path_ablation(runner, emit, benchmark):
 
     # PHAST is structurally immune: at-commit training never sees phantoms.
     assert rows["phast"][2] == 0
-    # The at-detection predictors are the only candidates for pollution.
-    assert rows["mdp-tage"][2] >= 0 and rows["nosq"][2] >= 0
+    # The at-detection predictors are trained by phantom conflicts.
+    assert rows["mdp-tage"][2] > 0 and rows["nosq"][2] > 0
     # Wrong-path replay must not change PHAST's result class.
     clean, polluted, _ = rows["phast"]
     assert abs(clean - polluted) < 0.02

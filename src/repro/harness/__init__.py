@@ -8,6 +8,8 @@ the CLI's ``sweep`` command, the server and the benchmark suite:
   cache miss).
 * :mod:`repro.harness.executor` — per-cell worker subprocesses with
   timeouts, failure classification and capped-exponential-backoff retries.
+  A cell is a :class:`~repro.sim.spec.RunSpec` naming its workload and
+  predictor; :func:`~repro.harness.sweep.build_cells` expands a grid.
 * :mod:`repro.harness.sweep` — campaign orchestration: resume, status,
   graceful degradation with a machine-readable failure manifest.
 * :mod:`repro.harness.failures` — the failure taxonomy shared by all three.
@@ -17,11 +19,7 @@ the CLI's ``sweep`` command, the server and the benchmark suite:
 """
 
 from repro.harness.chaos import ChaosEngine, FaultPlan
-from repro.harness.executor import (
-    CellOutcome,
-    CellSpec,
-    ProcessCellExecutor,
-)
+from repro.harness.executor import CellOutcome, ProcessCellExecutor
 from repro.harness.failures import (
     CellFailure,
     EPHEMERAL_KINDS,
@@ -44,7 +42,6 @@ __all__ = [
     "CellFailure",
     "CellKey",
     "CellOutcome",
-    "CellSpec",
     "ChaosEngine",
     "EPHEMERAL_KINDS",
     "FailureKind",

@@ -22,13 +22,14 @@ stashes the most recent window per cell, so when a cell hangs and is killed
 "died at op ~14000 with IPC collapsing" instead of just "timeout".
 
 The executor is job-generic: the default worker simulates a
-:class:`CellSpec`, but any picklable job works with a custom ``worker=``
-callable of the same ``(conn, job, check_invariants)`` shape that sends the
-same tagged messages (``("ok", SimResult.to_record())`` on success). A job
-only needs ``describe()`` (for failure manifests); ``key()`` is required
-only when a ``store`` is passed to ``run_many``. ``repro.sampling`` uses
-this to fan checkpoint-restored interval runs out across workers without a
-parallel scheduler of its own.
+:class:`~repro.sim.spec.RunSpec` (the executor's ``check_invariants`` flag
+replaces the spec's own), but any picklable job works with a custom
+``worker=`` callable of the same ``(conn, job, check_invariants)`` shape
+that sends the same tagged messages (``("ok", SimResult.to_record())`` on
+success). A job only needs ``describe()`` (for failure manifests);
+``key()`` is required only when a ``store`` is passed to ``run_many``.
+``repro.sampling`` uses this to fan checkpoint-restored interval runs out
+across workers without a parallel scheduler of its own.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from multiprocessing import connection, get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.env import env_float, env_int
-from repro.core.config import CoreConfig
 from repro.harness.chaos import ChaosEngine, ChaosJob, _chaos_worker
 from repro.harness.failures import (
     EPHEMERAL_KINDS,
@@ -52,12 +52,13 @@ from repro.harness.failures import (
     classify_exitcode,
     jitter_fraction,
 )
-from repro.harness.store import CellKey, ResultStore, cell_key
+from repro.harness.store import ResultStore
 
 # Imported here rather than in the worker bodies: a forked worker then
 # inherits the module instead of importing it (about 1 MB of RSS) per cell.
 from repro.sim.invariants import SimInvariantError
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 #: Environment defaults for the sweep knobs (CLI flags override).
 ENV_TIMEOUT = "REPRO_SWEEP_TIMEOUT"
@@ -98,52 +99,6 @@ def default_mp_context():
 
 
 @dataclass(frozen=True)
-class CellSpec:
-    """One sweep cell: everything needed to run it in a fresh process.
-
-    ``trace_dir`` points the worker at a trace artifact store to load its
-    input trace from instead of rebuilding it (see
-    :mod:`repro.isa.artifacts`). ``backend`` selects the execution backend
-    (:mod:`repro.sim.backends`) the worker dispatches through; ``None``
-    defers to ``REPRO_SIM_BACKEND``. Both affect only *how* the cell
-    executes — bit-identical results by the backend contract — so neither
-    participates in :meth:`key`: existing result stores stay valid and
-    batch-produced results interchange with reference ones.
-    """
-
-    workload: str
-    predictor: str
-    config: CoreConfig = field(default_factory=CoreConfig)
-    num_ops: int = 0
-    seed: Optional[int] = None
-    trace_dir: Optional[str] = None
-    backend: Optional[str] = None
-
-    def key(self) -> CellKey:
-        return cell_key(
-            self.workload, self.predictor, self.config, self.num_ops, self.seed
-        )
-
-    def describe(self) -> Dict[str, object]:
-        return dict(self.key().describe)
-
-    def run_spec(self, check_invariants: Optional[bool] = None):
-        """This cell as a canonical :class:`~repro.sim.spec.RunSpec`."""
-        from repro.sim.spec import RunSpec
-
-        return RunSpec(
-            workload=self.workload,
-            predictor=self.predictor,
-            config=self.config,
-            num_ops=self.num_ops or None,
-            seed=self.seed,
-            check_invariants=check_invariants,
-            trace_dir=self.trace_dir,
-            backend=self.backend,
-        )
-
-
-@dataclass(frozen=True)
 class BatchGroup:
     """Several cells of one trace, scheduled as a single worker unit.
 
@@ -157,7 +112,7 @@ class BatchGroup:
     solo cells, never as a whole group.
     """
 
-    cells: Tuple[CellSpec, ...]
+    cells: Tuple[RunSpec, ...]
 
     @property
     def workload(self) -> str:
@@ -190,7 +145,7 @@ class CellOutcome:
     reaches the detailed-result namespace.
     """
 
-    spec: CellSpec
+    spec: RunSpec
     result: Optional[SimResult] = None
     failure: Optional[CellFailure] = None
     attempts: int = 0
@@ -205,7 +160,7 @@ class CellOutcome:
 
 
 def _simulate_cell(
-    spec: CellSpec,
+    spec: RunSpec,
     check_invariants: bool,
     on_heartbeat: Optional[Callable[[dict], None]] = None,
 ) -> SimResult:
@@ -217,7 +172,7 @@ def _simulate_cell(
     from repro.sim.backends import get_backend
     from repro.sim.intervals import heartbeat_interval_ops
 
-    run_spec = spec.run_spec(check_invariants=check_invariants or None)
+    run_spec = replace(spec, check_invariants=check_invariants or None)
     on_window = None
     if on_heartbeat is not None:
         on_window = lambda window: on_heartbeat(window.to_dict())
@@ -243,7 +198,7 @@ def _worker_failure(exc: BaseException) -> Tuple[str, dict]:
     return "error", _error_payload(exc)
 
 
-def _cell_worker(conn, spec: CellSpec, check_invariants: bool) -> None:
+def _cell_worker(conn, spec: RunSpec, check_invariants: bool) -> None:
     """Subprocess entry point: simulate, send a tagged message, exit.
 
     Completed interval windows are streamed as ``("heartbeat", window_dict)``
@@ -275,15 +230,14 @@ def _compile_group_trace(group: BatchGroup) -> None:
     from repro.isa.artifacts import TraceStore
     from repro.sim.simulator import compile_trace
 
-    cell = group.cells[0]
-    if not cell.trace_dir:
+    spec = group.cells[0]
+    if not spec.trace_dir:
         return
-    spec = cell.run_spec()
     try:
         profile = spec.resolved_profile()
     except KeyError:
         return
-    compile_trace(profile, spec.resolved_num_ops(), TraceStore(cell.trace_dir))
+    compile_trace(profile, spec.resolved_num_ops(), TraceStore(spec.trace_dir))
 
 
 def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None:
@@ -306,7 +260,7 @@ def _batch_group_worker(conn, group: BatchGroup, check_invariants: bool) -> None
         _compile_group_trace(group)
         hb_ops = heartbeat_interval_ops()
         for index, cell in enumerate(group.cells):
-            spec = cell.run_spec(check_invariants=check_invariants or None)
+            spec = replace(cell, check_invariants=check_invariants or None)
 
             def on_result(_j, result, _i=index) -> None:
                 conn.send(("cell", _i, "ok", result.to_record()))
@@ -423,7 +377,7 @@ class ProcessCellExecutor:
     def _spawn(
         self,
         index: int,
-        spec: CellSpec,
+        spec: RunSpec,
         attempt: int,
         now: float,
         chaos: Optional[ChaosEngine] = None,
@@ -584,12 +538,12 @@ class ProcessCellExecutor:
 
     # -------------------------------------------------------------- runs --
 
-    def run_one(self, spec: CellSpec) -> CellOutcome:
+    def run_one(self, spec: RunSpec) -> CellOutcome:
         return self.run_many([spec])[0]
 
     def run_many(
         self,
-        specs: Sequence[CellSpec],
+        specs: Sequence[RunSpec],
         store: Optional[ResultStore] = None,
         resume: bool = True,
         progress: Optional[Callable[[CellOutcome], None]] = None,
@@ -606,7 +560,7 @@ class ProcessCellExecutor:
         results and final failures are persisted as they complete, so a
         killed sweep resumes from its last finished cell.
 
-        ``specs`` may be any picklable jobs (not just :class:`CellSpec`)
+        ``specs`` may be any picklable jobs (not just :class:`RunSpec`)
         when a matching custom ``worker=`` was given at construction;
         without a ``store`` only ``describe()`` is required of them.
 
@@ -653,7 +607,7 @@ class ProcessCellExecutor:
         """
         outcomes: Dict[int, CellOutcome] = {}
         # Each pending entry is (index, spec, attempt, not-before timestamp).
-        pending: List[Tuple[int, CellSpec, int, float]] = []
+        pending: List[Tuple[int, RunSpec, int, float]] = []
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
         # Circuit-breaker ledger: final failures / successes per workload.
         final_failures: Dict[object, int] = {}
@@ -714,7 +668,7 @@ class ProcessCellExecutor:
             extra_index += 1
             return extra_index - 1
 
-        def settle(index: int, spec: CellSpec, attempt: int, result, failure) -> None:
+        def settle(index: int, spec: RunSpec, attempt: int, result, failure) -> None:
             now = time.monotonic()
             if failure is not None and chaos is not None:
                 chaos.observe(spec, attempt, failure.kind)
@@ -817,7 +771,7 @@ class ProcessCellExecutor:
                 spec=batch, failure=failure, attempts=attempt + 1, cells=settled
             )
 
-        def settle_skipped(index: int, spec: CellSpec, attempt: int) -> None:
+        def settle_skipped(index: int, spec: RunSpec, attempt: int) -> None:
             key = group(spec)
 
             def skipped_failure(job) -> CellFailure:

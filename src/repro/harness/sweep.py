@@ -2,11 +2,11 @@
 
 ``SweepRunner`` glues the durable :class:`~repro.harness.store.ResultStore`
 to the :class:`~repro.harness.executor.ProcessCellExecutor`: it expands a
-(workloads × predictors) grid into :class:`CellSpec` cells, skips cells the
-store already holds, runs the rest under process isolation, and finishes
-*with whatever succeeded* — failures become a machine-readable manifest
-(``<store>/failure_manifest.json``), never an abort. ``repro sweep`` is the
-CLI face of this module.
+(workloads × predictors) grid into :class:`~repro.sim.spec.RunSpec` cells,
+skips cells the store already holds, runs the rest under process isolation,
+and finishes *with whatever succeeded* — failures become a machine-readable
+manifest (``<store>/failure_manifest.json``), never an abort. ``repro
+sweep`` is the CLI face of this module.
 
 Every distinct input trace the pending cells need is compiled once into a
 :class:`~repro.isa.artifacts.TraceStore` under ``<store>/traces``, so worker
@@ -28,17 +28,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import CoreConfig
 from repro.harness.chaos import ChaosEngine, FaultPlan
-from repro.harness.executor import (
-    BatchGroup,
-    CellOutcome,
-    CellSpec,
-    ProcessCellExecutor,
-)
+from repro.harness.executor import BatchGroup, CellOutcome, ProcessCellExecutor
 from repro.harness.failures import CellFailure, FailureKind
 from repro.harness.leases import LeaseStore
 from repro.harness.store import ResultStore, StoreStatus
 from repro.isa.artifacts import TraceStore
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 
 def build_cells(
@@ -49,15 +45,15 @@ def build_cells(
     seed: Optional[int] = None,
     trace_dir: Optional[str] = None,
     backend: Optional[str] = None,
-) -> List[CellSpec]:
+) -> List[RunSpec]:
     """Expand a (workload × predictor) grid into sweep cells."""
     core = config or CoreConfig()
     return [
-        CellSpec(
+        RunSpec(
             workload=workload,
             predictor=predictor,
             config=core,
-            num_ops=num_ops,
+            num_ops=num_ops or None,
             seed=seed,
             trace_dir=trace_dir,
             backend=backend,
@@ -65,6 +61,32 @@ def build_cells(
         for workload in workloads
         for predictor in predictors
     ]
+
+
+def _refuse_unkeyed(cells: Sequence[RunSpec]) -> None:
+    """Raise ``ValueError`` for a cell that sets a field the store does not key.
+
+    A stored result is keyed on the workload and predictor *names*, the
+    config, ``num_ops`` and ``seed``; an instance, a profile object or a
+    run-time override would be filed under a key that does not describe it.
+    """
+    for cell in cells:
+        unkeyed = {
+            "predictor": not isinstance(cell.predictor, str),
+            "workload": not isinstance(cell.workload, str),
+            "probes": bool(cell.probes),
+            "branch_predictor": cell.branch_predictor is not None,
+            "warmup_ops": cell.warmup_ops is not None,
+            "interval_ops": cell.interval_ops is not None,
+        }
+        for name, refused in unkeyed.items():
+            if refused:
+                raise ValueError(
+                    f"sweep cell {cell.workload_name}/{cell.predictor_label}: "
+                    f"{name} is not part of the result-store key; name a "
+                    "registered workload and predictor, drop the override, "
+                    "or run it with simulate()"
+                )
 
 
 @dataclass
@@ -213,7 +235,7 @@ class SweepRunner:
         self.trace_store = trace_store or TraceStore(self.store.root / "traces")
         self.precompile = precompile
 
-    def _precompile(self, cells: Sequence[CellSpec], resume: bool) -> int:
+    def _precompile(self, cells: Sequence[RunSpec], resume: bool) -> int:
         """Compile every distinct trace the pending cells need; returns builds.
 
         ``cells`` are the solo cells that may run here; batch groups compile
@@ -230,7 +252,7 @@ class SweepRunner:
             for cell in cells
             if not (resume and self.store.contains(cell.key()))
         ]
-        unique: Dict[tuple, CellSpec] = {}
+        unique: Dict[tuple, RunSpec] = {}
         for cell in pending:
             unique.setdefault((cell.workload, cell.seed, cell.num_ops), cell)
         built = 0
@@ -249,7 +271,7 @@ class SweepRunner:
         return built
 
     def _plan_jobs(
-        self, cells: Sequence[CellSpec], resume: bool, quarantine: bool
+        self, cells: Sequence[RunSpec], resume: bool, quarantine: bool
     ) -> List[object]:
         """Group pending batch cells by trace into worker units.
 
@@ -265,7 +287,7 @@ class SweepRunner:
         from repro.sim.backends import default_backend_name
 
         jobs: List[object] = []
-        groupable: Dict[tuple, List[CellSpec]] = {}
+        groupable: Dict[tuple, List[RunSpec]] = {}
         for cell in cells:
             pending = (cell.backend or default_backend_name()) == "batch" and not (
                 resume and self.store.contains(cell.key())
@@ -285,7 +307,7 @@ class SweepRunner:
         return jobs
 
     def _flatten(
-        self, cells: Sequence[CellSpec], outcomes: Sequence[CellOutcome]
+        self, cells: Sequence[RunSpec], outcomes: Sequence[CellOutcome]
     ) -> List[CellOutcome]:
         """Map executor outcomes (groups + solo retries) back to cell order.
 
@@ -323,16 +345,16 @@ class SweepRunner:
     peer_poll_seconds = 0.25
 
     def _claim_cells(
-        self, cells: Sequence[CellSpec], leases: LeaseStore, resume: bool
-    ) -> Tuple[List[CellSpec], List[CellSpec], "set[str]"]:
+        self, cells: Sequence[RunSpec], leases: LeaseStore, resume: bool
+    ) -> Tuple[List[RunSpec], List[RunSpec], "set[str]"]:
         """Split cells into (runnable, peer-leased, claimed digests).
 
         The store dedupe boundary is re-checked immediately before each
         claim: a cell a peer already answered is never leased at all — it
         flows through ``run_many``'s resume path as a plain cache hit.
         """
-        runnable: List[CellSpec] = []
-        foreign: List[CellSpec] = []
+        runnable: List[RunSpec] = []
+        foreign: List[RunSpec] = []
         claimed: "set[str]" = set()
         for cell in cells:
             key = cell.key()
@@ -388,7 +410,7 @@ class SweepRunner:
 
     def _await_peers(
         self,
-        foreign: Sequence[CellSpec],
+        foreign: Sequence[RunSpec],
         leases: LeaseStore,
         progress: Optional[Callable[[CellOutcome], None]] = None,
         heartbeat: Optional[Callable] = None,
@@ -407,7 +429,7 @@ class SweepRunner:
         never persisted, pending again on resume).
         """
         outcomes: List[CellOutcome] = []
-        waiting: Dict[str, CellSpec] = {
+        waiting: Dict[str, RunSpec] = {
             cell.key().digest: cell for cell in foreign
         }
         while waiting:
@@ -436,7 +458,7 @@ class SweepRunner:
                     if progress:
                         progress(outcome)
                 break
-            reclaimed: List[CellSpec] = []
+            reclaimed: List[RunSpec] = []
             for digest, cell in list(waiting.items()):
                 result = self.store.get(cell.key())
                 if result is not None:
@@ -475,7 +497,7 @@ class SweepRunner:
 
     def run(
         self,
-        cells: Sequence[CellSpec],
+        cells: Sequence[RunSpec],
         resume: bool = True,
         progress: Optional[Callable[[CellOutcome], None]] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -524,11 +546,16 @@ class SweepRunner:
         precompiled or leases claimed — and never reach the executor.
         Cached cells bypass triage entirely: a durable detailed result
         always beats a prediction.
+
+        A cell naming a predictor instance or a profile object, or setting
+        probes, a front-end override, ``warmup_ops`` or ``interval_ops``,
+        raises ``ValueError`` naming the field: the store does not key it.
         """
+        _refuse_unkeyed(cells)
         chaos = ChaosEngine(fault_plan) if fault_plan is not None else None
         scope = chaos.installed() if chaos is not None else contextlib.nullcontext()
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
-        all_cells: Sequence[CellSpec] = cells
+        all_cells: Sequence[RunSpec] = cells
         surrogate_outcomes: Dict[str, CellOutcome] = {}
         if surrogate is not None and surrogate.mode != "off":
             pending = [
@@ -561,9 +588,9 @@ class SweepRunner:
                     for cell in cells
                 ]
                 rebuilds_before = self.trace_store.rebuild_count()
-            foreign: List[CellSpec] = []
+            foreign: List[RunSpec] = []
             claimed: "set[str]" = set()
-            run_cells: Sequence[CellSpec] = cells
+            run_cells: Sequence[RunSpec] = cells
             if leases is not None:
                 run_cells, foreign, claimed = self._claim_cells(
                     cells, leases, resume=resume
@@ -572,7 +599,7 @@ class SweepRunner:
             jobs = self._plan_jobs(run_cells, resume=resume, quarantine=quarantine)
             if self.precompile:
                 # Peer-leased cells may come back to run here as solo cells.
-                solo = [job for job in jobs if isinstance(job, CellSpec)]
+                solo = [job for job in jobs if isinstance(job, RunSpec)]
                 precompiled = self._precompile(solo + foreign, resume=resume)
             peer_completed = 0
             try:
@@ -665,6 +692,6 @@ class SweepRunner:
         self.store.write_manifest(report.failures, extra=extra)
         return report
 
-    def status(self, cells: Sequence[CellSpec]) -> StoreStatus:
+    def status(self, cells: Sequence[RunSpec]) -> StoreStatus:
         """Completed/failed/pending counts for a sweep, without running it."""
         return self.store.status(cell.key() for cell in cells)

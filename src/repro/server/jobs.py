@@ -60,7 +60,7 @@ from repro.common.env import env_int
 from repro.harness.executor import ProcessCellExecutor
 from repro.harness.leases import LeaseStore
 from repro.harness.store import ResultStore
-from repro.harness.sweep import SweepRunner, build_cells
+from repro.harness.sweep import SweepRunner
 from repro.sim.spec import RunSpec
 
 logger = logging.getLogger(__name__)
@@ -225,6 +225,7 @@ class Job:
     stop: threading.Event = field(default_factory=threading.Event)
     summary: Optional[str] = None
     claimed: bool = False  # taken by a dispatcher (or settled at cancel)
+    check_invariants: bool = False
     _by_digest: Dict[str, int] = field(default_factory=dict)
 
     TERMINAL = ("completed", "cancelled", "failed")
@@ -480,9 +481,14 @@ class JobManager:
             by_digest.setdefault(key.digest, index)
             cells.append(cell)
 
-        job = Job(id=job_id, specs=specs, cells=cells, tenant=tenant)
+        job = Job(
+            id=job_id,
+            specs=specs,
+            cells=cells,
+            tenant=tenant,
+            check_invariants=check_invariants,
+        )
         job._by_digest = by_digest
-        job.check_invariants = check_invariants  # type: ignore[attr-defined]
         with self._lock:
             self._jobs[job_id] = job
         queued_event: Dict[str, object] = {
@@ -613,19 +619,9 @@ class JobManager:
                 status=413,
             )
         validate_names(specs)
-        cells = [
-            build_cells(
-                [spec.workload_name],
-                [spec.predictor_label],
-                config=spec.config,
-                num_ops=spec.num_ops or 0,
-                seed=spec.seed,
-            )[0]
-            for spec in specs
-        ]
         return [
             estimate.to_dict()
-            for estimate in self.surrogate.predict_all(cells)
+            for estimate in self.surrogate.predict_all(specs)
         ]
 
     # ----------------------------------------------------------- dispatch --
@@ -655,22 +651,8 @@ class JobManager:
             if cell.state != "cached"
         ]
         runner = SweepRunner(
-            self.store,
-            executor=self._executor_factory(
-                getattr(job, "check_invariants", False)
-            ),
+            self.store, executor=self._executor_factory(job.check_invariants)
         )
-        cells = [
-            build_cells(
-                [spec.workload_name],
-                [spec.predictor_label],
-                config=spec.config,
-                num_ops=spec.num_ops or 0,
-                seed=spec.seed,
-                backend=spec.backend,
-            )[0]
-            for spec in pending
-        ]
 
         def progress(outcome) -> None:
             cell = job.cell_for(outcome.spec.key().digest)
@@ -730,7 +712,7 @@ class JobManager:
             )
 
         report = runner.run(
-            cells,
+            pending,
             progress=progress,
             heartbeat=heartbeat,
             stop=job.stop,

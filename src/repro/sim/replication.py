@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.config import CoreConfig
-from repro.harness.store import ResultStore, cell_key
+from repro.harness.store import ResultStore
 from repro.sim.metrics import SimResult
 from repro.sim.simulator import default_num_ops, simulate
 from repro.sim.spec import RunSpec
@@ -163,13 +163,15 @@ def _replica_result(
     (name or variant), so a variant never shares its base's cells.
     """
     spec = RunSpec(
-        workload=replica, predictor=predictor, config=config, num_ops=num_ops
+        workload=replica,
+        predictor=predictor,
+        config=config,
+        num_ops=num_ops,
+        seed=replica.seed,
     )
     if store is None:
         return simulate(spec)
-    key = cell_key(
-        replica.name, predictor, config or CoreConfig(), num_ops, replica.seed
-    )
+    key = spec.key()
     cached = store.get(key)
     if cached is not None:
         return cached

@@ -1,19 +1,18 @@
 """The canonical description of one simulation run.
 
-``simulate()`` historically took nine loose parameters; the harness's
-``CellSpec`` duplicated five of them; the result-store key and the trace
-artifact key each re-derived their fields independently. :class:`RunSpec`
-unifies them: one frozen dataclass that the sim API executes directly
-(``simulate(spec)``), the harness ships to worker processes, and both
-content-hash keys (:func:`RunSpec.key` for the result store,
-:func:`RunSpec.trace_key` for the trace artifact store) derive from — so
-the three can never silently disagree about what a "run" is.
+One frozen dataclass describes a run everywhere: the sim API executes it
+directly (``simulate(spec)``), the harness runs it as a sweep cell in a
+worker process, and both content-hash keys (:func:`RunSpec.key` for the
+result store, :func:`RunSpec.trace_key` for the trace artifact store)
+derive from it, so none of them can disagree about what a "run" is.
 
 Identity vs. execution: only ``workload``, ``predictor``, ``config``,
 ``num_ops`` and ``seed`` participate in the result-store key. The remaining
 fields (warmup, probes, invariant checking, interval metrics,
 ``trace_dir``) affect *how* a run executes or what it observes, not which
-cell it is — matching the pre-existing ``cell_key`` semantics.
+cell it is. A sweep therefore refuses cells that set warmup, probes,
+interval metrics or a front-end override, or that name an instance
+instead of a registry name (:meth:`repro.harness.sweep.SweepRunner.run`).
 """
 
 from __future__ import annotations

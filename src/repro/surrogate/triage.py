@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.common.atomicio import atomic_write_json
 from repro.common.env import env_choice, env_float, env_int
 from repro.harness import store as store_mod
+from repro.sim.spec import RunSpec
 
 #: Mode knob (CLI --surrogate overrides).
 ENV_MODE = "REPRO_SURROGATE"
@@ -222,18 +223,22 @@ class SurrogateTier:
         )
         self.store = store
 
-    def estimate(self, cell: "object") -> SurrogateEstimate:
-        """Score one cell (CellSpec-shaped: workload/predictor/config/…)."""
+    def estimate(self, cell: RunSpec) -> SurrogateEstimate:
+        """Score one cell.
+
+        The model sees the resolved config (``None`` would read as an
+        unknown config) and the raw store-key ``num_ops`` (0 = default).
+        """
         predicted = self.model.predict_cell(
-            cell.workload,
-            cell.predictor,
-            cell.config,
-            cell.num_ops,
+            cell.workload_name,
+            cell.predictor_label,
+            cell.resolved_config(),
+            cell.num_ops or 0,
             cell.seed,
         )
         return SurrogateEstimate(
-            workload=cell.workload,
-            predictor=cell.predictor,
+            workload=cell.workload_name,
+            predictor=cell.predictor_label,
             digest=cell.key().digest,
             ipc=predicted["ipc"],
             ipc_ci=predicted["ipc_ci"],
@@ -264,7 +269,7 @@ class SurrogateTier:
         )
 
     def triage(
-        self, cells: Sequence["object"]
+        self, cells: Sequence[RunSpec]
     ) -> Dict[str, SurrogateEstimate]:
         """Settled estimates by digest; unsettled cells are simply absent."""
         settled: Dict[str, SurrogateEstimate] = {}
@@ -277,7 +282,7 @@ class SurrogateTier:
         return settled
 
     def predict_all(
-        self, cells: Iterable["object"]
+        self, cells: Iterable[RunSpec]
     ) -> List[SurrogateEstimate]:
         """Unconditional estimates for every cell (the serving path)."""
         return [self.estimate(cell) for cell in cells]

@@ -10,18 +10,19 @@ import pytest
 
 from repro.core.pipeline import PipelineStats
 from repro.harness.chaos import ChaosEngine, FaultPlan, _flip_bit
-from repro.harness.executor import CellSpec, ProcessCellExecutor
+from repro.harness.executor import ProcessCellExecutor
 from repro.harness.failures import FailureKind
 from repro.harness.store import ResultStore
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 
 def _result_for(spec):
     return SimResult(
         workload=spec.workload,
         predictor=spec.predictor,
-        core=spec.config.name,
+        core=spec.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )
@@ -41,7 +42,7 @@ def executor(**kwargs):
     return ProcessCellExecutor(worker=_ok_worker, **kwargs)
 
 
-SPEC = CellSpec(workload="w", predictor="p", num_ops=100)
+SPEC = RunSpec(workload="w", predictor="p", num_ops=100)
 
 
 class TestWorkerFaults:
@@ -108,7 +109,7 @@ class TestWorkerFaults:
 
 class TestDeterminism:
     def specs(self, n):
-        return [CellSpec(workload=f"w{i}", predictor="p") for i in range(n)]
+        return [RunSpec(workload=f"w{i}", predictor="p") for i in range(n)]
 
     def test_same_seed_same_schedule(self):
         plan = FaultPlan(seed=3, crash_rate=0.5, hang_rate=0.2)
@@ -154,7 +155,7 @@ class TestDeterminism:
 
 class TestWriteFaults:
     def key_and_result(self):
-        spec = CellSpec(workload="w", predictor="p", num_ops=100)
+        spec = RunSpec(workload="w", predictor="p", num_ops=100)
         return spec.key(), _result_for(spec)
 
     def test_enospc_degrades_to_memory_tier(self, tmp_path):

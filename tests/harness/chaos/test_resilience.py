@@ -10,18 +10,19 @@ import os
 import time
 
 from repro.core.pipeline import PipelineStats
-from repro.harness.executor import CellSpec, ProcessCellExecutor
+from repro.harness.executor import ProcessCellExecutor
 from repro.harness.failures import EPHEMERAL_KINDS, CellFailure, FailureKind
 from repro.harness.store import ResultStore
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 
 def _result_for(spec):
     return SimResult(
         workload=spec.workload,
         predictor=spec.predictor,
-        core=spec.config.name,
+        core=spec.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )
@@ -57,7 +58,7 @@ def executor(worker, **kwargs):
 
 
 def specs(n, workload="w"):
-    return [CellSpec(workload=f"{workload}{i}", predictor="p") for i in range(n)]
+    return [RunSpec(workload=f"{workload}{i}", predictor="p") for i in range(n)]
 
 
 class TestDeadline:
@@ -83,7 +84,7 @@ class TestDeadline:
         )
         by_workload = {o.spec.workload: o for o in outcomes}
         assert by_workload["w0"].ok
-        assert store.get(CellSpec(workload="w0", predictor="p").key()) is not None
+        assert store.get(RunSpec(workload="w0", predictor="p").key()) is not None
         assert by_workload["w1"].failure.kind is FailureKind.DEADLINE
 
     def test_cut_cells_are_not_persisted_and_resume_pending(self, tmp_path):
@@ -108,7 +109,7 @@ class TestDeadline:
 class TestQuarantine:
     def test_durable_failure_skipped_with_original_in_detail(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        spec = CellSpec(workload="doomed", predictor="p")
+        spec = RunSpec(workload="doomed", predictor="p")
         executor(_crashing_worker, retries=1).run_many([spec], store=store)
         outcome = executor(_crashing_worker).run_many(
             [spec], store=store, quarantine=True
@@ -123,7 +124,7 @@ class TestQuarantine:
 
     def test_without_the_flag_the_cell_is_rejudged(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        spec = CellSpec(workload="doomed", predictor="p")
+        spec = RunSpec(workload="doomed", predictor="p")
         executor(_crashing_worker).run_many([spec], store=store)
         outcome = executor(_ok_worker).run_many([spec], store=store)[0]
         assert outcome.ok  # re-judged (and healed) without quarantine
@@ -131,7 +132,7 @@ class TestQuarantine:
 
     def test_quarantine_never_spawns_a_worker(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        spec = CellSpec(workload="doomed", predictor="p")
+        spec = RunSpec(workload="doomed", predictor="p")
         executor(_crashing_worker).run_many([spec], store=store)
         started = time.monotonic()
         executor(_slow_worker, timeout=30.0).run_many(
@@ -145,7 +146,7 @@ class TestCircuitBreaker:
         store = ResultStore(tmp_path / "store")
         # 4 cells of one workload, sequential so failures accumulate.
         population = [
-            CellSpec(workload="bad", predictor=f"p{i}") for i in range(4)
+            RunSpec(workload="bad", predictor=f"p{i}") for i in range(4)
         ]
         outcomes = executor(
             _per_workload_worker, workers=1, breaker_threshold=2
@@ -160,10 +161,10 @@ class TestCircuitBreaker:
 
     def test_other_workloads_unaffected(self):
         population = [
-            CellSpec(workload="bad", predictor="p0"),
-            CellSpec(workload="bad", predictor="p1"),
-            CellSpec(workload="bad", predictor="p2"),
-            CellSpec(workload="good", predictor="p0"),
+            RunSpec(workload="bad", predictor="p0"),
+            RunSpec(workload="bad", predictor="p1"),
+            RunSpec(workload="bad", predictor="p2"),
+            RunSpec(workload="good", predictor="p0"),
         ]
         outcomes = executor(
             _per_workload_worker, workers=1, breaker_threshold=2
@@ -175,8 +176,8 @@ class TestCircuitBreaker:
     def test_a_success_holds_the_breaker_open(self):
         # successes > 0 means the workload is not systematically broken.
         population = [
-            CellSpec(workload="good", predictor="p0"),
-            CellSpec(workload="bad", predictor="p0"),
+            RunSpec(workload="good", predictor="p0"),
+            RunSpec(workload="bad", predictor="p0"),
         ]
 
         def worker(conn, spec, check_invariants):
@@ -185,7 +186,7 @@ class TestCircuitBreaker:
             _ok_worker(conn, spec, check_invariants)
 
         outcomes = executor(worker, workers=1, breaker_threshold=1).run_many(
-            population + [CellSpec(workload="good", predictor="p1")]
+            population + [RunSpec(workload="good", predictor="p1")]
         )
         assert outcomes[2].ok  # "good" never trips
 

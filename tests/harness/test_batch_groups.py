@@ -20,7 +20,6 @@ from repro.core.pipeline import PipelineStats
 from repro.harness.chaos import FaultPlan
 from repro.harness.executor import (
     BatchGroup,
-    CellSpec,
     ProcessCellExecutor,
     _batch_group_worker,
 )
@@ -29,13 +28,14 @@ from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 
 def _result_for(cell):
     return SimResult(
         workload=cell.workload,
         predictor=cell.predictor,
-        core=cell.config.name,
+        core=cell.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )
@@ -82,7 +82,7 @@ def _crashing_solo_worker(conn, spec, check_invariants):
 
 def _group(n=4, workload="wl"):
     cells = tuple(
-        CellSpec(workload=workload, predictor=f"p{i}", num_ops=100)
+        RunSpec(workload=workload, predictor=f"p{i}", num_ops=100)
         for i in range(n)
     )
     return BatchGroup(cells=cells)
@@ -240,7 +240,7 @@ class TestSweepPlanning:
         runner = SweepRunner(store, ProcessCellExecutor(), precompile=False)
         cells = build_cells(["511.povray"], ["phast", "nosq"], num_ops=100)
         jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert all(isinstance(job, RunSpec) for job in jobs)
 
     def test_batch_cells_grouped_by_trace(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -267,7 +267,7 @@ class TestSweepPlanning:
         store.put(cells[0].key(), _result_for(cells[0]))
         jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
         groups = [job for job in jobs if isinstance(job, BatchGroup)]
-        solos = [job for job in jobs if isinstance(job, CellSpec)]
+        solos = [job for job in jobs if isinstance(job, RunSpec)]
         assert len(groups) == 1 and len(groups[0].cells) == 2
         assert [s.predictor for s in solos] == ["phast"]
 
@@ -278,7 +278,7 @@ class TestSweepPlanning:
             ["511.povray"], ["phast"], num_ops=100, backend="batch"
         )
         jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert all(isinstance(job, RunSpec) for job in jobs)
 
     def test_registered_names_and_variants_are_grouped(self, tmp_path):
         from repro.mdp.store_sets import StoreSetsPredictor
@@ -316,7 +316,7 @@ class TestSweepPlanning:
             ["511.povray"], ["phast", "nosq"], num_ops=100, backend="bogus"
         )
         jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
-        assert all(isinstance(job, CellSpec) for job in jobs)
+        assert all(isinstance(job, RunSpec) for job in jobs)
 
 
 class TestGroupWorkerBody:
@@ -326,7 +326,7 @@ class TestGroupWorkerBody:
         import multiprocessing
 
         cells = tuple(
-            CellSpec(workload="511.povray", predictor=p, num_ops=1500)
+            RunSpec(workload="511.povray", predictor=p, num_ops=1500)
             for p in ("ideal", "always-wait")
         )
         group = BatchGroup(cells=cells)

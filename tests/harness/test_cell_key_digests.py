@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import GENERATIONS, CoreConfig
-from repro.harness.executor import CellSpec
+from repro.harness.sweep import build_cells
 from repro.sim.simulator import BUILTIN_PREDICTORS
 from repro.sim.spec import RunSpec
 
@@ -58,9 +58,9 @@ def test_plain_name_key_is_pinned(fixture, core, name):
 
 @pytest.mark.parametrize("core,name", _cases(), ids=lambda v: str(v))
 def test_cell_spec_keys_like_run_spec(fixture, core, name):
-    cell = CellSpec(
-        workload=WORKLOAD, predictor=name, config=CORES[core], num_ops=NUM_OPS
-    )
+    # A sweep cell is the RunSpec that build_cells makes, with the config
+    # and op count spelled out; its key must match the plain RunSpec's.
+    (cell,) = build_cells([WORKLOAD], [name], config=CORES[core], num_ops=NUM_OPS)
     assert cell.key().digest == fixture["digests"][_case_id(core, name)]
 
 

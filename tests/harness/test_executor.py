@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.pipeline import PipelineStats
 from repro.harness.executor import (
-    CellSpec,
     ProcessCellExecutor,
+    _simulate_cell,
     default_retries,
     default_timeout,
     default_workers,
@@ -28,13 +28,14 @@ from repro.harness.failures import (
 from repro.harness.store import ResultStore
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 
 def _result_for(spec):
     return SimResult(
         workload=spec.workload,
         predictor=spec.predictor,
-        core=spec.config.name,
+        core=spec.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )
@@ -87,32 +88,23 @@ def executor(worker, **kwargs):
     return ProcessCellExecutor(worker=worker, **kwargs)
 
 
-SPEC = CellSpec(workload="w", predictor="p", num_ops=100)
+SPEC = RunSpec(workload="w", predictor="p", num_ops=100)
 
 
-class TestCellRunSpec:
-    def test_fields_map_onto_run_spec(self):
-        cell = CellSpec(
-            workload="511.povray", predictor="phast", num_ops=500, seed=2,
-            trace_dir="/tmp/traces",
-        )
-        spec = cell.run_spec(check_invariants=True)
-        assert spec.workload == "511.povray"
-        assert spec.predictor == "phast"
-        assert spec.config is cell.config
-        assert spec.num_ops == 500
-        assert spec.seed == 2
-        assert spec.check_invariants is True
-        assert spec.trace_dir == "/tmp/traces"
+class TestSimulateCell:
+    def test_executor_flag_replaces_the_spec_flag(self, monkeypatch):
+        # A wire spec may carry check_invariants; the executor's flag wins,
+        # and "off" defers to REPRO_CHECK_INVARIANTS rather than forcing False.
+        seen = []
 
-    def test_zero_num_ops_defers_to_default(self):
-        # CellSpec uses 0 for "default length"; RunSpec uses None.
-        spec = CellSpec(workload="w", predictor="p", num_ops=0).run_spec()
-        assert spec.num_ops is None
+        class Backend:
+            def run_streaming(self, spec, on_window, heartbeat_ops):
+                seen.append(spec.check_invariants)
 
-    def test_cell_and_run_spec_agree_on_the_store_key(self):
-        cell = CellSpec(workload="511.povray", predictor="phast", num_ops=500)
-        assert cell.run_spec().key() == cell.key()
+        monkeypatch.setattr("repro.sim.backends.get_backend", lambda name: Backend())
+        for flag, carried in ((False, True), (False, False), (True, None)):
+            _simulate_cell(RunSpec("w", "p", check_invariants=carried), flag)
+        assert seen == [None, None, True]
 
 
 class TestOutcomes:
@@ -149,7 +141,7 @@ class TestOutcomes:
         assert not outcome.failure.transient
 
     def test_transient_crash_succeeds_on_retry(self, tmp_path):
-        spec = CellSpec(workload=str(tmp_path / "flag"), predictor="p")
+        spec = RunSpec(workload=str(tmp_path / "flag"), predictor="p")
         outcome = executor(_flaky_worker, retries=2).run_one(spec)
         assert outcome.ok
         assert outcome.attempts == 2
@@ -163,7 +155,7 @@ class TestOutcomes:
 
 class TestRunMany:
     def specs(self, n):
-        return [CellSpec(workload=f"w{i}", predictor="p") for i in range(n)]
+        return [RunSpec(workload=f"w{i}", predictor="p") for i in range(n)]
 
     def test_order_preserved_with_parallel_workers(self):
         specs = self.specs(5)
@@ -188,7 +180,7 @@ class TestRunMany:
 
     def test_final_failure_persisted(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        spec = CellSpec(workload="doomed", predictor="p")
+        spec = RunSpec(workload="doomed", predictor="p")
         executor(_crashing_worker, retries=0).run_many([spec], store=store)
         failure = store.get_failure(spec.key())
         assert failure is not None
@@ -196,8 +188,8 @@ class TestRunMany:
 
     def test_one_bad_cell_never_aborts_the_rest(self):
         specs = [
-            CellSpec(workload="a", predictor="p"),
-            CellSpec(workload="b", predictor="p"),
+            RunSpec(workload="a", predictor="p"),
+            RunSpec(workload="b", predictor="p"),
         ]
 
         outcomes = executor(_mixed_worker, retries=0, workers=2).run_many(specs)
@@ -275,7 +267,7 @@ class TestHeartbeats:
 
     def test_manifest_round_trips_last_interval(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        spec = CellSpec(workload="hung", predictor="p")
+        spec = RunSpec(workload="hung", predictor="p")
         executor(_heartbeat_then_hang_worker, timeout=0.5, retries=0).run_many(
             [spec], store=store
         )

@@ -12,6 +12,7 @@ from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
+from repro.sim.spec import RunSpec
 
 
 def _ok_worker(conn, spec, check_invariants):
@@ -56,6 +57,45 @@ class TestBuildCells:
         config = CoreConfig()
         cells = build_cells(["a"], ["x", "y"], config=config)
         assert all(c.config is config for c in cells)
+
+    def test_cells_are_run_specs_with_explicit_config(self):
+        (cell,) = build_cells(["a"], ["x"])
+        assert isinstance(cell, RunSpec)
+        assert cell.config == CoreConfig()
+        assert cell.num_ops is None  # 0 and None both mean "the default"
+        assert cell.key() == RunSpec("a", "x").key()
+
+
+UNKEYED_FIELDS = (
+    "predictor", "workload", "probes", "branch_predictor", "warmup_ops", "interval_ops",
+)
+
+
+def _unkeyed_overrides():
+    from repro.core.probes import Probe
+    from repro.frontend.branch_predictors import BimodalPredictor
+    from repro.sim.simulator import make_predictor
+    from repro.workloads.spec2017 import workload
+
+    return {
+        "predictor": {"predictor": make_predictor("phast")},
+        "workload": {"workload": workload("511.povray")},
+        "probes": {"probes": (Probe(),)},
+        "branch_predictor": {"branch_predictor": BimodalPredictor()},
+        "warmup_ops": {"warmup_ops": 0},
+        "interval_ops": {"interval_ops": 100},
+    }
+
+
+class TestUnkeyedFields:
+    @pytest.mark.parametrize("field", UNKEYED_FIELDS)
+    def test_run_refuses_a_field_the_store_does_not_key(self, tmp_path, field):
+        sweeps = runner(tmp_path, _ok_worker)
+        spec = RunSpec("511.povray", "phast", num_ops=100)
+        cells = [spec, spec.with_overrides(**_unkeyed_overrides()[field])]
+        with pytest.raises(ValueError, match=f": {field} is not"):
+            sweeps.run(cells)
+        assert len(sweeps.store) == 0  # refused before anything ran
 
 
 class TestSweepRuns:

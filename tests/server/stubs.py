@@ -24,7 +24,7 @@ def fabricate_result(cell) -> SimResult:
     return SimResult(
         workload=cell.workload,
         predictor=cell.predictor,
-        core=cell.config.name,
+        core=cell.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )

@@ -129,6 +129,33 @@ class TestCancellationRaces:
             manager.close()
 
 
+class TestDispatch:
+    def test_job_runs_its_submitted_specs_under_its_flag(self, tmp_path):
+        flags, dispatched = [], []
+
+        class Recording(FabricatingExecutor):
+            def run_many(self, jobs, **kwargs):
+                for job in jobs:
+                    dispatched.extend(getattr(job, "cells", (job,)))
+                return super().run_many(jobs, **kwargs)
+
+        def factory(check_invariants):
+            flags.append(check_invariants)
+            return Recording()
+
+        manager = _manager(tmp_path, factory)
+        try:
+            job, _ = manager.submit(_specs(seed=5), check_invariants=True)
+            _wait_done(job)
+        finally:
+            manager.close()
+        assert job.state == "completed"
+        assert job.check_invariants is True and flags == [True]
+        assert sorted(spec.predictor for spec in dispatched) == ["ideal", "phast"]
+        # The submitted specs themselves, not a grid rebuilt from them.
+        assert all(spec.config is None for spec in dispatched)
+
+
 class TestEventVisibility:
     def test_first_heartbeat_emits_running_cell_event(self, tmp_path):
         """Replaying the log must observe the pending→running transition."""

@@ -34,7 +34,7 @@ def _instant_worker(conn, spec, check_invariants):
     result = SimResult(
         workload=spec.workload,
         predictor=spec.predictor,
-        core=spec.config.name,
+        core=spec.resolved_config().name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )

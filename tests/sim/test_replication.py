@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness.store import ResultStore
+from repro.core.config import CoreConfig
+from repro.harness.store import ResultStore, cell_key
 from repro.sim.replication import (
     ReplicatedMetric,
     WeightedMetric,
@@ -95,6 +96,17 @@ class TestReplicate:
         assert len(store) == 4
         fresh = replicate("511.povray", "phast", replicas=2, num_ops=2500)
         assert plain.samples == fresh.samples
+
+    def test_store_digests_match_the_cell_key_oracle(self, tmp_path):
+        # Each replica is filed under the cell key of its own name and seed.
+        store = ResultStore(tmp_path / "store")
+        replicate("502.gcc_1", "phast", replicas=3, num_ops=2500, store=store)
+        oracle = {
+            cell_key(replica.name, "phast", CoreConfig(), 2500, replica.seed).digest
+            for replica in seed_replicas("502.gcc_1", 3)
+        }
+        stored = {path.stem for path in store.results_dir.glob("*.json")}
+        assert stored == oracle
 
     def test_paired_speedup(self):
         metric = replicated_speedup(

@@ -11,8 +11,10 @@ import json
 import pytest
 
 from repro.common.env import EnvVarError
+from repro.core.config import CoreConfig
 from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
+from repro.sim.spec import RunSpec
 from repro.surrogate.triage import (
     SurrogateEstimate,
     SurrogateStore,
@@ -94,6 +96,27 @@ class TestTierSemantics:
         estimates = tier.predict_all(_cells(predictors=["phast", "ideal"]))
         assert len(estimates) == len(WORKLOADS) * 2
         assert all(e.to_dict()["surrogate"] is True for e in estimates)
+
+    def test_default_config_scores_like_an_explicit_one(self, trained):
+        # The model reads config=None as "unknown config" (cfg_unknown) and
+        # takes the store key's raw op count, 0 for "the default length".
+        # A model trained on known configs only gives cfg_unknown no weight,
+        # so the arguments themselves are checked, not just the estimates.
+        _, _, model = trained
+        calls = []
+
+        class Recording:
+            def predict_cell(self, *args):
+                calls.append(args)
+                return model.predict_cell(*args)
+
+        tier = SurrogateTier(Recording(), mode="off")
+        implicit = tier.estimate(RunSpec(WORKLOADS[0], "phast"))
+        explicit = tier.estimate(
+            RunSpec(WORKLOADS[0], "phast", config=CoreConfig(), num_ops=None)
+        )
+        assert implicit == explicit
+        assert calls[0] == calls[1] == (WORKLOADS[0], "phast", CoreConfig(), 0, None)
 
     def test_load_tier_rejects_missing_model(self, tmp_path):
         from repro.surrogate.model import SurrogateError

@@ -90,19 +90,89 @@ def trace_key(profile, num_ops: int) -> TraceKey:
     return TraceKey(digest=digest, describe=describe)
 
 
-class TraceStore:
-    """Content-addressed, crash-safe store of compiled binary traces."""
+class _SidecarStore:
+    """Artifacts ``<digest><suffix>``, each with a JSON metadata sidecar
+    ``<digest><meta_suffix>``; subclasses supply the suffixes and ``load``."""
+
+    #: Label used in degradation warnings.
+    kind: str
+    suffix: str
+    meta_suffix = ".json"
+    #: Sidecar fields that order :meth:`entries`.
+    sort_fields: Tuple[str, str]
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
 
-    # ------------------------------------------------------------- paths --
-
-    def trace_path(self, key: TraceKey) -> Path:
-        return self.root / f"{key.digest}.rtb"
+    def artifact_path(self, key: TraceKey) -> Path:
+        return self.root / f"{key.digest}{self.suffix}"
 
     def meta_path(self, key: TraceKey) -> Path:
-        return self.root / f"{key.digest}.json"
+        return self.root / f"{key.digest}{self.meta_suffix}"
+
+    def save(self, key: TraceKey, data: bytes) -> Optional[Path]:
+        """Persist one encoded artifact atomically, with a sidecar.
+
+        Artifacts are rebuildable caches, so a write refused by the disk
+        (ENOSPC, EIO) degrades to ``None`` with a warning instead of
+        crashing the campaign that produced it.
+        """
+        meta = {"key": key.digest, **dict(key.describe), "bytes": len(data)}
+        try:
+            path = atomic_write_bytes(self.artifact_path(key), data)
+            atomic_write_json(self.meta_path(key), meta)
+        except OSError as error:
+            logger.warning(
+                "%s store degraded: could not persist %s (%s)",
+                self.kind,
+                key.short,
+                error,
+            )
+            return None
+        return path
+
+    def entries(self) -> List[Dict[str, object]]:
+        """Metadata sidecars of every artifact, ordered by ``sort_fields``.
+
+        Only this store's own sidecars are listed: a trace store sharing a
+        directory with a checkpoint store skips ``<digest>.ckpt.json``.
+        """
+        found: List[Dict[str, object]] = []
+        try:
+            meta_files = sorted(self.root.glob(f"*{self.meta_suffix}"))
+        except OSError:
+            return found
+        for meta_file in meta_files:
+            if "." in meta_file.name[: -len(self.meta_suffix)]:
+                continue
+            try:
+                entry = json.loads(meta_file.read_text())
+            except (OSError, ValueError):
+                continue
+            if isinstance(entry, dict) and "key" in entry:
+                found.append(entry)
+        first, second = self.sort_fields
+        found.sort(key=lambda e: (str(e.get(first)), e.get(second, 0)))
+        return found
+
+    def __len__(self) -> int:
+        try:
+            return sum(1 for _ in self.root.glob(f"*{self.suffix}"))
+        except OSError:
+            return 0
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self.root)!r})"
+
+
+class TraceStore(_SidecarStore):
+    """Content-addressed, crash-safe store of compiled binary traces."""
+
+    kind = "trace"
+    suffix = ".rtb"
+    sort_fields = ("workload", "num_ops")
+
+    trace_path = _SidecarStore.artifact_path
 
     @property
     def rebuilds_dir(self) -> Path:
@@ -130,31 +200,8 @@ class TraceStore:
         return trace
 
     def save(self, key: TraceKey, trace: Trace) -> Optional[Path]:
-        """Persist one compiled trace atomically, with a metadata sidecar.
-
-        An artifact is a *cache* — it can always be rebuilt — so a write
-        refused by the disk (ENOSPC, EIO) degrades to ``None`` with a
-        warning instead of crashing the campaign that tried to save it.
-        """
-        data = dumps_trace_binary(trace)
-        try:
-            path = atomic_write_bytes(self.trace_path(key), data)
-            atomic_write_json(
-                self.meta_path(key),
-                {
-                    "key": key.digest,
-                    **dict(key.describe),
-                    "bytes": len(data),
-                },
-            )
-        except OSError as error:
-            logger.warning(
-                "trace store degraded: could not persist artifact %s (%s)",
-                key.short,
-                error,
-            )
-            return None
-        return path
+        """Persist one compiled trace atomically, with a metadata sidecar."""
+        return super().save(key, dumps_trace_binary(trace))
 
     def contains(self, key: TraceKey) -> bool:
         return self.load(key) is not None
@@ -215,23 +262,6 @@ class TraceStore:
 
     # ------------------------------------------------------------- survey --
 
-    def entries(self) -> List[Dict[str, object]]:
-        """Metadata sidecars of every artifact, sorted by workload/length."""
-        found: List[Dict[str, object]] = []
-        try:
-            meta_files = sorted(self.root.glob("*.json"))
-        except OSError:
-            return found
-        for meta_file in meta_files:
-            try:
-                entry = json.loads(meta_file.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(entry, dict) and "key" in entry:
-                found.append(entry)
-        found.sort(key=lambda e: (str(e.get("workload")), e.get("num_ops", 0)))
-        return found
-
     def verify(self) -> List[str]:
         """Decode every artifact; returns a list of problems (empty = clean).
 
@@ -259,17 +289,6 @@ class TraceStore:
                     f"sidecar says {entry.get('num_ops')}"
                 )
         return problems
-
-    # -------------------------------------------------------------- misc --
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for _ in self.root.glob("*.rtb"))
-        except OSError:
-            return 0
-
-    def __repr__(self) -> str:
-        return f"TraceStore({str(self.root)!r})"
 
 
 def checkpoint_key(
@@ -308,7 +327,7 @@ def checkpoint_key(
     return TraceKey(digest=digest, describe=describe)
 
 
-class CheckpointStore:
+class CheckpointStore(_SidecarStore):
     """Content-addressed, crash-safe store of machine-state checkpoints.
 
     Same contract as :class:`TraceStore`, but the payload is opaque bytes:
@@ -318,77 +337,20 @@ class CheckpointStore:
     guarantees atomic writes and missing/unreadable-file-as-miss reads.
     """
 
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-
-    def checkpoint_path(self, key: TraceKey) -> Path:
-        return self.root / f"{key.digest}.ckpt"
-
-    def meta_path(self, key: TraceKey) -> Path:
-        return self.root / f"{key.digest}.ckpt.json"
+    kind = "checkpoint"
+    suffix = ".ckpt"
+    meta_suffix = ".ckpt.json"
+    sort_fields = ("trace_digest", "op_index")
 
     def load(self, key: TraceKey) -> Optional[bytes]:
         """The stored artifact bytes, or None when missing/unreadable."""
         try:
-            return self.checkpoint_path(key).read_bytes()
+            return self.artifact_path(key).read_bytes()
         except OSError:
             return None
-
-    def save(self, key: TraceKey, data: bytes) -> Optional[Path]:
-        """Persist one encoded checkpoint atomically, with a sidecar.
-
-        Checkpoints, like traces, are rebuildable caches: a refused write
-        (disk full) degrades to ``None`` with a warning — the sampled run
-        simply re-warms next time — instead of aborting the run that
-        produced the state.
-        """
-        try:
-            path = atomic_write_bytes(self.checkpoint_path(key), data)
-            atomic_write_json(
-                self.meta_path(key),
-                {
-                    "key": key.digest,
-                    **dict(key.describe),
-                    "bytes": len(data),
-                },
-            )
-        except OSError as error:
-            logger.warning(
-                "checkpoint store degraded: could not persist %s (%s)",
-                key.short,
-                error,
-            )
-            return None
-        return path
 
     def contains(self, key: TraceKey) -> bool:
-        return self.checkpoint_path(key).is_file()
-
-    def entries(self) -> List[Dict[str, object]]:
-        """Metadata sidecars of every checkpoint, sorted by trace/op index."""
-        found: List[Dict[str, object]] = []
-        try:
-            meta_files = sorted(self.root.glob("*.ckpt.json"))
-        except OSError:
-            return found
-        for meta_file in meta_files:
-            try:
-                entry = json.loads(meta_file.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(entry, dict) and "key" in entry:
-                found.append(entry)
-        found.sort(key=lambda e: (str(e.get("trace_digest")), e.get("op_index", 0)))
-        return found
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for _ in self.root.glob("*.ckpt"))
-        except OSError:
-            return 0
-
-    def __repr__(self) -> str:
-        return f"CheckpointStore({str(self.root)!r})"
+        return self.artifact_path(key).is_file()
 
 
 def default_trace_store() -> Optional[TraceStore]:

@@ -5,9 +5,10 @@ under the frozen schema in :mod:`repro.surrogate.features`. Two sources
 produce *identical* rows for the same cell:
 
 * a :class:`~repro.harness.store.ResultStore` directory — every entry is
-  validated exactly like ``ResultStore.get`` (schema, code version, CRC),
-  so a corrupted entry is silently skipped rather than poisoning the
-  dataset; and
+  read through the same reader as ``ResultStore.get``
+  (:func:`repro.common.entries.read_entry`: schema, code version, key,
+  CRC), so a corrupted entry is skipped and counted rather than poisoning
+  the dataset; and
 * provenance records emitted by ``repro export --provenance`` — these
   carry the full RunSpec wire dict, so the exact CoreConfig is available
   even for cells whose fingerprint matches no known preset.
@@ -24,21 +25,19 @@ That ordering is what makes the artifact byte-identical across rebuilds
 (including from a store written by a sharded multi-server run) and keeps
 held-out error estimates honest.
 
-The saved artifact mirrors the ResultStore entry contract: a versioned
-JSON record with a CRC32 guard, loaded with every corruption mode reading
-as a miss (``load_dataset`` returns ``None``).
+The saved artifact is a sealed artifact of :mod:`repro.common.entries`
+(versioned payload, content digest, CRC32; ``docs/harness.md`` describes
+the format), loaded with every corruption mode reading as a miss
+(``load_dataset`` returns ``None``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.common.atomicio import atomic_write_text
+from repro.common.entries import read_entry, read_sealed, seal, write_sealed
 from repro.core.config import GENERATIONS, CoreConfig
 from repro.harness import store as store_mod
 from repro.surrogate.features import (
@@ -96,24 +95,17 @@ def split_for_digest(digest: str) -> str:
     return "train"
 
 
-def _record_from_entry(
-    entry: Mapping[str, object], digest: str
-) -> Optional[SourceRecord]:
-    """Validate one store entry exactly like ``ResultStore.get`` does."""
+def _read_store_record(path: Path) -> Optional[SourceRecord]:
+    """One store entry, checked exactly as ``ResultStore.get`` checks it."""
+    entry = read_entry(path, "result", **store_mod.entry_header(path.stem))
+    if entry is None:
+        return None
     try:
-        if entry["schema"] != store_mod.SCHEMA_VERSION:
-            return None
-        if entry["code_version"] != store_mod.CODE_VERSION:
-            return None
-        if entry["key"] != digest:
-            return None
-        if entry["crc32"] != store_mod._record_crc(entry["result"]):
-            return None
         cell = entry["cell"]
         result = entry["result"]
         seed = cell["seed"]
         return SourceRecord(
-            digest=digest,
+            digest=path.stem,
             workload=str(cell["workload"]),
             predictor=str(cell["predictor"]),
             core=str(cell["core"]),
@@ -144,12 +136,7 @@ def extract_store_records(
     if not results_dir.is_dir():
         return records, skipped
     for path in sorted(results_dir.glob("*.json")):
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            skipped += 1
-            continue
-        record = _record_from_entry(entry, path.stem)
+        record = _read_store_record(path)
         if record is None:
             skipped += 1
         else:
@@ -236,14 +223,7 @@ class Dataset:
 
     def save(self, destination: Union[str, Path]) -> Path:
         """Write the artifact atomically; directories get the canonical name."""
-        target = Path(destination)
-        if target.suffix != ".json":
-            target = target / f"dataset-{self.content_sha256[:12]}.json"
-        entry = dict(self.payload)
-        entry["crc32"] = store_mod._record_crc(self.payload)
-        return atomic_write_text(
-            target, json.dumps(entry, sort_keys=True, indent=2) + "\n"
-        )
+        return write_sealed(destination, self.payload, "dataset")
 
 
 def build_dataset(
@@ -306,9 +286,7 @@ def build_dataset(
         "splits": counts,
         "source": {"records": len(rows), "skipped": skipped},
     }
-    blob = json.dumps(payload, sort_keys=True)
-    payload["content_sha256"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return Dataset(payload=payload)
+    return Dataset(payload=seal(payload))
 
 
 def build_store_dataset(store_root: Union[str, Path]) -> Dataset:
@@ -320,33 +298,14 @@ def build_store_dataset(store_root: Union[str, Path]) -> Dataset:
 def load_dataset(path: Union[str, Path]) -> Optional[Dataset]:
     """Load an artifact, or ``None`` on any corruption mode.
 
-    Missing file, invalid JSON, schema or feature-schema mismatch, CRC
-    mismatch, and shape drift all read as a miss — the caller rebuilds,
-    exactly like a corrupted store entry re-simulates.
+    Missing file, invalid JSON, a schema, feature-schema or feature-name
+    mismatch, a CRC or content-digest mismatch all read as a miss — the
+    caller rebuilds, exactly like a corrupted store entry re-simulates.
     """
-    try:
-        entry = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
-    try:
-        crc = entry.pop("crc32")
-        if entry["schema"] != DATASET_SCHEMA:
-            return None
-        if entry["feature_schema"] != FEATURE_SCHEMA_VERSION:
-            return None
-        if crc != store_mod._record_crc(entry):
-            return None
-        blob_payload = {
-            key: value
-            for key, value in entry.items()
-            if key != "content_sha256"
-        }
-        blob = json.dumps(blob_payload, sort_keys=True)
-        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        if digest != entry["content_sha256"]:
-            return None
-        if entry["feature_names"] != feature_names():
-            return None
-        return Dataset(payload=entry)
-    except (KeyError, TypeError, ValueError):
-        return None
+    payload = read_sealed(
+        path,
+        schema=DATASET_SCHEMA,
+        feature_schema=FEATURE_SCHEMA_VERSION,
+        feature_names=feature_names(),
+    )
+    return None if payload is None else Dataset(payload=payload)

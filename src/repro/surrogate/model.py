@@ -17,23 +17,21 @@ a hashed predictor bucket the model never saw carries near-zero weight in
 exactly the case where the interval must not be trusted. Novel cells are
 never settled in triage mode.
 
-The artifact mirrors the ResultStore contract — versioned JSON, CRC32
-guard, content digest — and every corruption mode loads as a miss.
+The artifact is a sealed artifact of :mod:`repro.common.entries` —
+versioned JSON, content digest, CRC32 guard (``docs/harness.md``
+describes the format) — and every corruption mode loads as a miss.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as _np
 
-from repro.common.atomicio import atomic_write_text
+from repro.common.entries import read_sealed, seal, write_sealed
 from repro.core.config import CoreConfig
-from repro.harness import store as store_mod
 from repro.surrogate.dataset import TARGETS, Dataset
 from repro.surrogate.features import (
     FEATURE_SCHEMA_VERSION,
@@ -211,14 +209,7 @@ class SurrogateModel:
     # --------------------------------------------------------- persistence --
 
     def save(self, destination: Union[str, Path]) -> Path:
-        target = Path(destination)
-        if target.suffix != ".json":
-            target = target / f"model-{self.content_sha256[:12]}.json"
-        entry = dict(self.payload)
-        entry["crc32"] = store_mod._record_crc(self.payload)
-        return atomic_write_text(
-            target, json.dumps(entry, sort_keys=True, indent=2) + "\n"
-        )
+        return write_sealed(destination, self.payload, "model")
 
 
 def _fit_members(
@@ -327,7 +318,7 @@ def train_model(
         },
         "eval": None,
     }
-    model = SurrogateModel(_seal(payload))
+    model = SurrogateModel(seal(payload))
     # Calibrate: studentized residuals on the disjoint calib split. With no
     # calib rows we fall back to train residuals — optimistic, so flagged.
     conformal: Dict[str, Dict[str, object]] = {}
@@ -355,45 +346,25 @@ def train_model(
             "clamped": bool(clamped or not calib_rows),
         }
     payload["conformal"] = conformal
-    model = SurrogateModel(_seal(payload))
+    model = SurrogateModel(seal(payload))
     if dataset.rows_for("heldout"):
         payload["eval"] = model.evaluate(dataset, "heldout")
-        model = SurrogateModel(_seal(payload))
+        model = SurrogateModel(seal(payload))
     return model
-
-
-def _seal(payload: Dict[str, object]) -> Dict[str, object]:
-    """Recompute the content digest after payload mutation."""
-    body = {k: v for k, v in payload.items() if k != "content_sha256"}
-    blob = json.dumps(body, sort_keys=True)
-    sealed = dict(payload)
-    sealed["content_sha256"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return sealed
 
 
 def load_model(path: Union[str, Path]) -> Optional[SurrogateModel]:
     """Load a model artifact, or ``None`` on any corruption mode."""
-    try:
-        entry = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
+    payload = read_sealed(
+        path,
+        schema=MODEL_SCHEMA,
+        feature_schema=FEATURE_SCHEMA_VERSION,
+        feature_names=feature_names(),
+    )
+    if payload is None:
         return None
     try:
-        crc = entry.pop("crc32")
-        if entry["schema"] != MODEL_SCHEMA:
-            return None
-        if entry["feature_schema"] != FEATURE_SCHEMA_VERSION:
-            return None
-        if crc != store_mod._record_crc(entry):
-            return None
-        body = {k: v for k, v in entry.items() if k != "content_sha256"}
-        blob = json.dumps(body, sort_keys=True)
-        if hashlib.sha256(blob.encode("utf-8")).hexdigest() != entry[
-            "content_sha256"
-        ]:
-            return None
-        if entry["feature_names"] != feature_names():
-            return None
-        return SurrogateModel(entry)
+        return SurrogateModel(payload)
     except (KeyError, TypeError, ValueError):
         return None
 

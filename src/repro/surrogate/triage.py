@@ -9,8 +9,9 @@ detailed results of a triaged sweep are bit-identical to a full run's.
 
 Settled estimates live in their own store namespace, ``<root>/surrogate/``
 — never in ``<root>/results/`` — so nothing downstream can mistake a
-prediction for a simulation. Entries carry the usual schema + CRC guard
-and read as misses on any corruption.
+prediction for a simulation. Entries use the framed format shared with
+the result store (:mod:`repro.common.entries`) and read as misses on any
+corruption.
 
 Modes (``--surrogate`` / ``REPRO_SURROGATE``):
 
@@ -24,15 +25,16 @@ All threshold knobs are validated through :mod:`repro.common.env`.
 
 from __future__ import annotations
 
-import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.common.atomicio import atomic_write_json
+from repro.common.entries import read_entry, write_entry
 from repro.common.env import env_choice, env_float, env_int
-from repro.harness import store as store_mod
 from repro.sim.spec import RunSpec
+
+logger = logging.getLogger(__name__)
 
 #: Mode knob (CLI --surrogate overrides).
 ENV_MODE = "REPRO_SURROGATE"
@@ -149,10 +151,11 @@ class SurrogateEstimate:
 class SurrogateStore:
     """Persisted estimates, in a namespace apart from detailed results.
 
-    Same durability contract as :class:`~repro.harness.store.ResultStore`:
-    atomic writes, CRC-guarded entries, and every corruption mode (missing
-    file, truncation, schema or CRC mismatch, shape drift) reads as a miss.
-    An ``OSError`` on put is swallowed — estimates are always recomputable.
+    Entries are framed entries of :mod:`repro.common.entries`, like
+    :class:`~repro.harness.store.ResultStore`'s: every corruption mode
+    (missing file, truncation, a schema, key or CRC mismatch, shape drift)
+    reads as a miss. An ``OSError`` on put is logged and the estimate
+    dropped — estimates are always recomputable.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -166,30 +169,29 @@ class SurrogateStore:
         return self.estimates_dir / f"{digest}.json"
 
     def put(self, estimate: SurrogateEstimate) -> Optional[Path]:
-        record = estimate.to_dict()
-        entry = {
-            "schema": SURROGATE_SCHEMA,
-            "key": estimate.digest,
-            "estimate": record,
-            "crc32": store_mod._record_crc(record),
-        }
         try:
-            return atomic_write_json(self.path_for(estimate.digest), entry)
-        except OSError:
+            return write_entry(
+                self.path_for(estimate.digest),
+                {"schema": SURROGATE_SCHEMA, "key": estimate.digest},
+                "estimate",
+                estimate.to_dict(),
+            )
+        except OSError as error:
+            logger.warning(
+                "surrogate store %s degraded: could not persist estimate %s (%s)",
+                self.root,
+                estimate.digest[:12],
+                error,
+            )
             return None
 
     def get(self, digest: str) -> Optional[SurrogateEstimate]:
-        try:
-            entry = json.loads(self.path_for(digest).read_text())
-        except (OSError, ValueError):
+        entry = read_entry(
+            self.path_for(digest), "estimate", schema=SURROGATE_SCHEMA, key=digest
+        )
+        if entry is None:
             return None
         try:
-            if entry["schema"] != SURROGATE_SCHEMA:
-                return None
-            if entry["key"] != digest:
-                return None
-            if entry["crc32"] != store_mod._record_crc(entry["estimate"]):
-                return None
             return SurrogateEstimate.from_dict(entry["estimate"])
         except (KeyError, TypeError, ValueError):
             return None

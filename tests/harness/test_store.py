@@ -156,6 +156,27 @@ class TestFailures:
         store.failure_path(KEY).write_text("{broken")
         assert store.get_failure(KEY) is None
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("key", "0" * 64),
+            ("schema", SCHEMA_VERSION + 1),
+            ("code_version", CODE_VERSION + "-stale"),
+        ],
+        ids=["key", "schema", "code_version"],
+    )
+    def test_mismatched_header_reads_as_none(self, store, field, value):
+        # Failures are read under the same header checks as results, so a
+        # failure copied under another digest or left by an older build
+        # neither blocks the cell nor counts it as failed.
+        store.put_failure(KEY, self.failure())
+        path = store.failure_path(KEY)
+        entry = json.loads(path.read_text())
+        entry[field] = value
+        path.write_text(json.dumps(entry))
+        assert store.get_failure(KEY) is None
+        assert store.status([KEY]).pending == 1
+
     def test_manifest_round_trip(self, store):
         store.write_manifest([self.failure()], extra={"cells": 9})
         manifest = store.read_manifest()

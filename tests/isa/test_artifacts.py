@@ -6,7 +6,9 @@ import pytest
 
 from repro.isa.artifacts import (
     ENV_TRACE_STORE,
+    CheckpointStore,
     TraceStore,
+    checkpoint_key,
     default_trace_store,
     trace_key,
 )
@@ -153,6 +155,20 @@ class TestSurvey:
         problems = store.verify()
         assert len(problems) == 1
         assert key.short in problems[0]
+
+    def test_shared_root_with_checkpoints(self, store, profile):
+        # A sampled run may point --trace-store and --checkpoint-store at
+        # one directory; the trace survey must not read checkpoint sidecars
+        # as traces with a missing artifact.
+        key = trace_key(profile, OPS)
+        store.compile(profile, OPS)
+        CheckpointStore(store.root).save(
+            checkpoint_key({"predictor": "phast"}, key.digest, OPS // 2, 1, 1),
+            b"state",
+        )
+        assert [entry["key"] for entry in store.entries()] == [key.digest]
+        assert len(CheckpointStore(store.root).entries()) == 1
+        assert store.verify() == []
 
     def test_verify_flags_missing_artifact(self, store, profile):
         key = trace_key(profile, OPS)

@@ -7,6 +7,7 @@ about store bytes, not floating-point luck.
 """
 
 import json
+import logging
 
 import pytest
 
@@ -161,6 +162,18 @@ class TestSurrogateStore:
 
         path.write_text(path.read_text()[:25])
         assert store.get(estimate.digest) is None
+
+    def test_refused_write_is_logged(self, tmp_path, caplog):
+        # A file where the namespace directory should be makes every put
+        # fail with an OSError.
+        (tmp_path / "surrogate").write_text("not a directory")
+        store = SurrogateStore(tmp_path)
+        estimate = self._estimate()
+        with caplog.at_level(logging.WARNING, logger="repro.surrogate.triage"):
+            assert store.put(estimate) is None
+        (record,) = caplog.records
+        assert str(tmp_path) in record.getMessage()
+        assert estimate.digest[:12] in record.getMessage()
 
     def test_detagged_record_is_rejected(self, tmp_path):
         record = self._estimate().to_dict()

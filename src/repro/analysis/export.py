@@ -20,11 +20,6 @@ def result_to_dict(result: SimResult) -> Dict[str, object]:
     return result.to_record()
 
 
-def record_to_result(record: Dict[str, object]) -> SimResult:
-    """Inverse of :func:`result_to_dict` (derived metrics are recomputed)."""
-    return SimResult.from_record(record)
-
-
 def results_to_records(results: Iterable[SimResult]) -> List[Dict[str, object]]:
     """Many results -> list of flat records (one per simulation)."""
     return [result_to_dict(result) for result in results]

@@ -120,6 +120,15 @@ def _workloads(args: argparse.Namespace) -> List[str]:
     return args.workloads.split(",") if args.workloads else spec_suite(args.subset)
 
 
+def _known_workloads(args: argparse.Namespace) -> List[str]:
+    """:func:`_workloads`, refusing a name that is not a SPEC profile."""
+    names = _workloads(args)
+    for name in names:
+        if name not in SPEC_PROFILES:
+            raise SystemExit(f"unknown workload {name!r}")
+    return names
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     result = simulate(
         RunSpec(
@@ -304,10 +313,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_trace_compile(args: argparse.Namespace) -> int:
     store = TraceStore(args.store)
-    names = _workloads(args)
-    for name in names:
-        if name not in SPEC_PROFILES:
-            raise SystemExit(f"unknown workload {name!r}")
+    names = _known_workloads(args)
     built = loaded = 0
     for name in names:
         profile = workload(name, seed=args.seed)
@@ -550,11 +556,11 @@ def _cmd_surrogate_eval(args: argparse.Namespace) -> int:
 def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
     from repro.surrogate.model import SurrogateError, load_model
 
+    workloads = _known_workloads(args)
+    predictors = _predictors(args)
     model = load_model(args.model)
     if model is None:
         raise SystemExit(f"model at {args.model} is missing or corrupt")
-    workloads = _workloads(args)
-    predictors = _split_predictors(args.predictors)
     config = _core_config(args.core)
     estimates = []
     try:

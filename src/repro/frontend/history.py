@@ -183,11 +183,6 @@ class GlobalHistory:
             self.nosq.append(record, position)
         return record
 
-    def divergent_count_at(self, snapshot: int) -> int:
-        """Divergent branches decoded before ``snapshot`` (the paper's global
-        decode-time counter used to derive history lengths on conflicts)."""
-        return self.divergent.count_before(snapshot)
-
     def checkpoint_digest(self) -> int:
         """Cheap semantic digest of the log (checkpoint restore self-check).
 

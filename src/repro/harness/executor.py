@@ -40,7 +40,7 @@ import time
 import traceback
 from dataclasses import dataclass, replace
 from multiprocessing import connection, get_context
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.env import env_float, env_int
 from repro.harness.chaos import ChaosEngine, ChaosJob, _chaos_worker
@@ -127,6 +127,21 @@ class BatchGroup:
                 "cells": [cell.describe() for cell in self.cells],
             }
         }
+
+
+def window_cell(job, window: Dict[str, object]):
+    """The cell a streamed heartbeat ``window`` of ``job`` belongs to.
+
+    A solo job's windows are its own; a :class:`BatchGroup`'s windows name
+    their cell by index (``window["cell"]``). None when a group's window
+    carries no index, or one outside the group.
+    """
+    if not isinstance(job, BatchGroup):
+        return job
+    index = window.get("cell")
+    if index is None or not 0 <= index < len(job.cells):
+        return None
+    return job.cells[index]
 
 
 @dataclass
@@ -545,20 +560,21 @@ class ProcessCellExecutor:
         self,
         specs: Sequence[RunSpec],
         store: Optional[ResultStore] = None,
-        resume: bool = True,
+        successes: Optional[Mapping[object, int]] = None,
         progress: Optional[Callable[[CellOutcome], None]] = None,
         chaos: Optional[ChaosEngine] = None,
         deadline: Optional[float] = None,
-        quarantine: bool = False,
         heartbeat: Optional[Callable] = None,
         stop=None,
     ) -> List[CellOutcome]:
-        """Run every cell; never raises for a failing cell.
+        """Run every job; never raises for a failing cell.
 
-        With a ``store`` and ``resume=True``, cells whose results are already
-        durable are returned as cache hits without spawning a worker; fresh
-        results and final failures are persisted as they complete, so a
-        killed sweep resumes from its last finished cell.
+        The executor isolates, retries and persists: every job it is given
+        runs, and it never reads ``store``. Which cells need running at all
+        — resume, quarantine, leases, surrogate triage — is decided before
+        the call, by :meth:`~repro.harness.sweep.SweepRunner.run`. With a
+        ``store``, fresh results and final failures are persisted as they
+        settle, so a killed sweep resumes from its last finished cell.
 
         ``specs`` may be any picklable jobs (not just :class:`RunSpec`)
         when a matching custom ``worker=`` was given at construction;
@@ -571,33 +587,34 @@ class ProcessCellExecutor:
         cells the group worker did not finish (crash, timeout, in-band
         per-cell failure) are retried as *solo* cells — their outcomes are
         **appended after** the per-spec outcomes, so with groups present
-        the returned list can be longer than ``specs``. Group jobs skip
-        the resume/quarantine store checks; the planner only groups cells
-        it already knows are pending.
+        the returned list can be longer than ``specs``.
 
-        Campaign-level policies:
+        Campaign-level policies applied here:
 
         * ``deadline`` — a wall-clock budget (seconds) for this whole call.
           When it expires, in-flight workers are killed and everything not
           yet finished settles with kind ``deadline``. Cut cells are *not*
           persisted as failures: everything completed is in the store, and
           a resumed run picks the cut cells up as pending.
-        * ``quarantine`` — cells with a durable failure record in the store
-          settle immediately with kind ``quarantined`` (carrying the
-          original failure in ``detail``) instead of re-burning their
-          retries; clear the failure entry (or run without ``quarantine``)
-          to re-judge them.
+        * the circuit breaker (``breaker_threshold`` at construction) —
+          ``successes`` maps a workload to the number of its cells already
+          answered elsewhere (the runner's cached cells); they count like
+          fresh successes, so one of them holds the workload's breaker open.
         * ``chaos`` — a :class:`~repro.harness.chaos.ChaosEngine` whose
           fault plan is injected into worker spawns; every failure is also
           reported back to the engine's journal so injected faults can be
           checked against their observed classification.
+
+        Quarantine is the runner's: a quarantined cell never reaches the
+        executor.
 
         Live progress:
 
         * ``heartbeat`` — called as ``heartbeat(job, window_dict)`` for every
           streamed interval window, from the scheduler loop (so it must be
           fast and must not raise). For batch groups the window carries a
-          ``"cell"`` index. The server's SSE feed rides on this.
+          ``"cell"`` index (:func:`window_cell` maps it back to the cell).
+          The server's SSE feed rides on this.
         * ``stop`` — a ``threading.Event``; once set, in-flight workers are
           killed and everything unfinished settles with kind ``deadline``
           ("cancelled" in the message, ``{"cancelled": True}`` in the
@@ -607,11 +624,13 @@ class ProcessCellExecutor:
         """
         outcomes: Dict[int, CellOutcome] = {}
         # Each pending entry is (index, spec, attempt, not-before timestamp).
-        pending: List[Tuple[int, RunSpec, int, float]] = []
+        pending: List[Tuple[int, RunSpec, int, float]] = [
+            (index, spec, 0, 0.0) for index, spec in enumerate(specs)
+        ]
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
         # Circuit-breaker ledger: final failures / successes per workload.
         final_failures: Dict[object, int] = {}
-        successes: Dict[object, int] = {}
+        successes = dict(successes or {})
 
         def group(spec) -> object:
             return getattr(spec, "workload", None)
@@ -626,37 +645,6 @@ class ProcessCellExecutor:
                 successes.get(key, 0) == 0
                 and final_failures.get(key, 0) >= self.breaker_threshold
             )
-
-        for index, spec in enumerate(specs):
-            if store is not None and resume and not isinstance(spec, BatchGroup):
-                cached = store.get(spec.key())
-                if cached is not None:
-                    outcomes[index] = CellOutcome(
-                        spec=spec, result=cached, cached=True
-                    )
-                    successes[group(spec)] = successes.get(group(spec), 0) + 1
-                    if progress:
-                        progress(outcomes[index])
-                    continue
-                if quarantine:
-                    prior = store.get_failure(spec.key())
-                    if prior is not None:
-                        failure = CellFailure(
-                            kind=FailureKind.QUARANTINED,
-                            message=(
-                                f"quarantined: failed {prior.attempts} attempt(s) "
-                                f"in a previous run ({prior.kind.value}: "
-                                f"{prior.message})"
-                            ),
-                            cell=spec.describe(),
-                            attempts=prior.attempts,
-                            detail={"original": prior.to_dict()},
-                        )
-                        outcomes[index] = CellOutcome(spec=spec, failure=failure)
-                        if progress:
-                            progress(outcomes[index])
-                        continue
-            pending.append((index, spec, 0, 0.0))
 
         running: List[_Running] = []
         # Solo retries salvaged out of failed batch groups get fresh outcome

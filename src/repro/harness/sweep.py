@@ -22,16 +22,23 @@ the workers disagreed about a trace key.
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import CoreConfig
 from repro.harness.chaos import ChaosEngine, FaultPlan
-from repro.harness.executor import BatchGroup, CellOutcome, ProcessCellExecutor
+from repro.harness.executor import (
+    BatchGroup,
+    CellOutcome,
+    ProcessCellExecutor,
+    window_cell,
+)
 from repro.harness.failures import CellFailure, FailureKind
 from repro.harness.leases import LeaseStore
-from repro.harness.store import ResultStore, StoreStatus
+from repro.harness.store import CellKey, ResultStore, StoreStatus
 from repro.isa.artifacts import TraceStore
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
@@ -87,6 +94,33 @@ def _refuse_unkeyed(cells: Sequence[RunSpec]) -> None:
                     "registered workload and predictor, drop the override, "
                     "or run it with simulate()"
                 )
+
+
+def _in_cell_order(
+    cells: Sequence[RunSpec],
+    keys: Sequence[CellKey],
+    settled: Dict[str, CellOutcome],
+) -> List[CellOutcome]:
+    """One outcome per input cell, in input order, from the digest map.
+
+    A repeated cell gets its first occurrence's outcome; a cell that
+    settled nowhere reads as an ``error`` failure rather than vanishing
+    from the report.
+    """
+    ordered: List[CellOutcome] = []
+    for cell, key in zip(cells, keys):
+        outcome = settled.get(key.digest)
+        if outcome is None:
+            outcome = CellOutcome(
+                spec=cell,
+                failure=CellFailure(
+                    kind=FailureKind.ERROR,
+                    message="cell settled without an outcome",
+                    cell=dict(key.describe),
+                ),
+            )
+        ordered.append(outcome)
+    return ordered
 
 
 @dataclass
@@ -218,6 +252,14 @@ class SweepReport:
 class SweepRunner:
     """Resumable fault-tolerant sweep over a cell population.
 
+    The runner plans; the executor isolates, retries and persists.
+    :meth:`run` keys each cell once and reads its stored state once, before
+    any work starts: a durable result settles it as ``cached``, a durable
+    failure (with ``quarantine``) as ``quarantined``, and the surrogate
+    tier triages only what is left. Every later step — lease claims,
+    batch-group planning, trace precompile, the executor — takes only
+    pending cells.
+
     ``trace_store`` is the artifact store traces are compiled into
     (default: ``<result store>/traces``); ``precompile=False`` gives cells
     no ``trace_dir``, so every worker (solo or group) builds its own trace.
@@ -235,28 +277,70 @@ class SweepRunner:
         self.trace_store = trace_store or TraceStore(self.store.root / "traces")
         self.precompile = precompile
 
-    def _precompile(self, cells: Sequence[RunSpec], resume: bool) -> int:
-        """Compile every distinct trace the pending cells need; returns builds.
+    def _stored(
+        self, cell: RunSpec, key: CellKey, quarantine: bool
+    ) -> Optional[CellOutcome]:
+        """The outcome the store already holds for ``cell``; None if pending.
 
-        ``cells`` are the solo cells that may run here; batch groups compile
-        their own trace in their worker. Cells whose results are already
-        durable don't need their trace. Unknown workload names (e.g.
-        synthetic cells in tests) are skipped — the worker will report the
-        real error with full context.
+        A durable result settles as ``cached``. With ``quarantine``, a
+        durable failure settles as ``quarantined`` (the original failure in
+        ``detail``) instead of re-burning its retries; the durable record
+        keeps the original failure.
+        """
+        result = self.store.get(key)
+        if result is not None:
+            return CellOutcome(spec=cell, result=result, cached=True)
+        prior = self.store.get_failure(key) if quarantine else None
+        if prior is None:
+            return None
+        failure = CellFailure(
+            kind=FailureKind.QUARANTINED,
+            message=(
+                f"quarantined: failed {prior.attempts} attempt(s) "
+                f"in a previous run ({prior.kind.value}: {prior.message})"
+            ),
+            cell=dict(key.describe),
+            attempts=prior.attempts,
+            detail={"original": prior.to_dict()},
+        )
+        return CellOutcome(spec=cell, failure=failure)
+
+    def _claim(
+        self,
+        cell: RunSpec,
+        key: CellKey,
+        leases: LeaseStore,
+        quarantine: bool,
+        recheck: bool = True,
+    ) -> Tuple[bool, Optional[CellOutcome]]:
+        """Lease ``cell``, then re-read the store: ``(claimed, settled)``.
+
+        The re-read is the race guard: a result (or, with ``quarantine``, a
+        durable failure) that landed after the last read settles the cell
+        here and releases its lease, so it is never run twice.
+        ``recheck=False`` (a run without resume) claims without reading.
+        """
+        if not leases.acquire(key.digest):
+            return False, None
+        settled = self._stored(cell, key, quarantine) if recheck else None
+        if settled is not None:
+            leases.release(key.digest)
+        return True, settled
+
+    def _precompile(self, cells: Sequence[RunSpec]) -> int:
+        """Compile every distinct trace ``cells`` read; returns builds.
+
+        ``cells`` are the pending solo cells that may run here; batch groups
+        compile their own trace in their worker. Unknown workload names
+        (e.g. synthetic cells in tests) are skipped — the worker will
+        report the real error with full context.
         """
         from repro.sim.simulator import compile_trace, default_num_ops
         from repro.workloads.spec2017 import workload
 
-        pending = [
-            cell
-            for cell in cells
-            if not (resume and self.store.contains(cell.key()))
-        ]
-        unique: Dict[tuple, RunSpec] = {}
-        for cell in pending:
-            unique.setdefault((cell.workload, cell.seed, cell.num_ops), cell)
         built = 0
-        for (name, seed, num_ops), _ in unique.items():
+        traces = [(cell.workload, cell.seed, cell.num_ops) for cell in cells]
+        for name, seed, num_ops in dict.fromkeys(traces):
             try:
                 profile = workload(name, seed=seed)
             except KeyError:
@@ -270,31 +354,23 @@ class SweepRunner:
             built += was_built
         return built
 
-    def _plan_jobs(
-        self, cells: Sequence[RunSpec], resume: bool, quarantine: bool
-    ) -> List[object]:
+    def _plan_jobs(self, cells: Sequence[RunSpec]) -> List[object]:
         """Group pending batch cells by trace into worker units.
 
-        Pending cells on the ``batch`` backend are grouped by input trace —
+        Cells on the ``batch`` backend are grouped by input trace —
         (workload, seed, num_ops, trace_dir) — into :class:`BatchGroup`
         jobs, so one worker compiles and plans the trace once for the whole
         group, whatever its predictors. Everything else (reference cells,
         cells naming an unknown backend, which then fail with a clear
-        error, cached or quarantined cells, singleton groups) stays a solo
-        cell: the executor's resume and quarantine logic only sees solo
-        jobs, and per-cell store entries are preserved either way.
+        error, singleton groups) stays a solo cell; per-cell store entries
+        are preserved either way.
         """
         from repro.sim.backends import default_backend_name
 
         jobs: List[object] = []
         groupable: Dict[tuple, List[RunSpec]] = {}
         for cell in cells:
-            pending = (cell.backend or default_backend_name()) == "batch" and not (
-                resume and self.store.contains(cell.key())
-            )
-            if pending and quarantine:
-                pending = self.store.get_failure(cell.key()) is None
-            if pending:
+            if (cell.backend or default_backend_name()) == "batch":
                 key = (cell.workload, cell.seed, cell.num_ops, cell.trace_dir)
                 groupable.setdefault(key, []).append(cell)
             else:
@@ -306,101 +382,28 @@ class SweepRunner:
                 jobs.extend(members)
         return jobs
 
-    def _flatten(
-        self, cells: Sequence[RunSpec], outcomes: Sequence[CellOutcome]
-    ) -> List[CellOutcome]:
-        """Map executor outcomes (groups + solo retries) back to cell order.
-
-        Group shells are discarded after their per-cell outcomes are
-        extracted; solo retries appended past the job list land in the same
-        per-cell buckets. The result is exactly one outcome per input cell,
-        in input order — the shape every report consumer expects.
-        """
-        by_digest: Dict[str, List[CellOutcome]] = {}
-        for outcome in outcomes:
-            if isinstance(outcome.spec, BatchGroup):
-                for sub in outcome.cells or []:
-                    by_digest.setdefault(sub.spec.key().digest, []).append(sub)
-            else:
-                by_digest.setdefault(outcome.spec.key().digest, []).append(outcome)
-        flat: List[CellOutcome] = []
-        for cell in cells:
-            bucket = by_digest.get(cell.key().digest)
-            if bucket:
-                flat.append(bucket.pop(0))
-            else:
-                flat.append(
-                    CellOutcome(
-                        spec=cell,
-                        failure=CellFailure(
-                            kind=FailureKind.ERROR,
-                            message="cell settled without an outcome",
-                            cell=cell.describe(),
-                        ),
-                    )
-                )
-        return flat
-
     #: Poll interval while waiting on cells leased to a peer process.
     peer_poll_seconds = 0.25
-
-    def _claim_cells(
-        self, cells: Sequence[RunSpec], leases: LeaseStore, resume: bool
-    ) -> Tuple[List[RunSpec], List[RunSpec], "set[str]"]:
-        """Split cells into (runnable, peer-leased, claimed digests).
-
-        The store dedupe boundary is re-checked immediately before each
-        claim: a cell a peer already answered is never leased at all — it
-        flows through ``run_many``'s resume path as a plain cache hit.
-        """
-        runnable: List[RunSpec] = []
-        foreign: List[RunSpec] = []
-        claimed: "set[str]" = set()
-        for cell in cells:
-            key = cell.key()
-            if resume and self.store.contains(key):
-                runnable.append(cell)  # settles as cached, no claim needed
-                continue
-            if key.digest in claimed or leases.acquire(key.digest):
-                claimed.add(key.digest)
-                runnable.append(cell)
-            else:
-                foreign.append(cell)
-        return runnable, foreign, claimed
 
     def _renewing_heartbeat(
         self,
         heartbeat: Optional[Callable],
         leases: LeaseStore,
-        claimed: "set[str]",
+        held: "set[str]",
+        digest_of: Dict[int, str],
     ) -> Callable:
         """Wrap ``heartbeat`` so streamed windows renew the cell's lease.
 
         Renewal rides the existing heartbeat stream (every
         ``REPRO_HEARTBEAT_OPS`` committed ops), so any cell still making
         progress holds its lease indefinitely while a crashed owner's
-        leases expire after one TTL.
+        leases expire after one TTL. ``held`` is the live set of claimed
+        digests (reclaimed cells join it); ``digest_of`` maps a run cell's
+        ``id`` to its digest.
         """
-        held = claimed  # the live set: reclaimed digests renew too
-        digest_cache: Dict[int, str] = {}
-
-        def digest_of(spec) -> Optional[str]:
-            cached = digest_cache.get(id(spec))
-            if cached is None and hasattr(spec, "key"):
-                cached = spec.key().digest
-                digest_cache[id(spec)] = cached
-            return cached
 
         def renewing(job, window) -> None:
-            spec = job
-            if isinstance(job, BatchGroup):
-                index = window.get("cell")
-                spec = (
-                    job.cells[index]
-                    if index is not None and 0 <= index < len(job.cells)
-                    else None
-                )
-            digest = None if spec is None else digest_of(spec)
+            digest = digest_of.get(id(window_cell(job, window)))
             if digest in held:
                 leases.renew(digest)
             if heartbeat is not None:
@@ -410,28 +413,28 @@ class SweepRunner:
 
     def _await_peers(
         self,
-        foreign: Sequence[RunSpec],
+        waiting: Dict[str, RunSpec],
+        keys: Dict[str, CellKey],
         leases: LeaseStore,
+        execute: Callable[[List[RunSpec]], List[CellOutcome]],
+        held: "set[str]",
         progress: Optional[Callable[[CellOutcome], None]] = None,
-        heartbeat: Optional[Callable] = None,
         quarantine: bool = False,
         stop=None,
         cutoff: Optional[float] = None,
-        held: Optional["set[str]"] = None,
     ) -> List[CellOutcome]:
         """Resolve cells leased to peer processes.
 
         Each waiting cell settles one of three ways: its result appears in
         the shared store (the peer finished it — a ``cached`` outcome
         here), its lease lapses or is released without a result (the peer
-        crashed or failed the cell — we reclaim and run it ourselves), or
-        a stop/deadline cut settles it ephemerally (kind ``deadline``,
-        never persisted, pending again on resume).
+        crashed or failed the cell — we reclaim it through :meth:`_claim`
+        and ``execute`` it ourselves), or a stop/deadline cut settles it
+        ephemerally (kind ``deadline``, never persisted, pending again on
+        resume).
         """
         outcomes: List[CellOutcome] = []
-        waiting: Dict[str, RunSpec] = {
-            cell.key().digest: cell for cell in foreign
-        }
+        waiting = dict(waiting)
         while waiting:
             cut = (stop is not None and stop.is_set()) or (
                 cutoff is not None and time.monotonic() >= cutoff
@@ -442,7 +445,7 @@ class SweepRunner:
                     if stop is not None and stop.is_set()
                     else "campaign deadline expired"
                 )
-                for cell in waiting.values():
+                for digest, cell in waiting.items():
                     outcome = CellOutcome(
                         spec=cell,
                         failure=CellFailure(
@@ -450,7 +453,7 @@ class SweepRunner:
                             message=(
                                 f"{reason} while a peer held the cell's lease"
                             ),
-                            cell=cell.describe(),
+                            cell=dict(keys[digest].describe),
                             detail={"cancelled": True, "leased_to_peer": True},
                         ),
                     )
@@ -458,39 +461,28 @@ class SweepRunner:
                     if progress:
                         progress(outcome)
                 break
-            reclaimed: List[RunSpec] = []
+            reclaimed: Dict[str, RunSpec] = {}
             for digest, cell in list(waiting.items()):
-                result = self.store.get(cell.key())
-                if result is not None:
-                    outcome = CellOutcome(spec=cell, result=result, cached=True)
+                key = keys[digest]
+                outcome = self._stored(cell, key, quarantine=False)
+                if outcome is None and leases.expired(leases.peek(digest)):
+                    won, outcome = self._claim(cell, key, leases, quarantine)
+                    if won and outcome is None:
+                        reclaimed[digest] = cell
+                        held.add(digest)
+                        del waiting[digest]
+                if outcome is not None:
                     outcomes.append(outcome)
                     del waiting[digest]
                     if progress:
                         progress(outcome)
-                    continue
-                if leases.expired(leases.peek(digest)) and leases.acquire(digest):
-                    reclaimed.append(cell)
-                    if held is not None:
-                        held.add(digest)
-                    del waiting[digest]
             if reclaimed:
                 try:
-                    outcomes.extend(
-                        self.executor.run_many(
-                            reclaimed,
-                            store=self.store,
-                            resume=True,
-                            progress=progress,
-                            quarantine=quarantine,
-                            heartbeat=heartbeat,
-                            stop=stop,
-                        )
-                    )
+                    outcomes.extend(execute(list(reclaimed.values())))
                 finally:
-                    for cell in reclaimed:
-                        leases.release(cell.key().digest)
-                        if held is not None:
-                            held.discard(cell.key().digest)
+                    for digest in reclaimed:
+                        leases.release(digest)
+                        held.discard(digest)
             elif waiting:
                 time.sleep(self.peer_poll_seconds)
         return outcomes
@@ -516,28 +508,37 @@ class SweepRunner:
         exactly the finished set. The failure manifest is (re)written at the
         end of every run — empty when everything succeeded.
 
+        With ``resume=True`` each distinct cell's stored state is read once,
+        up front: a durable result settles it as ``cached``, and with
+        ``quarantine`` a durable failure settles it as ``quarantined``
+        (carrying the original failure in ``detail``) instead of
+        re-burning its retries; clear the failure entry, or run without
+        ``quarantine``, to re-judge it. ``resume=False`` reads nothing, so
+        every cell runs and ``quarantine`` has no effect. A repeated cell
+        runs once and shares its first occurrence's outcome.
+
         ``fault_plan`` activates deterministic chaos injection over the
         whole run — including the precompile pass (and, in fork-started
         workers, the groups' own compiles), so artifact writes face the same
-        ENOSPC/corruption weather as everything else. ``deadline``
-        is the campaign wall-clock budget and ``quarantine`` skips cells
-        with durable failure records; see
-        :meth:`~repro.harness.executor.ProcessCellExecutor.run_many` —
-        which also documents ``heartbeat`` (live interval-window callback)
-        and ``stop`` (a ``threading.Event`` requesting cancellation; the
-        server's cancel endpoint sets it).
+        ENOSPC/corruption weather as everything else. ``deadline`` (the
+        campaign wall-clock budget), ``heartbeat`` (live interval-window
+        callback) and ``stop`` (a ``threading.Event`` requesting
+        cancellation; the server's cancel endpoint sets it) are applied by
+        the executor; see
+        :meth:`~repro.harness.executor.ProcessCellExecutor.run_many`.
 
         ``leases`` activates multi-process sharding over a shared store
         (:class:`~repro.harness.leases.LeaseStore`): pending cells are
-        claimed through exclusive markers before dispatch — re-checking the
-        store dedupe boundary first — so concurrent runners split the
-        population with zero duplicated executions. Cells claimed by a
-        *peer* are not executed here; the runner waits for their results
-        to appear in the shared store (they settle as ``cached`` outcomes,
-        counted in ``SweepReport.peer_completed``) and reclaims any lease
-        whose owner crashed (TTL expiry). Heartbeats renew the leases of
-        in-flight cells, so a lease outlives any cell still making
-        progress.
+        claimed through exclusive markers before dispatch, and each claim
+        is followed by one more store read, so a result that landed since
+        the first read settles as ``cached`` and is not re-run. Concurrent
+        runners thus split the population with zero duplicated executions.
+        Cells claimed by a *peer* are not executed here; the runner waits
+        for their results to appear in the shared store (they settle as
+        ``cached`` outcomes, counted in ``SweepReport.peer_completed``) and
+        reclaims any lease whose owner crashed (TTL expiry). Heartbeats
+        renew the leases of in-flight cells, so a lease outlives any cell
+        still making progress.
 
         ``surrogate`` is an optional
         :class:`~repro.surrogate.triage.SurrogateTier`: pending cells it
@@ -555,111 +556,118 @@ class SweepRunner:
         chaos = ChaosEngine(fault_plan) if fault_plan is not None else None
         scope = chaos.installed() if chaos is not None else contextlib.nullcontext()
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
-        all_cells: Sequence[RunSpec] = cells
-        surrogate_outcomes: Dict[str, CellOutcome] = {}
+        cell_keys = [cell.key() for cell in cells]
+        keys: Dict[str, CellKey] = {}
+        settled: Dict[str, CellOutcome] = {}
+        pending: Dict[str, RunSpec] = {}
+
+        def settle(digest: str, outcome: CellOutcome) -> None:
+            settled[digest] = outcome
+            if progress:
+                progress(outcome)
+
+        for cell, key in zip(cells, cell_keys):
+            if key.digest in keys:
+                continue
+            keys[key.digest] = key
+            stored = self._stored(cell, key, quarantine) if resume else None
+            if stored is None:
+                pending[key.digest] = cell
+            else:
+                settle(key.digest, stored)
         if surrogate is not None and surrogate.mode != "off":
-            pending = [
-                cell
-                for cell in cells
-                if not (resume and self.store.contains(cell.key()))
-            ]
-            settled = surrogate.triage(pending)
-            for cell in pending:
-                digest = cell.key().digest
-                estimate = settled.get(digest)
-                if estimate is not None and digest not in surrogate_outcomes:
-                    outcome = CellOutcome(spec=cell, estimate=estimate)
-                    surrogate_outcomes[digest] = outcome
-                    if progress:
-                        progress(outcome)
-            if surrogate_outcomes:
-                cells = [
-                    cell
-                    for cell in cells
-                    if cell.key().digest not in surrogate_outcomes
-                ]
+            estimates = surrogate.triage(list(pending.values()))
+            for digest in [digest for digest in pending if digest in estimates]:
+                outcome = CellOutcome(
+                    spec=pending.pop(digest), estimate=estimates[digest]
+                )
+                settle(digest, outcome)
         with scope:
             precompiled = 0
             rebuilds = None
             if self.precompile:
                 trace_dir = str(self.trace_store.root)
-                cells = [
-                    cell if cell.trace_dir else replace(cell, trace_dir=trace_dir)
-                    for cell in cells
-                ]
+                pending = {
+                    digest: (
+                        cell if cell.trace_dir else replace(cell, trace_dir=trace_dir)
+                    )
+                    for digest, cell in pending.items()
+                }
                 rebuilds_before = self.trace_store.rebuild_count()
-            foreign: List[RunSpec] = []
+            # Outcomes carry the very cell objects handed out below.
+            digest_of = {id(cell): digest for digest, cell in pending.items()}
+            foreign: Dict[str, RunSpec] = {}
             claimed: "set[str]" = set()
-            run_cells: Sequence[RunSpec] = cells
             if leases is not None:
-                run_cells, foreign, claimed = self._claim_cells(
-                    cells, leases, resume=resume
+                for digest, cell in list(pending.items()):
+                    won, stored = self._claim(
+                        cell, keys[digest], leases, quarantine, recheck=resume
+                    )
+                    if won and stored is None:
+                        claimed.add(digest)
+                        continue
+                    del pending[digest]
+                    if stored is not None:
+                        settle(digest, stored)
+                    else:
+                        foreign[digest] = cell
+                heartbeat = self._renewing_heartbeat(
+                    heartbeat, leases, claimed, digest_of
                 )
-                heartbeat = self._renewing_heartbeat(heartbeat, leases, claimed)
-            jobs = self._plan_jobs(run_cells, resume=resume, quarantine=quarantine)
+            # Cached cells never reach the executor, but its breaker counts
+            # them as their workload's successes.
+            successes = Counter(
+                outcome.spec.workload
+                for outcome in settled.values()
+                if outcome.cached
+            )
+            execute = functools.partial(
+                self.executor.run_many,
+                store=self.store,
+                successes=successes,
+                progress=progress,
+                heartbeat=heartbeat,
+                stop=stop,
+            )
+            jobs = self._plan_jobs(list(pending.values()))
             if self.precompile:
                 # Peer-leased cells may come back to run here as solo cells.
                 solo = [job for job in jobs if isinstance(job, RunSpec)]
-                precompiled = self._precompile(solo + foreign, resume=resume)
+                precompiled = self._precompile(solo + list(foreign.values()))
             peer_completed = 0
             try:
-                outcomes = self.executor.run_many(
-                    jobs,
-                    store=self.store,
-                    resume=resume,
-                    progress=progress,
-                    chaos=chaos,
-                    deadline=deadline,
-                    quarantine=quarantine,
-                    heartbeat=heartbeat,
-                    stop=stop,
-                )
+                outcomes = list(execute(jobs, chaos=chaos, deadline=deadline))
             finally:
                 if leases is not None:
                     # Settled either way: results (and durable failures) are
-                    # in the shared store, so peers re-checking the dedupe
-                    # boundary — or re-claiming a failed cell — move on.
+                    # in the shared store, so peers re-reading it after a
+                    # claim — or re-claiming a failed cell — move on.
                     for digest in claimed:
                         leases.release(digest)
             if foreign:
                 peer_outcomes = self._await_peers(
                     foreign,
+                    keys,
                     leases,
+                    execute,
+                    claimed,
                     progress=progress,
-                    heartbeat=heartbeat,
                     quarantine=quarantine,
                     stop=stop,
                     cutoff=cutoff,
-                    held=claimed,
                 )
                 peer_completed = sum(
                     1 for outcome in peer_outcomes if outcome.ok and outcome.cached
                 )
-                outcomes = list(outcomes) + peer_outcomes
-            outcomes = self._flatten(cells, outcomes)
+                outcomes += peer_outcomes
+            for outcome in outcomes:
+                group = isinstance(outcome.spec, BatchGroup)
+                for sub in (outcome.cells or []) if group else [outcome]:
+                    settled[digest_of[id(sub.spec)]] = sub
             if self.precompile:
                 rebuilds = self.trace_store.rebuild_count() - rebuilds_before
-        if surrogate_outcomes:
-            # Re-interleave settled estimates into input cell order, the
-            # shape report consumers expect from _flatten.
-            by_digest: Dict[str, List[CellOutcome]] = {}
-            for outcome in outcomes:
-                by_digest.setdefault(
-                    outcome.spec.key().digest, []
-                ).append(outcome)
-            merged: List[CellOutcome] = []
-            for cell in all_cells:
-                digest = cell.key().digest
-                settled_outcome = surrogate_outcomes.pop(digest, None)
-                if settled_outcome is not None:
-                    merged.append(settled_outcome)
-                    continue
-                bucket = by_digest.get(digest)
-                if bucket:
-                    merged.append(bucket.pop(0))
-            outcomes = merged
         report = SweepReport(
-            outcomes=outcomes,
+            outcomes=_in_cell_order(cells, cell_keys, settled),
             trace_rebuilds=rebuilds,
             precompiled=precompiled,
             chaos=chaos,
@@ -667,7 +675,7 @@ class SweepRunner:
             peer_completed=peer_completed,
         )
         extra = {
-            "cells": len(all_cells),
+            "cells": len(cells),
             "completed": report.completed,
             "cached": report.cached,
             "simulated": report.simulated,

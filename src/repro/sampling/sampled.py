@@ -34,14 +34,17 @@ are measured — the same warmup-exclusion contract as a straight
 from __future__ import annotations
 
 import copy
-import traceback
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.simpoints import SimPoint, choose_simpoints
 from repro.common.env import env_int
 from repro.core.pipeline import PipelineStats
-from repro.harness.executor import ProcessCellExecutor, default_mp_context
+from repro.harness.executor import (
+    ProcessCellExecutor,
+    _worker_failure,
+    default_mp_context,
+)
 from repro.isa.artifacts import CheckpointStore, TraceStore, checkpoint_key
 from repro.isa.trace import Trace
 from repro.mdp.base import MDPStats
@@ -146,27 +149,13 @@ def _run_interval(
 
 def _interval_worker(conn, job: IntervalJob, check_invariants: bool) -> None:
     """Subprocess entry point for one interval (executor ``worker=`` hook)."""
-    from repro.sim.invariants import SimInvariantError
-
     try:
         result = _run_interval(
             job, _job_trace(job.spec), True if check_invariants else None
         )
         conn.send(("ok", result.to_record()))
-    except SimInvariantError as exc:
-        conn.send(("invariant", {"message": str(exc), "detail": exc.to_dict()}))
-    except MemoryError:
-        conn.send(("oom", {"message": "MemoryError in interval worker"}))
     except BaseException as exc:  # noqa: BLE001 — report, parent classifies
-        conn.send(
-            (
-                "error",
-                {
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "detail": {"traceback": traceback.format_exc()},
-                },
-            )
-        )
+        conn.send(_worker_failure(exc))
     finally:
         conn.close()
 

@@ -57,7 +57,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.wire import WireError
 from repro.common.env import env_int
-from repro.harness.executor import ProcessCellExecutor
+from repro.harness.executor import ProcessCellExecutor, window_cell
 from repro.harness.leases import LeaseStore
 from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner
@@ -679,14 +679,8 @@ class JobManager:
             )
 
         def heartbeat(worker_job, window) -> None:
-            digest = None
-            if hasattr(worker_job, "cells"):  # a BatchGroup: window names the cell
-                index = window.get("cell")
-                if index is not None and 0 <= index < len(worker_job.cells):
-                    digest = worker_job.cells[index].key().digest
-            elif hasattr(worker_job, "key"):
-                digest = worker_job.key().digest
-            cell = None if digest is None else job.cell_for(digest)
+            spec = window_cell(worker_job, window)
+            cell = None if spec is None else job.cell_for(spec.key().digest)
             if cell is None:
                 return
             if cell.state == "pending":

@@ -13,6 +13,7 @@ from repro.core.pipeline import PipelineStats
 from repro.harness.executor import ProcessCellExecutor
 from repro.harness.failures import EPHEMERAL_KINDS, CellFailure, FailureKind
 from repro.harness.store import ResultStore
+from repro.harness.sweep import SweepRunner
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
@@ -57,6 +58,11 @@ def executor(worker, **kwargs):
     return ProcessCellExecutor(worker=worker, **kwargs)
 
 
+def runner(worker, store, **kwargs):
+    """A sweep runner over ``store``: resume and quarantine live there."""
+    return SweepRunner(store, executor(worker, **kwargs))
+
+
 def specs(n, workload="w"):
     return [RunSpec(workload=f"{workload}{i}", predictor="p") for i in range(n)]
 
@@ -98,8 +104,8 @@ class TestDeadline:
         status = store.status(spec.key() for spec in population)
         assert status.pending == 2
         # The resumed (deadline-free) run finishes the job.
-        resumed = executor(_ok_worker).run_many(population, store=store)
-        assert all(o.ok for o in resumed)
+        resumed = runner(_ok_worker, store).run(population)
+        assert all(o.ok and not o.cached for o in resumed.outcomes)
 
     def test_no_deadline_means_no_cut(self):
         outcomes = executor(_ok_worker).run_many(specs(3))
@@ -111,9 +117,9 @@ class TestQuarantine:
         store = ResultStore(tmp_path / "store")
         spec = RunSpec(workload="doomed", predictor="p")
         executor(_crashing_worker, retries=1).run_many([spec], store=store)
-        outcome = executor(_crashing_worker).run_many(
-            [spec], store=store, quarantine=True
-        )[0]
+        (outcome,) = runner(_crashing_worker, store).run(
+            [spec], quarantine=True
+        ).outcomes
         assert outcome.failure.kind is FailureKind.QUARANTINED
         assert outcome.failure.attempts == 2  # the prior run's count
         original = outcome.failure.detail["original"]
@@ -126,8 +132,21 @@ class TestQuarantine:
         store = ResultStore(tmp_path / "store")
         spec = RunSpec(workload="doomed", predictor="p")
         executor(_crashing_worker).run_many([spec], store=store)
-        outcome = executor(_ok_worker).run_many([spec], store=store)[0]
+        (outcome,) = runner(_ok_worker, store).run([spec]).outcomes
         assert outcome.ok  # re-judged (and healed) without quarantine
+        assert store.get_failure(spec.key()) is None
+
+    def test_no_resume_ignores_quarantine(self, tmp_path):
+        """Quarantine is checked only when resuming, as ``--no-resume
+        --quarantine`` always behaved: the cell is re-judged."""
+        store = ResultStore(tmp_path / "store")
+        spec = RunSpec(workload="doomed", predictor="p")
+        executor(_crashing_worker).run_many([spec], store=store)
+        report = runner(_ok_worker, store).run(
+            [spec], resume=False, quarantine=True
+        )
+        assert report.quarantined == 0
+        assert report.outcomes[0].ok and not report.outcomes[0].cached
         assert store.get_failure(spec.key()) is None
 
     def test_quarantine_never_spawns_a_worker(self, tmp_path):
@@ -135,10 +154,11 @@ class TestQuarantine:
         spec = RunSpec(workload="doomed", predictor="p")
         executor(_crashing_worker).run_many([spec], store=store)
         started = time.monotonic()
-        executor(_slow_worker, timeout=30.0).run_many(
-            [spec], store=store, quarantine=True
+        report = runner(_slow_worker, store, timeout=30.0).run(
+            [spec], quarantine=True
         )
         assert time.monotonic() - started < 5.0
+        assert report.quarantined == 1
 
 
 class TestCircuitBreaker:
@@ -189,6 +209,21 @@ class TestCircuitBreaker:
             population + [RunSpec(workload="good", predictor="p1")]
         )
         assert outcomes[2].ok  # "good" never trips
+
+    def test_a_cached_success_holds_the_breaker_open(self, tmp_path):
+        """Cells the runner settles from the store never reach the
+        executor, but still count as their workload's successes."""
+        store = ResultStore(tmp_path / "store")
+        population = [
+            RunSpec(workload="bad", predictor=f"p{i}") for i in range(3)
+        ]
+        store.put(population[0].key(), _result_for(population[0]))
+        report = runner(
+            _per_workload_worker, store, workers=1, breaker_threshold=1
+        ).run(population)
+        kinds = [o.failure.kind for o in report.outcomes[1:]]
+        assert report.outcomes[0].cached
+        assert kinds == [FailureKind.CRASH, FailureKind.CRASH]  # never skipped
 
     def test_invalid_threshold_rejected(self):
         import pytest

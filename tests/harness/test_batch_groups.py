@@ -239,7 +239,7 @@ class TestSweepPlanning:
         store = ResultStore(tmp_path / "store")
         runner = SweepRunner(store, ProcessCellExecutor(), precompile=False)
         cells = build_cells(["511.povray"], ["phast", "nosq"], num_ops=100)
-        jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
+        jobs = runner._plan_jobs(cells)
         assert all(isinstance(job, RunSpec) for job in jobs)
 
     def test_batch_cells_grouped_by_trace(self, tmp_path):
@@ -251,25 +251,33 @@ class TestSweepPlanning:
             num_ops=100,
             backend="batch",
         )
-        jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
+        jobs = runner._plan_jobs(cells)
         groups = [job for job in jobs if isinstance(job, BatchGroup)]
         assert len(groups) == 2  # one per trace
         assert sorted(g.workload for g in groups) == ["511.povray", "541.leela"]
         assert all(len(g.cells) == 3 for g in groups)
 
-    def test_cached_cells_stay_solo(self, tmp_path):
+    def test_cached_cells_never_reach_the_executor(self, tmp_path):
+        dispatched = []
+
+        class Recording(ProcessCellExecutor):
+            def run_many(self, jobs, **kwargs):
+                dispatched.extend(jobs)
+                return super().run_many(jobs, **kwargs)
+
         store = ResultStore(tmp_path / "store")
-        runner = SweepRunner(store, ProcessCellExecutor(), precompile=False)
+        runner = SweepRunner(
+            store, Recording(group_worker=_ok_group_worker), precompile=False
+        )
         cells = build_cells(
             ["511.povray"], ["phast", "nosq", "cht"], num_ops=100,
             backend="batch",
         )
         store.put(cells[0].key(), _result_for(cells[0]))
-        jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
-        groups = [job for job in jobs if isinstance(job, BatchGroup)]
-        solos = [job for job in jobs if isinstance(job, RunSpec)]
-        assert len(groups) == 1 and len(groups[0].cells) == 2
-        assert [s.predictor for s in solos] == ["phast"]
+        report = runner.run(cells)
+        (group,) = dispatched
+        assert [cell.predictor for cell in group.cells] == ["nosq", "cht"]
+        assert [o.cached for o in report.outcomes] == [True, False, False]
 
     def test_singleton_groups_stay_solo(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -277,7 +285,7 @@ class TestSweepPlanning:
         cells = build_cells(
             ["511.povray"], ["phast"], num_ops=100, backend="batch"
         )
-        jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
+        jobs = runner._plan_jobs(cells)
         assert all(isinstance(job, RunSpec) for job in jobs)
 
     def test_registered_names_and_variants_are_grouped(self, tmp_path):
@@ -290,7 +298,7 @@ class TestSweepPlanning:
         register_predictor("group-test-a", StoreSetsPredictor)
         try:
             cells = build_cells(["511.povray"], names, num_ops=100, backend="batch")
-            jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
+            jobs = runner._plan_jobs(cells)
         finally:
             unregister_predictor("group-test-a")
         assert len(jobs) == 1 and isinstance(jobs[0], BatchGroup)
@@ -306,7 +314,7 @@ class TestSweepPlanning:
         cells = build_cells(
             ["511.povray"], ["phast", "nosq"], num_ops=100, backend="batch"
         )
-        jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
+        jobs = runner._plan_jobs(cells)
         assert len(jobs) == 1 and isinstance(jobs[0], BatchGroup)
 
     def test_unknown_backend_cells_fail_solo_with_clear_error(self, tmp_path):
@@ -315,7 +323,7 @@ class TestSweepPlanning:
         cells = build_cells(
             ["511.povray"], ["phast", "nosq"], num_ops=100, backend="bogus"
         )
-        jobs = runner._plan_jobs(cells, resume=True, quarantine=False)
+        jobs = runner._plan_jobs(cells)
         assert all(isinstance(job, RunSpec) for job in jobs)
 
 

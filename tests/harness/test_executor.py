@@ -26,6 +26,7 @@ from repro.harness.failures import (
     classify_exitcode,
 )
 from repro.harness.store import ResultStore
+from repro.harness.sweep import SweepRunner
 from repro.mdp.base import MDPStats
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
@@ -164,18 +165,18 @@ class TestRunMany:
         assert all(o.ok for o in outcomes)
 
     def test_store_resume_skips_completed_cells(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        runner = SweepRunner(ResultStore(tmp_path / "store"), executor(_ok_worker))
         specs = self.specs(3)
-        first = executor(_ok_worker).run_many(specs, store=store)
+        first = runner.run(specs).outcomes
         assert sum(1 for o in first if o.cached) == 0
-        second = executor(_ok_worker).run_many(specs, store=store)
+        second = runner.run(specs).outcomes
         assert all(o.cached and o.attempts == 0 for o in second)
 
     def test_no_resume_resimulates(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        runner = SweepRunner(ResultStore(tmp_path / "store"), executor(_ok_worker))
         specs = self.specs(2)
-        executor(_ok_worker).run_many(specs, store=store)
-        again = executor(_ok_worker).run_many(specs, store=store, resume=False)
+        runner.run(specs)
+        again = runner.run(specs, resume=False).outcomes
         assert all(not o.cached for o in again)
 
     def test_final_failure_persisted(self, tmp_path):

@@ -8,6 +8,7 @@ from repro.core.config import CoreConfig
 from repro.core.pipeline import PipelineStats
 from repro.harness.executor import ProcessCellExecutor
 from repro.harness.failures import FailureKind
+from repro.harness.leases import LeaseStore
 from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
 from repro.mdp.base import MDPStats
@@ -15,15 +16,25 @@ from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
 
 
-def _ok_worker(conn, spec, check_invariants):
-    result = SimResult(
+def _result_for(spec):
+    return SimResult(
         workload=spec.workload,
         predictor=spec.predictor,
         core=spec.config.name,
         pipeline=PipelineStats(committed_uops=100, cycles=50),
         mdp=MDPStats(),
     )
-    conn.send(("ok", result.to_record()))
+
+
+def _ok_worker(conn, spec, check_invariants):
+    conn.send(("ok", _result_for(spec).to_record()))
+    conn.close()
+
+
+def _ok_group_worker(conn, group, check_invariants):
+    for index, cell in enumerate(group.cells):
+        conn.send(("cell", index, "ok", _result_for(cell).to_record()))
+    conn.send(("ok", {"cells": len(group.cells)}))
     conn.close()
 
 
@@ -155,6 +166,77 @@ class TestSweepRuns:
         sweeps.run(cells, progress=seen.append)
         assert len(seen) == 4
         assert all(outcome.cached for outcome in seen[2:])
+
+
+class _CountingStore(ResultStore):
+    """A result store that counts the entries a sweep reads."""
+
+    reads = 0
+
+    def get(self, key):
+        self.reads += 1
+        return super().get(key)
+
+    def get_failure(self, key):
+        self.reads += 1
+        return super().get_failure(key)
+
+
+class _RecordingExecutor(ProcessCellExecutor):
+    """Remembers every job the runner hands over."""
+
+    def __init__(self, **kwargs):
+        super().__init__(
+            worker=_ok_worker, group_worker=_ok_group_worker, timeout=10.0,
+            retries=0, **kwargs,
+        )
+        self.dispatched = []
+
+    def run_many(self, jobs, **kwargs):
+        self.dispatched.extend(jobs)
+        return super().run_many(jobs, **kwargs)
+
+
+class TestStoreReads:
+    """The runner reads each cell's stored state once, before any work;
+    with leases, each claim adds exactly one read (the race guard)."""
+
+    @pytest.mark.parametrize("backend", ["reference", "batch"])
+    @pytest.mark.parametrize("leased", [False, True], ids=["plain", "leased"])
+    def test_each_cell_is_read_once_per_run(self, tmp_path, backend, leased):
+        store = _CountingStore(tmp_path / "store")
+        sweeps = SweepRunner(store, _RecordingExecutor(), precompile=False)
+        cells = build_cells(["a", "b"], ["x", "y", "z"], backend=backend)
+
+        def run():
+            store.reads = 0
+            leases = LeaseStore(store.leases_dir, owner="me") if leased else None
+            return sweeps.run(cells, leases=leases)
+
+        fresh = run()
+        assert fresh.simulated == len(cells)
+        assert store.reads == len(cells) * (2 if leased else 1)
+        cached = run()
+        assert cached.cached == len(cells)
+        assert store.reads == len(cells)  # answered cells are never claimed
+
+    def test_a_result_landing_before_the_claim_settles_as_cached(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        (cell,) = build_cells(["a"], ["x"])
+
+        class PeerFinishesFirst(LeaseStore):
+            def acquire(self, digest):
+                # A peer stores the result after the runner's first read.
+                store.put(cell.key(), _result_for(cell))
+                return super().acquire(digest)
+
+        executor = _RecordingExecutor()
+        report = SweepRunner(store, executor).run(
+            [cell], leases=PeerFinishesFirst(store.leases_dir, owner="me")
+        )
+        assert (report.cached, report.simulated) == (1, 0)
+        assert executor.dispatched == []
+        assert list(store.leases_dir.glob("*.json")) == []  # lease released
 
 
 class TestTracePrecompile:

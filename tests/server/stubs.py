@@ -40,8 +40,8 @@ class FabricatingExecutor:
     * ``barrier``, when given, is waited on at entry, so a test can prove
       two jobs really were in flight at once.
     * ``executed`` collects the digest of every cell actually simulated
-      (cache hits and stop-settled cells don't count) — the zero-duplicate
-      assertions read it.
+      (stop-settled cells don't count; cache hits never reach an
+      executor) — the zero-duplicate assertions read it.
     """
 
     check_invariants = False
@@ -65,11 +65,10 @@ class FabricatingExecutor:
         self,
         jobs,
         store=None,
-        resume=True,
+        successes=None,
         progress=None,
         chaos=None,
         deadline=None,
-        quarantine=False,
         heartbeat=None,
         stop=None,
     ):
@@ -82,18 +81,13 @@ class FabricatingExecutor:
         for job in jobs:
             members = list(job.cells) if isinstance(job, BatchGroup) else [job]
             for index, cell in enumerate(members):
-                outcome = self._run_cell(
-                    job, index, cell, store, resume, heartbeat, stop
-                )
+                outcome = self._run_cell(job, index, cell, store, heartbeat, stop)
                 outcomes.append(outcome)
                 if progress is not None:
                     progress(outcome)
         return outcomes
 
-    def _run_cell(self, job, index, cell, store, resume, heartbeat, stop):
-        key = cell.key()
-        if resume and store is not None and store.contains(key):
-            return CellOutcome(spec=cell, result=store.get(key), cached=True)
+    def _run_cell(self, job, index, cell, store, heartbeat, stop):
         if stop is not None and stop.is_set():
             return CellOutcome(
                 spec=cell,
@@ -112,6 +106,7 @@ class FabricatingExecutor:
         if self.delay:
             time.sleep(self.delay)
         result = fabricate_result(cell)
+        key = cell.key()
         self.executed.append(key.digest)
         if store is not None:
             store.put(key, result)

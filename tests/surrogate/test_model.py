@@ -1,6 +1,7 @@
 """Model training, calibration, persistence, and the novelty guard."""
 
 import json
+import re
 
 import pytest
 
@@ -131,3 +132,40 @@ class TestArtifact:
         stale["schema"] = 999
         path.write_text(json.dumps(stale, sort_keys=True))
         assert load_model(path) is None
+
+
+class TestPredictCommand:
+    """``repro surrogate predict`` checks its grid like ``sweep`` does."""
+
+    def _predict(self, trained, tmp_path, *flags):
+        from repro.cli import main
+
+        _, _, model = trained
+        path = model.save(tmp_path / "model.json")
+        return main(["surrogate", "predict", "--model", str(path), *flags])
+
+    def test_scores_a_known_grid(self, trained, tmp_path, capsys):
+        flags = ["--workloads", WORKLOADS[0], "--predictors", "phast,nosq"]
+        assert self._predict(trained, tmp_path, *flags, "--json") == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["workload"], row["predictor"]) for row in rows] == [
+            (WORKLOADS[0], "phast"),
+            (WORKLOADS[0], "nosq"),
+        ]
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("phsat", "unknown predictor 'phsat'"),
+            ("phast(bogus=1)", "bogus"),
+        ],
+    )
+    def test_refuses_a_bad_predictor(self, trained, tmp_path, label, message):
+        flags = ["--workloads", WORKLOADS[0], "--predictors", label]
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            self._predict(trained, tmp_path, *flags)
+
+    def test_refuses_an_unknown_workload(self, trained, tmp_path):
+        flags = ["--workloads", f"{WORKLOADS[0]},nosuchwl", "--predictors", "phast"]
+        with pytest.raises(SystemExit, match="unknown workload 'nosuchwl'"):
+            self._predict(trained, tmp_path, *flags)

@@ -562,18 +562,18 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
     if model is None:
         raise SystemExit(f"model at {args.model} is missing or corrupt")
     config = _core_config(args.core)
-    estimates = []
+    cells = [
+        (name, predictor, config, args.num_ops, args.seed)
+        for name in workloads
+        for predictor in predictors
+    ]
     try:
-        for name in workloads:
-            for predictor in predictors:
-                predicted = model.predict_cell(
-                    name, predictor, config, args.num_ops, args.seed
-                )
-                predicted["workload"] = name
-                predicted["predictor"] = predictor
-                estimates.append(predicted)
+        estimates = model.predict_cells(cells)
     except SurrogateError as exc:
         raise SystemExit(str(exc)) from exc
+    for (name, predictor, _, _, _), predicted in zip(cells, estimates):
+        predicted["workload"] = name
+        predicted["predictor"] = predictor
     if args.json:
         print(json.dumps(estimates, indent=2, sort_keys=True))
         return 0

@@ -35,15 +35,29 @@ import enum
 import hashlib
 import json
 import logging
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.common.atomicio import atomic_write_json
 from repro.common.entries import read_entry, write_entry
 from repro.core.config import CoreConfig
 from repro.harness.failures import CellFailure
 from repro.sim.metrics import SimResult
+
+if TYPE_CHECKING:
+    from repro.sim.spec import RunSpec
 
 logger = logging.getLogger(__name__)
 
@@ -88,10 +102,33 @@ def canonical_config(config: CoreConfig) -> Dict[str, object]:
     return rendered
 
 
+#: Most distinct configs :func:`config_fingerprint` remembers; the memo is
+#: emptied when full (a sweep or a server holds a handful of configs).
+FINGERPRINT_MEMO_SIZE = 256
+
+_fingerprints: Dict[str, str] = {}
+_fingerprints_lock = threading.Lock()
+
+
 def config_fingerprint(config: CoreConfig) -> str:
-    """SHA-256 hex digest over the complete canonical config."""
-    blob = json.dumps(canonical_config(config), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest over the complete canonical config.
+
+    Memoised by ``repr(config)``, so a grid of cells sharing one config
+    canonicalises it once. The memo is exact: a config's dataclass ``repr``
+    spells out every field value, and ``1``, ``1.0`` and ``True`` print
+    differently, as :func:`_canonical` renders them; anything else it
+    renders by its ``repr``. Equality would not do: ``1 == 1.0 == True``.
+    """
+    text = repr(config)
+    sha = _fingerprints.get(text)
+    if sha is None:
+        blob = json.dumps(canonical_config(config), sort_keys=True)
+        sha = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        with _fingerprints_lock:
+            if len(_fingerprints) >= FINGERPRINT_MEMO_SIZE:
+                _fingerprints.clear()
+            _fingerprints[text] = sha
+    return sha
 
 
 @dataclass(frozen=True)
@@ -122,11 +159,52 @@ def cell_key(
     default).
     """
     core = config or CoreConfig()
-    config_sha = config_fingerprint(core)
+    return _key(
+        workload, predictor, core.name, config_fingerprint(core), num_ops, seed
+    )
+
+
+def grid_keys(specs: Sequence["RunSpec"]) -> List[CellKey]:
+    """``spec.key()`` for every spec, fingerprinting each config object once.
+
+    Specs sharing one config object (a grid from ``build_cells``), or all
+    leaving it ``None`` (a wire grid), resolve and fingerprint it once for
+    the whole call instead of once per cell.
+    """
+    fingerprinted: Dict[int, Tuple[CoreConfig, str]] = {}
+    keys: List[CellKey] = []
+    for spec in specs:
+        known = fingerprinted.get(id(spec.config))
+        if known is None:
+            core = spec.resolved_config()
+            known = (core, config_fingerprint(core))
+            fingerprinted[id(spec.config)] = known
+        core, config_sha = known
+        keys.append(
+            _key(
+                spec.workload_name,
+                spec.predictor_label,
+                core.name,
+                config_sha,
+                spec.num_ops or 0,
+                spec.seed,
+            )
+        )
+    return keys
+
+
+def _key(
+    workload: str,
+    predictor: str,
+    core_name: str,
+    config_sha: str,
+    num_ops: int,
+    seed: Optional[int],
+) -> CellKey:
     describe: Dict[str, object] = {
         "workload": workload,
         "predictor": predictor,
-        "core": core.name,
+        "core": core_name,
         "config_sha256": config_sha,
         "num_ops": num_ops,
         "seed": seed,

@@ -38,7 +38,7 @@ from repro.harness.executor import (
 )
 from repro.harness.failures import CellFailure, FailureKind
 from repro.harness.leases import LeaseStore
-from repro.harness.store import CellKey, ResultStore, StoreStatus
+from repro.harness.store import CellKey, ResultStore, StoreStatus, grid_keys
 from repro.isa.artifacts import TraceStore
 from repro.sim.metrics import SimResult
 from repro.sim.spec import RunSpec
@@ -556,7 +556,7 @@ class SweepRunner:
         chaos = ChaosEngine(fault_plan) if fault_plan is not None else None
         scope = chaos.installed() if chaos is not None else contextlib.nullcontext()
         cutoff = None if deadline is None else time.monotonic() + float(deadline)
-        cell_keys = [cell.key() for cell in cells]
+        cell_keys = grid_keys(cells)
         keys: Dict[str, CellKey] = {}
         settled: Dict[str, CellOutcome] = {}
         pending: Dict[str, RunSpec] = {}
@@ -702,4 +702,4 @@ class SweepRunner:
 
     def status(self, cells: Sequence[RunSpec]) -> StoreStatus:
         """Completed/failed/pending counts for a sweep, without running it."""
-        return self.store.status(cell.key() for cell in cells)
+        return self.store.status(grid_keys(cells))

@@ -53,13 +53,13 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.wire import WireError
 from repro.common.env import env_int
 from repro.harness.executor import ProcessCellExecutor, window_cell
 from repro.harness.leases import LeaseStore
-from repro.harness.store import ResultStore
+from repro.harness.store import CellKey, ResultStore, grid_keys
 from repro.harness.sweep import SweepRunner
 from repro.sim.spec import RunSpec
 
@@ -201,6 +201,21 @@ class CellState:
         return payload
 
 
+def _identity(spec: RunSpec) -> tuple:
+    """What a spec's key is made of, with its config object by identity.
+
+    Specs of one job keep their configs alive, so two specs with one
+    identity have one key.
+    """
+    return (
+        spec.workload_name,
+        spec.predictor_label,
+        id(spec.config),
+        spec.num_ops or 0,
+        spec.seed,
+    )
+
+
 @dataclass
 class Job:
     """One submission and everything observable about it.
@@ -214,6 +229,7 @@ class Job:
     id: str
     specs: List[RunSpec]
     cells: List[CellState]
+    keys: List[CellKey]  # each spec's store key, made once at submit
     state: str = "queued"  # queued | running | completed | cancelled | failed
     tenant: Optional[str] = None
     error: Optional[str] = None
@@ -229,6 +245,10 @@ class Job:
     _by_digest: Dict[str, int] = field(default_factory=dict)
 
     TERMINAL = ("completed", "cancelled", "failed")
+
+    def __post_init__(self) -> None:
+        for index, key in enumerate(self.keys):
+            self._by_digest.setdefault(key.digest, index)
 
     @property
     def done(self) -> bool:
@@ -266,6 +286,27 @@ class Job:
     def cell_for(self, digest: str) -> Optional[CellState]:
         index = self._by_digest.get(digest)
         return None if index is None else self.cells[index]
+
+    def cell_finder(self) -> Callable[[RunSpec], Optional[CellState]]:
+        """A lookup from a spec the runner reports on to its cell.
+
+        The runner hands back the submitted specs or copies of them (with a
+        ``trace_dir`` set). A copy keeps its original's config object, so
+        the keyed fields plus that object's identity find the cell, whose
+        key was made at submit, without keying the spec again. Any other
+        spec is keyed.
+        """
+        by_identity: Dict[tuple, int] = {}
+        for index, spec in enumerate(self.specs):
+            by_identity.setdefault(_identity(spec), index)
+
+        def cell_of(spec: RunSpec) -> Optional[CellState]:
+            index = by_identity.get(_identity(spec))
+            if index is None:
+                return self.cell_for(spec.key().digest)
+            return self.cells[index]
+
+        return cell_of
 
     def wait_events(
         self, since: int, timeout: Optional[float] = None
@@ -462,11 +503,10 @@ class JobManager:
                     )
             job_id = f"job-{next(self._ids):04d}"
 
+        keys = grid_keys(specs)
         cells: List[CellState] = []
-        by_digest: Dict[str, int] = {}
         cached = 0
-        for index, spec in enumerate(specs):
-            key = spec.key()
+        for index, (spec, key) in enumerate(zip(specs, keys)):
             cell = CellState(
                 index=index,
                 workload=spec.workload_name,
@@ -478,7 +518,6 @@ class JobManager:
             if self.store.contains(key):
                 cell.state = "cached"
                 cached += 1
-            by_digest.setdefault(key.digest, index)
             cells.append(cell)
 
         job = Job(
@@ -487,8 +526,8 @@ class JobManager:
             cells=cells,
             tenant=tenant,
             check_invariants=check_invariants,
+            keys=keys,
         )
-        job._by_digest = by_digest
         with self._lock:
             self._jobs[job_id] = job
         queued_event: Dict[str, object] = {
@@ -562,8 +601,8 @@ class JobManager:
         never under ``result`` — read from the surrogate store namespace.
         """
         out: List[Dict[str, object]] = []
-        for spec, cell in zip(job.specs, job.cells):
-            result = self.store.get(spec.key())
+        for key, cell in zip(job.keys, job.cells):
+            result = self.store.get(key)
             entry: Dict[str, object] = {
                 "workload": cell.workload,
                 "predictor": cell.predictor,
@@ -653,9 +692,10 @@ class JobManager:
         runner = SweepRunner(
             self.store, executor=self._executor_factory(job.check_invariants)
         )
+        cell_of = job.cell_finder()
 
         def progress(outcome) -> None:
-            cell = job.cell_for(outcome.spec.key().digest)
+            cell = cell_of(outcome.spec)
             if cell is None:
                 return
             if outcome.ok:
@@ -680,7 +720,7 @@ class JobManager:
 
         def heartbeat(worker_job, window) -> None:
             spec = window_cell(worker_job, window)
-            cell = None if spec is None else job.cell_for(spec.key().digest)
+            cell = None if spec is None else cell_of(spec)
             if cell is None:
                 return
             if cell.state == "pending":

@@ -155,15 +155,10 @@ class RunSpec:
         """
         # Imported here: the harness layer sits above sim, but the key
         # schema lives with the store that owns the on-disk format.
-        from repro.harness.store import cell_key
+        from repro.harness.store import grid_keys
 
-        return cell_key(
-            self.workload_name,
-            self.predictor_label,
-            self.resolved_config(),
-            self.num_ops or 0,
-            self.seed,
-        )
+        (key,) = grid_keys([self])
+        return key
 
     def trace_key(self):
         """Artifact-store identity of this run's input trace (a ``TraceKey``).

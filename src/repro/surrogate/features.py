@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import CoreConfig
 from repro.isa.microop import OpKind
@@ -112,6 +112,10 @@ def feature_names() -> List[str]:
 #: Vector length of schema v1 (the names list is the source of truth).
 NUM_FEATURES = len(feature_names())
 
+#: One cell as the model scores it: ``(workload, predictor, config,
+#: num_ops, seed)``, with ``num_ops`` the raw store-key value.
+CellRow = Tuple[str, str, Optional[CoreConfig], int, Optional[int]]
+
 
 def _config_features(config: Optional[CoreConfig]) -> List[float]:
     unknown = config is None
@@ -195,15 +199,66 @@ def cell_features(
     preset): default-config values are used with ``cfg_unknown`` raised.
     ``num_ops`` is the *raw* store-key value (0 = default at run time).
     """
-    features = _config_features(config)
-    features.extend(_workload_features(workload, seed))
+    return _assemble(
+        _config_features(config),
+        _workload_features(workload, seed),
+        predictor,
+        num_ops,
+        context_vector(context, global_context),
+    )
+
+
+def grid_features(
+    rows: Sequence[CellRow],
+    context_table: Mapping[str, Mapping[str, float]],
+) -> List[List[float]]:
+    """:func:`cell_features` of each ``(workload, predictor, config,
+    num_ops, seed)`` row, with contexts from ``context_table``.
+
+    The config block of each distinct config object, the workload block of
+    each distinct ``(workload, seed)`` and the context block of each
+    distinct workload are built once per call, not once per row.
+    """
+    global_context = context_table["__global__"]
+    configs: Dict[int, List[float]] = {}
+    workloads: Dict[Tuple[str, Optional[int]], List[float]] = {}
+    contexts: Dict[str, List[float]] = {}
+    vectors: List[List[float]] = []
+    for workload, predictor, config, num_ops, seed in rows:
+        if id(config) not in configs:
+            configs[id(config)] = _config_features(config)
+        if (workload, seed) not in workloads:
+            workloads[workload, seed] = _workload_features(workload, seed)
+        if workload not in contexts:
+            contexts[workload] = context_vector(
+                context_table.get(workload), global_context
+            )
+        vectors.append(
+            _assemble(
+                configs[id(config)],
+                workloads[workload, seed],
+                predictor,
+                num_ops,
+                contexts[workload],
+            )
+        )
+    return vectors
+
+
+def _assemble(
+    config_block: List[float],
+    workload_block: List[float],
+    predictor: str,
+    num_ops: int,
+    ctx: List[float],
+) -> List[float]:
+    features = config_block + workload_block
     features.append(math.log10(num_ops) if num_ops > 0 else 0.0)
     features.append(1.0 if num_ops == 0 else 0.0)
     bucket = predictor_bucket(predictor)
     one_hot = [0.0] * PREDICTOR_BUCKETS
     one_hot[bucket] = 1.0
     features.extend(one_hot)
-    ctx = context_vector(context, global_context)
     features.extend(ctx)
     ipc_mean = ctx[CONTEXT_STATS.index("ipc_mean")]
     viol_mean = ctx[CONTEXT_STATS.index("violation_mpki_mean")]

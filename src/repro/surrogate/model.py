@@ -35,8 +35,10 @@ from repro.core.config import CoreConfig
 from repro.surrogate.dataset import TARGETS, Dataset
 from repro.surrogate.features import (
     FEATURE_SCHEMA_VERSION,
-    cell_features,
+    NUM_FEATURES,
+    CellRow,
     feature_names,
+    grid_features,
 )
 
 #: Artifact schema of the model JSON record; a mismatch loads as a miss.
@@ -141,6 +143,36 @@ class SurrogateModel:
             or workload not in self._known_workloads
         )
 
+    def feature_matrix(self, rows: Sequence[CellRow]) -> "object":
+        """The schema-v1 feature matrix of ``rows``, one row per cell."""
+        return _np.asarray(
+            grid_features(rows, self._context), dtype=float
+        ).reshape(len(rows), NUM_FEATURES)
+
+    def predict_cells(self, rows: Sequence[CellRow]) -> List[Dict[str, object]]:
+        """Point estimate + interval for each pending cell, in one product.
+
+        A row is ``(workload, predictor, config, num_ops, seed)``, the
+        arguments of :meth:`predict_cell`. The whole grid is scored by one
+        :meth:`predict_matrix` call; a value differs from its one-row score
+        only by summation order (about 1e-15 relative).
+        """
+        predicted = self.predict_matrix(self.feature_matrix(rows))
+        ipc_mean, ipc_half = predicted["ipc"]
+        mpki_mean, mpki_half = predicted["violation_mpki"]
+        return [
+            {
+                "ipc": max(0.0, float(ipc_mean[index])),
+                "ipc_ci": float(ipc_half[index]),
+                "violation_mpki": max(0.0, float(mpki_mean[index])),
+                "violation_mpki_ci": float(mpki_half[index]),
+                "level": self.level,
+                "novel": self.is_novel(workload, predictor),
+                "model_sha256": self.content_sha256,
+            }
+            for index, (workload, predictor, _, _, _) in enumerate(rows)
+        ]
+
     def predict_cell(
         self,
         workload: str,
@@ -150,27 +182,10 @@ class SurrogateModel:
         seed: Optional[int],
     ) -> Dict[str, object]:
         """Point estimate + interval for one pending cell."""
-        features = cell_features(
-            workload,
-            predictor,
-            config,
-            num_ops,
-            seed,
-            self._context.get(workload),
-            self._context["__global__"],
+        (predicted,) = self.predict_cells(
+            [(workload, predictor, config, num_ops, seed)]
         )
-        predicted = self.predict_matrix([features])
-        ipc_mean, ipc_half = predicted["ipc"]
-        mpki_mean, mpki_half = predicted["violation_mpki"]
-        return {
-            "ipc": max(0.0, float(ipc_mean[0])),
-            "ipc_ci": float(ipc_half[0]),
-            "violation_mpki": max(0.0, float(mpki_mean[0])),
-            "violation_mpki_ci": float(mpki_half[0]),
-            "level": self.level,
-            "novel": self.is_novel(workload, predictor),
-            "model_sha256": self.content_sha256,
-        }
+        return predicted
 
     # -------------------------------------------------------- evaluation --
 

@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.common.entries import read_entry, write_entry
 from repro.common.env import env_choice, env_float, env_int
+from repro.harness.store import grid_keys
 from repro.sim.spec import RunSpec
 
 logger = logging.getLogger(__name__)
@@ -226,30 +227,9 @@ class SurrogateTier:
         self.store = store
 
     def estimate(self, cell: RunSpec) -> SurrogateEstimate:
-        """Score one cell.
-
-        The model sees the resolved config (``None`` would read as an
-        unknown config) and the raw store-key ``num_ops`` (0 = default).
-        """
-        predicted = self.model.predict_cell(
-            cell.workload_name,
-            cell.predictor_label,
-            cell.resolved_config(),
-            cell.num_ops or 0,
-            cell.seed,
-        )
-        return SurrogateEstimate(
-            workload=cell.workload_name,
-            predictor=cell.predictor_label,
-            digest=cell.key().digest,
-            ipc=predicted["ipc"],
-            ipc_ci=predicted["ipc_ci"],
-            violation_mpki=predicted["violation_mpki"],
-            violation_mpki_ci=predicted["violation_mpki_ci"],
-            level=predicted["level"],
-            model_sha256=predicted["model_sha256"],
-            novel=predicted["novel"],
-        )
+        """Score one cell (see :meth:`predict_all`)."""
+        (estimate,) = self.predict_all([cell])
+        return estimate
 
     def would_settle(self, estimate: SurrogateEstimate) -> bool:
         """Is this estimate certain enough to stand in for a simulation?
@@ -275,8 +255,7 @@ class SurrogateTier:
     ) -> Dict[str, SurrogateEstimate]:
         """Settled estimates by digest; unsettled cells are simply absent."""
         settled: Dict[str, SurrogateEstimate] = {}
-        for cell in cells:
-            estimate = self.estimate(cell)
+        for estimate in self.predict_all(cells):
             if self.would_settle(estimate):
                 settled[estimate.digest] = estimate
                 if self.store is not None:
@@ -286,8 +265,37 @@ class SurrogateTier:
     def predict_all(
         self, cells: Iterable[RunSpec]
     ) -> List[SurrogateEstimate]:
-        """Unconditional estimates for every cell (the serving path)."""
-        return [self.estimate(cell) for cell in cells]
+        """Unconditional estimates for every cell (the serving path).
+
+        The grid is scored in one model call. The model sees each cell's
+        resolved config (``None`` would read as an unknown config) and its
+        raw store-key ``num_ops`` (0 = default).
+        """
+        cells = list(cells)
+        # Resolved once per distinct config object: a grid shares one.
+        sharing = {id(cell.config): cell for cell in cells}
+        configs = {ident: cell.resolved_config() for ident, cell in sharing.items()}
+        predicted = self.model.predict_cells(
+            [
+                (
+                    cell.workload_name,
+                    cell.predictor_label,
+                    configs[id(cell.config)],
+                    cell.num_ops or 0,
+                    cell.seed,
+                )
+                for cell in cells
+            ]
+        )
+        return [
+            SurrogateEstimate(
+                workload=cell.workload_name,
+                predictor=cell.predictor_label,
+                digest=key.digest,
+                **values,
+            )
+            for cell, key, values in zip(cells, grid_keys(cells), predicted)
+        ]
 
 
 def load_tier(

@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from repro.core.config import CoreConfig
+from repro.core.config import GENERATIONS, CoreConfig
 from repro.surrogate.dataset import build_dataset, extract_store_records
+from repro.surrogate.features import cell_features, grid_features
 from repro.surrogate.model import (
     SurrogateError,
     load_model,
@@ -86,6 +87,32 @@ class TestPrediction:
         assert model.predict_cell(
             "541.leela", PREDICTORS[0], CoreConfig(), NUM_OPS, None
         )["novel"]
+
+    def test_grid_features_equal_cell_features_row_by_row(self, trained):
+        """The per-grid feature builder shares blocks between rows; every
+        vector must still be exactly the one-cell vector."""
+        _, _, model = trained
+        shared = CoreConfig()
+        nehalem = GENERATIONS["nehalem"]
+        rows = [
+            (workload, predictor, config, num_ops, seed)
+            for workload in WORKLOADS[:3] + ["541.leela", "no-such-workload"]
+            for predictor in PREDICTORS + ["ideal"]
+            for config, num_ops, seed in (
+                (shared, NUM_OPS, None),
+                (None, 0, None),
+                (nehalem, NUM_OPS, 5),
+                (CoreConfig(), NUM_OPS, 5),
+            )
+        ]
+        context = model.payload["context"]
+        assert grid_features(rows, context) == [
+            cell_features(
+                workload, predictor, config, num_ops, seed,
+                context.get(workload), context["__global__"],
+            )
+            for workload, predictor, config, num_ops, seed in rows
+        ]
 
     def test_unknown_config_still_predicts(self, trained):
         """An unrecognised CoreConfig degrades to the cfg_unknown path, it

@@ -11,11 +11,13 @@ import logging
 
 import pytest
 
+from repro.api.wire import WireGrid
 from repro.common.env import EnvVarError
 from repro.core.config import CoreConfig
 from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepRunner, build_cells
 from repro.sim.spec import RunSpec
+from repro.surrogate.features import feature_names
 from repro.surrogate.triage import (
     SurrogateEstimate,
     SurrogateStore,
@@ -107,9 +109,9 @@ class TestTierSemantics:
         calls = []
 
         class Recording:
-            def predict_cell(self, *args):
-                calls.append(args)
-                return model.predict_cell(*args)
+            def predict_cells(self, rows):
+                calls.extend(rows)
+                return model.predict_cells(rows)
 
         tier = SurrogateTier(Recording(), mode="off")
         implicit = tier.estimate(RunSpec(WORKLOADS[0], "phast"))
@@ -118,6 +120,63 @@ class TestTierSemantics:
         )
         assert implicit == explicit
         assert calls[0] == calls[1] == (WORKLOADS[0], "phast", CoreConfig(), 0, None)
+
+    def test_wire_grid_scores_exactly_like_explicit_default_cells(self, trained):
+        """A served grid carries no config; the rows the model sees must
+        build the very matrix of build_cells' default-config cells, with
+        cfg_unknown down on every row."""
+        _, _, model = trained
+        rows = []
+
+        class Recording:
+            def predict_cells(self, batch):
+                rows.append(list(batch))
+                return model.predict_cells(batch)
+
+        tier = SurrogateTier(Recording(), mode="off")
+        predictors = PREDICTORS + ["ideal"]
+        grid = WireGrid(tuple(WORKLOADS), tuple(predictors), num_ops=NUM_OPS)
+        wire_cells = grid.specs()
+        assert all(cell.config is None for cell in wire_cells)
+        served = tier.predict_all(wire_cells)
+        local = tier.predict_all(_cells(predictors=predictors))
+        wire_rows, local_rows = rows
+
+        wire_matrix = model.feature_matrix(wire_rows)
+        local_matrix = model.feature_matrix(local_rows)
+        assert wire_matrix.shape == (len(wire_cells), len(feature_names()))
+        assert (wire_matrix == local_matrix).all()
+        unknown = feature_names().index("cfg_unknown")
+        assert (wire_matrix[:, unknown] == 0.0).all()
+        assert served == local
+
+    def test_bulk_scores_match_per_cell_scores(self, trained):
+        _, _, model = trained
+        rows = [
+            (cell.workload, cell.predictor, CoreConfig(), cell.num_ops, cell.seed)
+            for cell in _cells(predictors=PREDICTORS + ["ideal"])
+        ]
+        rows.append((WORKLOADS[0], "phast", None, 0, 7))  # unknown config
+        bulk = model.predict_cells(rows)
+        assert len(bulk) == len(rows)
+        for row, scored in zip(rows, bulk):
+            single = model.predict_cell(*row)
+            assert scored.keys() == single.keys()
+            for name, value in single.items():
+                if isinstance(value, float):
+                    assert scored[name] == pytest.approx(value, rel=1e-12, abs=0)
+                else:
+                    assert scored[name] == value
+        assert model.predict_cells([]) == []
+
+    def test_estimates_carry_the_cells_store_keys(self, trained):
+        _, _, model = trained
+        cells = _cells() + [RunSpec(WORKLOADS[0], "phast", seed=3)]
+        estimates = SurrogateTier(model, mode="off").predict_all(cells)
+        assert [e.digest for e in estimates] == [c.key().digest for c in cells]
+        assert [(e.workload, e.predictor) for e in estimates] == [
+            (c.workload, c.predictor) for c in cells
+        ]
 
     def test_load_tier_rejects_missing_model(self, tmp_path):
         from repro.surrogate.model import SurrogateError

@@ -253,12 +253,12 @@ class SweepRunner:
     """Resumable fault-tolerant sweep over a cell population.
 
     The runner plans; the executor isolates, retries and persists.
-    :meth:`run` keys each cell once and reads its stored state once, before
-    any work starts: a durable result settles it as ``cached``, a durable
-    failure (with ``quarantine``) as ``quarantined``, and the surrogate
-    tier triages only what is left. Every later step — lease claims,
-    batch-group planning, trace precompile, the executor — takes only
-    pending cells.
+    :meth:`run` keys each cell once and (with ``resume``) reads its stored
+    state once, before any work starts: a durable result settles it as
+    ``cached``, a durable failure (with ``quarantine``) as
+    ``quarantined``, and the surrogate tier triages only what is left.
+    Every later step — lease claims, batch-group planning, trace
+    precompile, the executor — takes only pending cells.
 
     ``trace_store`` is the artifact store traces are compiled into
     (default: ``<result store>/traces``); ``precompile=False`` gives cells
@@ -311,18 +311,16 @@ class SweepRunner:
         key: CellKey,
         leases: LeaseStore,
         quarantine: bool,
-        recheck: bool = True,
     ) -> Tuple[bool, Optional[CellOutcome]]:
         """Lease ``cell``, then re-read the store: ``(claimed, settled)``.
 
         The re-read is the race guard: a result (or, with ``quarantine``, a
         durable failure) that landed after the last read settles the cell
         here and releases its lease, so it is never run twice.
-        ``recheck=False`` (a run without resume) claims without reading.
         """
         if not leases.acquire(key.digest):
             return False, None
-        settled = self._stored(cell, key, quarantine) if recheck else None
+        settled = self._stored(cell, key, quarantine)
         if settled is not None:
             leases.release(key.digest)
         return True, settled
@@ -513,9 +511,12 @@ class SweepRunner:
         ``quarantine`` a durable failure settles it as ``quarantined``
         (carrying the original failure in ``detail``) instead of
         re-burning its retries; clear the failure entry, or run without
-        ``quarantine``, to re-judge it. ``resume=False`` reads nothing, so
-        every cell runs and ``quarantine`` has no effect. A repeated cell
-        runs once and shares its first occurrence's outcome.
+        ``quarantine``, to re-judge it. ``resume=False`` skips that pass:
+        without ``leases`` nothing is read, so every cell runs and
+        ``quarantine`` has no effect. A caller that has just read the store
+        itself, as the server does at submit, passes only its misses with
+        ``resume=False``. A repeated cell runs once and shares its first
+        occurrence's outcome.
 
         ``fault_plan`` activates deterministic chaos injection over the
         whole run — including the precompile pass (and, in fork-started
@@ -530,9 +531,10 @@ class SweepRunner:
         ``leases`` activates multi-process sharding over a shared store
         (:class:`~repro.harness.leases.LeaseStore`): pending cells are
         claimed through exclusive markers before dispatch, and each claim
-        is followed by one more store read, so a result that landed since
-        the first read settles as ``cached`` and is not re-run. Concurrent
-        runners thus split the population with zero duplicated executions.
+        is followed by one store read, with or without ``resume``, so a
+        result that landed since the caller's read settles as ``cached``
+        and is not re-run. Concurrent runners thus split the population
+        with zero duplicated executions.
         Cells claimed by a *peer* are not executed here; the runner waits
         for their results to appear in the shared store (they settle as
         ``cached`` outcomes, counted in ``SweepReport.peer_completed``) and
@@ -545,8 +547,9 @@ class SweepRunner:
         settles (tight confidence interval, inside the training support)
         become ``estimate`` outcomes up front — before traces are
         precompiled or leases claimed — and never reach the executor.
-        Cached cells bypass triage entirely: a durable detailed result
-        always beats a prediction.
+        Cells found cached, by the up-front pass or (with ``resume=False``)
+        by the caller's own read, bypass triage entirely: a durable
+        detailed result always beats a prediction.
 
         A cell naming a predictor instance or a profile object, or setting
         probes, a front-end override, ``warmup_ops`` or ``interval_ops``,
@@ -600,9 +603,7 @@ class SweepRunner:
             claimed: "set[str]" = set()
             if leases is not None:
                 for digest, cell in list(pending.items()):
-                    won, stored = self._claim(
-                        cell, keys[digest], leases, quarantine, recheck=resume
-                    )
+                    won, stored = self._claim(cell, keys[digest], leases, quarantine)
                     if won and stored is None:
                         claimed.add(digest)
                         continue

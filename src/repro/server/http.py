@@ -357,11 +357,10 @@ class SweepServer:
             "max_cells_per_job": self.manager.max_cells,
             "max_queued_jobs": self.manager.max_queued,
             "dispatchers": self.manager.dispatchers,
-            "sharding": self.manager.leases is not None,
+            "sharding": True,
+            "lease_owner": self.manager.leases.owner,
+            "lease_ttl": self.manager.leases.ttl,
         }
-        if self.manager.leases is not None:
-            payload["lease_owner"] = self.manager.leases.owner
-            payload["lease_ttl"] = self.manager.leases.ttl
         tier = self.manager.surrogate
         if tier is not None:
             payload["surrogate"] = {
@@ -549,7 +548,6 @@ async def serve(
     )
     server = SweepServer(manager, host=host, port=port)
     bound_host, bound_port = await server.start()
-    assert manager.leases is not None
     surrogate_note = (
         "" if tier is None else f", surrogate {tier.mode} "
         f"({tier.model.content_sha256[:12]})"

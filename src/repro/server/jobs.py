@@ -9,11 +9,11 @@ becomes a :class:`Job`:
    its registry *at the submission boundary* (:func:`validate_names`), so a
    typo is a structured 422 naming the offending field, never a worker
    crash ten seconds later.
-2. **Dedupe** — each cell's content-addressed store key is checked against
-   the shared :class:`~repro.harness.store.ResultStore` *before*
-   scheduling. Cells already answered are marked ``cached`` in the
-   submission receipt and never occupy a worker; resubmitting an answered
-   grid schedules zero new cells.
+2. **Dedupe** — each cell's content-addressed store key is read from the
+   shared :class:`~repro.harness.store.ResultStore` once, *before*
+   scheduling; this is the job's one up-front store read. Cells already
+   answered are marked ``cached`` in the submission receipt and never
+   occupy a worker; resubmitting an answered grid schedules zero new cells.
 3. **Dispatch** — a pool of dispatcher threads (``REPRO_SERVE_DISPATCHERS``)
    pulls jobs off a shared FIFO queue; each dispatcher runs its job through
    its *own* :class:`~repro.harness.sweep.SweepRunner` (batch-group
@@ -22,12 +22,14 @@ becomes a :class:`Job`:
    same store keys — and independent jobs run concurrently while every
    per-job event log stays dense and monotonic (each job's log has its own
    lock and sequence).
-4. **Shard** — pending cells are claimed through the shared store's lease
-   directory (:class:`~repro.harness.leases.LeaseStore`): two or more
-   ``repro serve`` processes pointed at the same store split a grid's
-   pending cells with zero duplicated executions, each re-checking the
-   store dedupe boundary before claiming; a crashed peer's leases expire
-   after a TTL and are reclaimed.
+4. **Shard** — only the submit-time misses reach the runner (with
+   ``resume=False``, so it does not read them again up front), and each
+   is claimed through the shared store's lease directory
+   (:class:`~repro.harness.leases.LeaseStore`). The claim re-reads the
+   store, so a cell answered since submit settles as ``cached`` without
+   running; two or more ``repro serve`` processes pointed at the same store
+   split a grid's pending cells with zero duplicated executions, and a
+   crashed peer's leases expire after a TTL and are reclaimed.
 5. **Observe** — per-cell state transitions and streamed heartbeat windows
    land in a monotonically-sequenced per-job event log; pollers read
    ``events(since=...)``, the SSE endpoint blocks on :meth:`Job.wait_events`.
@@ -74,6 +76,11 @@ ENV_DISPATCHERS = "REPRO_SERVE_DISPATCHERS"
 #: ``tenant_limits`` entries always win).
 ENV_TENANT_MAX_CELLS = "REPRO_SERVE_TENANT_MAX_CELLS"
 ENV_TENANT_MAX_QUEUED = "REPRO_SERVE_TENANT_MAX_QUEUED"
+#: Cells the job table may hold before settled jobs are retired, oldest
+#: first. A held cell costs 1–3.5 KB (spec, state, key and events; a cell
+#: that ran logs more than a cached one), so the table stays under ~70 MB.
+#: One 15 s serve-mix benchmark run holds about 3.7k cells.
+RETAINED_CELLS = 20_000
 
 
 def default_max_cells() -> int:
@@ -91,6 +98,12 @@ def default_dispatchers() -> int:
 def _default_tenant_limit(name: str) -> Optional[int]:
     value = env_int(name, 0, min_value=0)
     return value or None
+
+
+#: How :meth:`JobManager._admit` words a refused request: its noun, the
+#: server's per-request scope, and the tenant's verb and scope.
+_JOB_WORDS = ("job", "per job", "submit", "per job")
+_PREDICT_WORDS = ("predict call", "per request", "request", "per call")
 
 
 @dataclass(frozen=True)
@@ -361,8 +374,7 @@ class JobManager:
     ``dispatchers`` sizes the concurrent dispatch pool (default
     ``REPRO_SERVE_DISPATCHERS``): that many jobs run at once, each through
     its own runner and executor. ``lease_ttl``/``owner`` shape the
-    shared-store lease protocol (``sharding=False`` disables it for
-    single-process deployments that want zero marker I/O).
+    shared-store lease protocol every job's cells are claimed through.
     ``tenant_limits`` maps tenant ids to :class:`TenantPolicy` overrides;
     tenants without an entry get the ``REPRO_SERVE_TENANT_MAX_*`` defaults.
 
@@ -370,6 +382,11 @@ class JobManager:
     :class:`~repro.surrogate.triage.SurrogateTier`: submitted jobs run
     their sweeps through it (cells it settles appear as ``surrogate`` cell
     states), and :meth:`predict` answers grids from the model alone.
+
+    The job table is bounded: once the jobs it holds pass
+    :data:`RETAINED_CELLS` cells, each submission first retires the oldest
+    settled jobs (never a queued or running one). A retired job's id reads
+    as unknown; its results stay in the store under their keys.
     """
 
     def __init__(
@@ -384,7 +401,6 @@ class JobManager:
         dispatchers: Optional[int] = None,
         lease_ttl: Optional[float] = None,
         owner: Optional[str] = None,
-        sharding: bool = True,
         tenant_limits: Optional[Mapping[str, TenantPolicy]] = None,
         surrogate=None,
     ) -> None:
@@ -398,14 +414,11 @@ class JobManager:
         self.dispatchers = (
             default_dispatchers() if dispatchers is None else max(1, dispatchers)
         )
-        self.leases: Optional[LeaseStore] = (
-            LeaseStore(store.leases_dir, owner=owner, ttl=lease_ttl)
-            if sharding
-            else None
-        )
+        self.leases = LeaseStore(store.leases_dir, owner=owner, ttl=lease_ttl)
         self.tenant_limits: Dict[str, TenantPolicy] = dict(tenant_limits or {})
         self._executor_factory = executor_factory or self._default_executor
         self._jobs: Dict[str, Job] = {}
+        self._held = 0  # cells of the jobs in ``_jobs``
         self._lock = threading.Lock()
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._ids = itertools.count(1)
@@ -445,6 +458,38 @@ class JobManager:
             max_queued=_default_tenant_limit(ENV_TENANT_MAX_QUEUED),
         )
 
+    def _admit(
+        self,
+        specs: Sequence[RunSpec],
+        tenant: Optional[str],
+        words: Tuple[str, str, str, str],
+    ) -> Tuple[List[RunSpec], Optional[TenantPolicy]]:
+        """Check a grid against the per-request cell quotas and the registries.
+
+        Returns the specs as a list and the tenant's policy (None without a
+        tenant). ``words`` is :data:`_JOB_WORDS` or :data:`_PREDICT_WORDS`.
+        """
+        noun, per, verb, tenant_per = words
+        specs = list(specs)
+        if not specs:
+            raise WireError(f"a {noun} needs at least one cell")
+        if len(specs) > self.max_cells:
+            raise QuotaError(
+                f"{noun} has {len(specs)} cells; this server accepts at most "
+                f"{self.max_cells} {per} ({ENV_MAX_CELLS})",
+                status=413,
+            )
+        policy = None if tenant is None else self.tenant_policy(tenant)
+        limit = None if policy is None else policy.max_cells
+        if limit is not None and len(specs) > limit:
+            raise QuotaError(
+                f"{noun} has {len(specs)} cells; tenant {tenant!r} may "
+                f"{verb} at most {limit} {tenant_per}",
+                status=413,
+            )
+        validate_names(specs)
+        return specs, policy
+
     def submit(
         self,
         specs: Sequence[RunSpec],
@@ -459,28 +504,7 @@ class JobManager:
         attributes the job and is checked against that tenant's policy
         *in addition to* the global quotas.
         """
-        specs = list(specs)
-        if not specs:
-            raise WireError("a job needs at least one cell")
-        if len(specs) > self.max_cells:
-            raise QuotaError(
-                f"job has {len(specs)} cells; this server accepts at most "
-                f"{self.max_cells} per job ({ENV_MAX_CELLS})",
-                status=413,
-            )
-        policy = None if tenant is None else self.tenant_policy(tenant)
-        if (
-            policy is not None
-            and policy.max_cells is not None
-            and len(specs) > policy.max_cells
-        ):
-            raise QuotaError(
-                f"job has {len(specs)} cells; tenant {tenant!r} may submit "
-                f"at most {policy.max_cells} per job",
-                status=413,
-            )
-        validate_names(specs)
-
+        specs, policy = self._admit(specs, tenant, _JOB_WORDS)
         with self._lock:
             queued = sum(1 for job in self._jobs.values() if not job.done)
             if queued >= self.max_queued:
@@ -529,7 +553,9 @@ class JobManager:
             keys=keys,
         )
         with self._lock:
+            self._retire(len(cells))
             self._jobs[job_id] = job
+            self._held += len(cells)
         queued_event: Dict[str, object] = {
             "cells": len(cells),
             "cached": cached,
@@ -559,6 +585,26 @@ class JobManager:
         if tenant is not None:
             receipt["tenant"] = tenant
         return job, receipt
+
+    def _retire(self, incoming: int) -> None:
+        """Drop the oldest settled jobs until ``incoming`` more cells fit.
+
+        Queued and running jobs are never dropped, so the table may stay
+        above :data:`RETAINED_CELLS` while they hold it. Call under
+        ``_lock``.
+        """
+        excess = self._held + incoming - RETAINED_CELLS
+        if excess <= 0:
+            return
+        retired = []
+        for job_id, job in self._jobs.items():
+            if excess <= 0:
+                break
+            if job.done:
+                retired.append(job_id)
+                excess -= len(job.cells)
+        for job_id in retired:
+            self._held -= len(self._jobs.pop(job_id).cells)
 
     # ------------------------------------------------------------ queries --
 
@@ -637,27 +683,7 @@ class JobManager:
                 "this server has no surrogate model loaded; start it with "
                 "--surrogate-model (or set REPRO_SURROGATE_MODEL)"
             )
-        specs = list(specs)
-        if not specs:
-            raise WireError("a predict call needs at least one cell")
-        if len(specs) > self.max_cells:
-            raise QuotaError(
-                f"predict call has {len(specs)} cells; this server accepts "
-                f"at most {self.max_cells} per request ({ENV_MAX_CELLS})",
-                status=413,
-            )
-        policy = None if tenant is None else self.tenant_policy(tenant)
-        if (
-            policy is not None
-            and policy.max_cells is not None
-            and len(specs) > policy.max_cells
-        ):
-            raise QuotaError(
-                f"predict call has {len(specs)} cells; tenant {tenant!r} "
-                f"may request at most {policy.max_cells} per call",
-                status=413,
-            )
-        validate_names(specs)
+        specs, _ = self._admit(specs, tenant, _PREDICT_WORDS)
         return [
             estimate.to_dict()
             for estimate in self.surrogate.predict_all(specs)
@@ -684,6 +710,7 @@ class JobManager:
             return
         job.set_state("running")
 
+        # Submit read every cell; its misses run, re-read only at the claim.
         pending = [
             spec
             for spec, cell in zip(job.specs, job.cells)
@@ -747,6 +774,7 @@ class JobManager:
 
         report = runner.run(
             pending,
+            resume=False,
             progress=progress,
             heartbeat=heartbeat,
             stop=job.stop,
@@ -793,6 +821,5 @@ class JobManager:
                     thread.name,
                     timeout,
                 )
-        if self.leases is not None:
-            self.leases.release_all()
+        self.leases.release_all()
         return wedged

@@ -69,7 +69,7 @@ class TestServedKeying:
         ]
         manager, job = _run(tmp_path, specs)
         assert job.state == "completed"
-        # Submit, the runner's pass and the executor's persist: three keys
+        # Submit, the runner's `grid_keys` and the executor's persist: three keys
         # per cell; the grid's one default config is canonicalised once.
         assert counted["keys"] == 3 * len(specs)
         assert counted["canonical"] <= 1

@@ -299,7 +299,7 @@ class PredictorPass:
         )
         self.store_count += 1
 
-    def _warm_wrong_path(self, start_index: int) -> None:
+    def _warm_wrong_path(self, start_index: int, snapshot: int) -> None:
         """Phantom loads after a misprediction: predictor pollution."""
         ops = self.trace.ops
         info = self._load_info
@@ -310,7 +310,7 @@ class PredictorPass:
                 continue
             info.pc = op.pc
             info.seq = -phantom_index - 1
-            info.hist_snapshot = self.history.snapshot()
+            info.hist_snapshot = snapshot
             info.store_count = self.store_count
             info.oracle_store_number = None
             info.oracle_multi_store = False
@@ -323,14 +323,22 @@ class PredictorPass:
 
         Returns the stretch's mispredicted branches that start a wrong path,
         for the machine pass; always empty with wrong-path replay off.
+        The stretch's branches enter the history first, so the history
+        tables grow once per stretch; each op's snapshot counts on from
+        the history's position before them.
         """
         start = self.next_index
         if until <= start:
             return []
         ops = self.trace.ops
         history = self.history
-        snapshot_of = history.snapshot
+        snapshot = history.snapshot()
         record = history.record
+        branch_kind = OpKind.BRANCH
+        for index in range(start, until):
+            op = ops[index]
+            if op.kind is branch_kind:
+                record(op.pc, op.branch)
         warm_load = self._warm_load
         warm_store = self._warm_store
         observe = self.front_end.observe if self.front_end is not None else None
@@ -339,15 +347,14 @@ class PredictorPass:
         phantoms: List[Phantom] = []
         load_kind = OpKind.LOAD
         store_kind = OpKind.STORE
-        branch_kind = OpKind.BRANCH
 
         for index in range(start, until):
             op = ops[index]
             kind = op.kind
             if kind is load_kind:
-                warm_load(op, index, snapshot_of())
+                warm_load(op, index, snapshot)
             elif kind is store_kind:
-                warm_store(op, index, snapshot_of())
+                warm_store(op, index, snapshot)
             elif kind is branch_kind:
                 branch = op.branch
                 if observe is not None:
@@ -358,10 +365,10 @@ class PredictorPass:
                         if mispredicted:
                             wrong_index = wrong_path_after.get((op.pc, not branch.taken))
                             if wrong_index is not None:
-                                self._warm_wrong_path(wrong_index)
+                                self._warm_wrong_path(wrong_index, snapshot)
                                 phantoms.append((index, wrong_index))
                         wrong_path_after.setdefault((op.pc, branch.taken), index + 1)
-                record(op.pc, branch)
+                snapshot += 1
         self.next_index = until
         return phantoms
 

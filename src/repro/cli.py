@@ -74,6 +74,11 @@ from repro.workloads.spec2017 import SPEC_PROFILES, spec_suite, workload
 #: Default durable store location; flags override, env overrides the default.
 ENV_STORE = "REPRO_RESULT_STORE"
 DEFAULT_STORE = ".repro-store"
+#: Help of the one-predictor commands' positional.
+PREDICTOR_HELP = (
+    "a predictor name ('repro predictors') or a variant label such as "
+    "'phast(target_bits=0)'"
+)
 
 
 def _default_trace_store() -> str:
@@ -102,15 +107,24 @@ def _split_predictors(text: str) -> List[str]:
     return re.split(r",(?![^()]*\))", text)
 
 
+def _predictor_label(label: str) -> str:
+    """A predictor name or variant label, checked like a worker would."""
+    try:
+        parse_predictor(label)
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"unknown predictor {label!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return label
+
+
 def _predictors(args: argparse.Namespace) -> List[str]:
     """The ``--predictors`` labels, each checked like a worker would."""
     predictors = _split_predictors(args.predictors)
     for label in predictors:
         try:
-            parse_predictor(label)
-        except KeyError:
-            raise SystemExit(f"unknown predictor {label!r}") from None
-        except ValueError as exc:
+            _predictor_label(label)
+        except argparse.ArgumentTypeError as exc:
             raise SystemExit(str(exc)) from None
     return predictors
 
@@ -268,10 +282,9 @@ def _cmd_backends_ls(_: argparse.Namespace) -> int:
                 row.get("class", "-"),
                 "yes" if row.get("available", True) else "no",
                 str(row.get("coverage", "-")),
-                str(row.get("kernels", "-")),
             ]
         )
-    print(format_table(["backend", "class", "available", "coverage", "kernels"], rows))
+    print(format_table(["backend", "class", "available", "coverage"], rows))
     return 0
 
 
@@ -859,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one workload/predictor pair")
     run.add_argument("workload")
-    run.add_argument("predictor", choices=available_predictors())
+    run.add_argument("predictor", type=_predictor_label, help=PREDICTOR_HELP)
     run.add_argument("--num-ops", type=int, default=num_ops_default)
     run.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
     run.add_argument(
@@ -877,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-interval IPC/MPKI/occupancy windows for one pair",
     )
     probe.add_argument("workload")
-    probe.add_argument("predictor", choices=available_predictors())
+    probe.add_argument("predictor", type=_predictor_label, help=PREDICTOR_HELP)
     probe.add_argument("--num-ops", type=int, default=num_ops_default)
     probe.add_argument(
         "--interval-ops",
@@ -1178,7 +1191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "intervals with sampling-error bars",
     )
     sample.add_argument("workload")
-    sample.add_argument("predictor", choices=available_predictors())
+    sample.add_argument("predictor", type=_predictor_label, help=PREDICTOR_HELP)
     sample.add_argument("--num-ops", type=int, default=num_ops_default)
     sample.add_argument("--core", default="alderlake", choices=sorted(GENERATIONS))
     sample.add_argument(

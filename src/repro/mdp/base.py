@@ -163,9 +163,18 @@ class MDPredictor(abc.ABC):
     name: str = "abstract"
     #: Sec. IV-A1: PHAST trains at commit; the baselines train at detection.
     trains_at_commit: bool = False
+    #: A predictor's cache of the history tables it reads, derived from the
+    #: history it is handed: never pickled, rebuilt on first use.
+    _lookup: Optional[tuple] = None
 
     def __init__(self) -> None:
         self.stats = MDPStats()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_lookup" in state:
+            state = {key: value for key, value in state.items() if key != "_lookup"}
+        return state
 
     @abc.abstractmethod
     def on_load_dispatch(self, load: LoadDispatchInfo) -> Prediction:

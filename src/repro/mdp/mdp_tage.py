@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.bitops import ceil_log2, mask, pc_hash_index, pc_hash_tag
+from repro.common.bitops import ceil_log2, pc_hash_index, pc_hash_tag
 from repro.common.rng import DeterministicRNG
 from repro.frontend.history import GlobalHistory
 from repro.frontend.tage import geometric_history_lengths
@@ -35,10 +35,9 @@ from repro.mdp.base import (
     Prediction,
     ViolationInfo,
 )
-from repro.mdp.tables import ChunkedFoldedHistory, SetAssocTable
+from repro.mdp.tables import SetAssocTable
 
 #: History entries carry type bit + taken bit + 5 target bits (Sec. IV-A2).
-HISTORY_CHUNK_BITS = 7
 TARGET_BITS = 5
 
 #: Distance value reserved for "depend on all older stores" (Sec. II-C).
@@ -103,23 +102,12 @@ class MDPTagePredictor(MDPredictor):
                 )
             )
 
-        # Rolling folded histories (index and tag widths) per non-zero length.
-        self._folds: List[Optional[Tuple[ChunkedFoldedHistory, ChunkedFoldedHistory]]] = [
-            (
-                None
-                if config.history_length == 0
-                else (
-                    ChunkedFoldedHistory(
-                        config.history_length, HISTORY_CHUNK_BITS, self._index_bits
-                    ),
-                    ChunkedFoldedHistory(
-                        config.history_length, HISTORY_CHUNK_BITS, config.tag_bits
-                    ),
-                )
-            )
-            for config in self._tables
-        ]
+        # Master position and divergent-record count of the last sync: the
+        # commit-time lookup reuses them.
         self._synced = 0
+        self._count = 0
+        # load PC -> (index hash, tag hash per table)
+        self._pc_keys: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         self._accesses = 0
         # load seq -> provider table position (or None when no prediction)
         self._pending: Dict[int, Optional[int]] = {}
@@ -142,25 +130,42 @@ class MDPTagePredictor(MDPredictor):
             raise ValueError(
                 f"history queries must be monotone (got {snapshot} < {self._synced})"
             )
-        if snapshot == self._synced:
-            return
-        for record in history.divergent.records_in_master_range(self._synced, snapshot):
-            chunk = record.encode(TARGET_BITS)
-            for folds in self._folds:
-                if folds is not None:
-                    folds[0].push(chunk)
-                    folds[1].push(chunk)
+        view = history.divergent
         self._synced = snapshot
+        self._count = count = view.count_before(snapshot)
+        lookup = self._lookup
+        if lookup is None or lookup[0] is not view or count >= lookup[1]:
+            # Each tagged table's index and tag fold tables, cached in
+            # ``_lookup`` until the view grows past the synced count.
+            folds = [
+                None
+                if config.history_length == 0
+                else tuple(
+                    view.fold_table(config.history_length, width, TARGET_BITS)
+                    for width in (self._index_bits, config.tag_bits)
+                )
+                for config in self._tables
+            ]
+            self._lookup = (view, len(view) + 1, folds)
 
     def _keys(self, pc: int, position: int) -> Tuple[int, int]:
-        config = self._tables[position]
-        folds = self._folds[position]
-        index = pc_hash_index(pc, self._index_bits)
-        tag = pc_hash_tag(pc, config.tag_bits)
-        if folds is not None:
-            index ^= folds[0].value
-            tag ^= folds[1].value
-        return index & mask(self._index_bits), tag & mask(config.tag_bits)
+        """Index and tag at the last synced snapshot.
+
+        Folds are as wide as the index and the tag, so neither XOR needs
+        re-masking.
+        """
+        keys = self._pc_keys.get(pc)
+        if keys is None:
+            # Load PCs repeat heavily and the hashes are pure: memoise them.
+            keys = self._pc_keys[pc] = (
+                pc_hash_index(pc, self._index_bits),
+                tuple(pc_hash_tag(pc, config.tag_bits) for config in self._tables),
+            )
+        folds = self._lookup[2][position]
+        if folds is None:
+            return keys[0], keys[1][position]
+        count = self._count
+        return keys[0] ^ folds[0][count], keys[1][position] ^ folds[1][count]
 
     # -- predictor interface --------------------------------------------------------
 
@@ -205,6 +210,7 @@ class MDPTagePredictor(MDPredictor):
             return
         # Forget a false dependence with probability 1/256 (Sec. II-C).
         if self._rng.one_in(self._fp_one_in):
+            self._sync(commit.history, self._synced)  # the last-synced snapshot
             index, tag = self._keys(commit.pc, provider)
             table = self._tables[provider].table
             slot = table.lookup(index, tag, touch=False)

@@ -39,7 +39,9 @@ def nosq_history_bits(
     """Build the NoSQ history word: newest-first bits until ``num_bits`` full.
 
     Conditional branches contribute their taken bit; calls contribute two PC
-    bits (the word-address low bits).
+    bits (the word-address low bits). The predictor reads the same word from
+    the history's table (:meth:`~repro.frontend.history.HistoryView.
+    nosq_words`); this is its one-snapshot reference.
     """
     value = 0
     width = 0
@@ -94,7 +96,8 @@ class NoSQPredictor(MDPredictor):
     # -- hashing ------------------------------------------------------------
 
     def _history_word(self, history: GlobalHistory, snapshot: int) -> int:
-        return nosq_history_bits(history, snapshot, self._history_bits)
+        view = history.nosq
+        return view.nosq_words(self._history_bits)[view.count_before(snapshot)]
 
     def _insensitive_keys(self, pc: int) -> Tuple[int, int]:
         return (

@@ -28,6 +28,7 @@ from repro.common.bitops import ceil_log2, mask, pc_hash_index, pc_hash_tag
 from repro.common.counters import SignedSaturatingCounter
 from repro.common.rng import DeterministicRNG
 from repro.frontend.branch_predictors import BranchPredictor
+from repro.frontend.history import HISTORY_CHUNK_BITS
 from repro.frontend.tage import geometric_history_lengths
 from repro.isa.microop import BranchKind
 from repro.mdp.base import (
@@ -38,7 +39,7 @@ from repro.mdp.base import (
     Prediction,
     ViolationInfo,
 )
-from repro.mdp.mdp_tage import ALL_OLDER, HISTORY_CHUNK_BITS, TARGET_BITS
+from repro.mdp.mdp_tage import ALL_OLDER, TARGET_BITS
 from repro.mdp.tables import ChunkedFoldedHistory
 
 

@@ -22,22 +22,19 @@ and 2-bit LRU — 14.5 KB total. History entries carry a type bit, a taken bit
 and the 5 low bits of the destination actually taken; the PC hashes are
 ``PC ^ PC>>2 ^ PC>>5`` (index) and the 3/7-offset variant (tag).
 
-Folding is *incremental*, like the hardware's circular history registers:
-one :class:`~repro.mdp.tables.ChunkedFoldedHistory` per non-zero ladder
-length slides forward as divergent branches retire (lazy catch-up against
-the master log between queries), so a lookup reads eight ready fold values
-instead of re-folding up to 32 chunks per table. Queries at a *stale*
-snapshot (commit-time training after younger branches already retired) fall
-back to the reference :func:`~repro.mdp.tables.fold_window` without touching
-the rolling state; both paths are provably the same function of the window.
+Folding reads the history's tables: the branch history owns one fold
+table per non-zero ladder length (:meth:`~repro.frontend.history.
+HistoryView.fold_table`), the value a hardware circular history register
+holds after each divergent branch, so a lookup at any snapshot, including
+a stale one at commit-time training, reads eight ready fold values.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.bitops import ceil_log2, mask, pc_hash_index, pc_hash_tag
-from repro.frontend.history import GlobalHistory, encode_window
+from repro.frontend.history import GlobalHistory, HistoryView
 from repro.mdp.base import (
     NO_DEPENDENCE,
     LoadCommitInfo,
@@ -46,13 +43,12 @@ from repro.mdp.base import (
     Prediction,
     ViolationInfo,
 )
-from repro.mdp.tables import ChunkedFoldedHistory, SetAssocTable, fold_window
+from repro.mdp.tables import SetAssocTable
 
 #: The paper's geometric-like ladder of history lengths (Sec. IV-B).
 DEFAULT_HISTORY_LENGTHS: Tuple[int, ...] = (0, 2, 4, 6, 8, 12, 16, 32)
 
-#: Per-entry history payload: type bit + taken bit + 5 destination bits.
-HISTORY_CHUNK_BITS = 7
+#: Destination bits of a history entry (beside its type and taken bits).
 TARGET_BITS = 5
 
 
@@ -91,12 +87,6 @@ class PHASTPredictor(MDPredictor):
         ]
         # load seq -> (table, slot) that provided the prediction
         self._pending: Dict[int, Tuple[SetAssocTable, int]] = {}
-        # Rolling folds, one per non-zero ladder length, kept in sync with the
-        # adopted history log up to master position `_synced`.
-        self._hist: Optional[GlobalHistory] = None
-        self._synced = 0
-        self._folds: Dict[int, ChunkedFoldedHistory] = {}
-        self._fold_list: List[ChunkedFoldedHistory] = []
         # Fold values of a zero-length ladder entry (PC-only table), if any.
         self._zero_folds: List[int] = [0] * self._lengths.count(0)
         # PC hash memo: load PCs repeat heavily, the hashes are pure.
@@ -114,62 +104,27 @@ class PHASTPredictor(MDPredictor):
             self._pc_keys[pc] = keys
         return keys
 
-    def _adopt(self, history: GlobalHistory, snapshot: int) -> None:
-        """Seed the rolling folds from ``history`` at ``snapshot``."""
-        self._hist = history
-        self._synced = snapshot
-        self._folds = {}
-        target_bits = self._target_bits
-        view = history.divergent
-        for length in self._lengths:
-            if length == 0:
-                continue
-            fold = ChunkedFoldedHistory(length, HISTORY_CHUNK_BITS, self._fold_width)
-            for record in view.window(snapshot, length):
-                fold.push(record.encode(target_bits))
-            self._folds[length] = fold
-        self._fold_list = list(self._folds.values())
-
-    def _sync(self, history: GlobalHistory, snapshot: int) -> bool:
-        """Catch the rolling folds up to ``snapshot``; False if it is stale."""
-        if history is not self._hist:
-            self._adopt(history, snapshot)
-        if snapshot == self._synced:
-            return True
-        if snapshot < self._synced:
-            return False
-        records = history.divergent.records_in_master_range(self._synced, snapshot)
-        if records:
-            target_bits = self._target_bits
-            folds = self._fold_list
-            for record in records:
-                chunk = record.encode(target_bits)
-                for fold in folds:
-                    fold.push(chunk)
-        self._synced = snapshot
-        return True
-
-    def _stale_fold(self, history: GlobalHistory, snapshot: int, length: int) -> int:
-        # Commit-time training after younger branches already retired:
-        # reference fold, rolling state untouched.
-        window = history.divergent.window(snapshot, length)
-        return fold_window(
-            encode_window(window, self._target_bits), HISTORY_CHUNK_BITS, self._fold_width
-        )
-
-    def _fold_at(self, history: GlobalHistory, snapshot: int, length: int) -> int:
-        """Fold of the last ``length`` divergent records before ``snapshot``."""
-        if self._sync(history, snapshot):
-            return self._folds[length].value
-        return self._stale_fold(history, snapshot, length)
+    def _fold_tables(self, view: HistoryView, count: int) -> List[Sequence[int]]:
+        """The view's fold table of every non-zero ladder length, valid at
+        ``count`` (cached in ``_lookup`` until the view grows past it)."""
+        lookup = self._lookup
+        if lookup is None or lookup[0] is not view or count >= lookup[1]:
+            width = self._fold_width
+            tables = [
+                view.fold_table(length, width, self._target_bits)
+                for length in self._lengths
+                if length > 0
+            ]
+            lookup = self._lookup = (view, len(view) + 1, tables)
+        return lookup[2]
 
     def _folds_at(self, history: GlobalHistory, snapshot: int) -> List[int]:
-        """:meth:`_fold_at` for every ladder position (0 for length 0)."""
-        if self._sync(history, snapshot):
-            return self._zero_folds + [fold.value for fold in self._fold_list]
-        return [
-            self._stale_fold(history, snapshot, length) if length else 0
-            for length in self._lengths
+        """Fold of the last ``length`` divergent records before ``snapshot``,
+        for every ladder position (0 for length 0)."""
+        view = history.divergent
+        count = view.count_before(snapshot)
+        return self._zero_folds + [
+            table[count] for table in self._fold_tables(view, count)
         ]
 
     def _keys(
@@ -178,7 +133,7 @@ class PHASTPredictor(MDPredictor):
         """Index and tag for a lookup of history length ``length``."""
         index, tag = self._hash_pc(pc)
         if length > 0:
-            folded = self._fold_at(history, snapshot, length)
+            folded = self._folds_at(history, snapshot)[self._lengths.index(length)]
             # The fold is index_bits + tag_bits wide, so both XOR terms are
             # already in range: no re-masking needed.
             index ^= folded & self._index_mask

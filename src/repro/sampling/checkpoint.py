@@ -32,8 +32,9 @@ CHECKPOINT_MAGIC = b"RCKP"
 #: v2: cache sets as recency lists, heap-retired MSHRs, dictionary-coded
 #: branch history. v3: TAGE and the tagged MDP tables as flat int lists.
 #: v4: the run's own state fields (``run_state``) replace the stage
-#: context's and the probe-state list.
-CHECKPOINT_VERSION = 4
+#: context's and the probe-state list. v5: PHAST carries no fold state
+#: (it reads the history's fold tables).
+CHECKPOINT_VERSION = 5
 
 #: magic, format version, reserved, payload length, payload crc32
 _HEADER = struct.Struct("<4sHHII")

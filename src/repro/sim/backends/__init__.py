@@ -6,8 +6,7 @@ active backend comes from ``RunSpec.backend``, else the
 else ``"reference"``.
 
 * ``reference`` — one cell at a time with its own front end.
-* ``batch`` — one shared trace plan per trace plus predictor kernels;
-  imported on first use so importing this package stays light.
+* ``batch`` — one shared trace plan per trace; imported on first use.
 
 Both run every spec and are bit-identical (``docs/backends.md``).
 """
@@ -53,8 +52,6 @@ def get_backend(name: str) -> Backend:
     instance = _INSTANCES.get(validate_backend_name(name))
     if instance is None:
         if name == "batch":
-            # Imported on first use: keeps `import repro.sim` free of the
-            # kernels and their array stack.
             from repro.sim.backends.batch import BatchBackend
 
             instance = BatchBackend()

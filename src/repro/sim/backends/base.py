@@ -13,7 +13,7 @@ in where its plan comes from:
 * ``reference`` — one cell at a time, with its own front end and the
   registry's predictors.
 * ``batch`` — one shared :class:`~repro.core.pipeline.TracePrep` per trace
-  plus predictor kernels (:mod:`repro.sim.backends.batch`).
+  (:mod:`repro.sim.backends.batch`).
 
 ``docs/backends.md`` documents the contract.
 """

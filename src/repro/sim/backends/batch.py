@@ -1,23 +1,19 @@
-"""The ``batch`` backend: one shared plan per trace, plus predictor kernels.
+"""The ``batch`` backend: one shared plan per trace.
 
 Every cell on the default front end sees the same committed branch stream,
 so a :class:`~repro.core.pipeline.TracePrep` — the plan builder run once
 over the trace with a fresh TAGE — serves all of them. The backend caches
-a prep per trace and runs every cell through the same loop as the
-reference backend (:func:`~repro.sim.backends.reference.simulate_cell`),
-with a kernel-accelerated predictor where one exists
-(:mod:`repro.mdp.kernels`). Probes, invariant checking and wrong-path
-replay all run on the shared plan. A cell that overrides the branch
-predictor plans with its own front end instead; its kernels still read the
-prep, whose branch history is the trace's and not the predictor's.
-Bit-identity with the reference backend is the contract
-(``tests/core/test_hot_path_identity.py``,
+a prep per trace and runs every cell through the same loop and the same
+predictors as the reference backend
+(:func:`~repro.sim.backends.reference.simulate_cell`); the prep's history
+also carries the history tables its cells' predictors read, so a group
+builds each table once. Probes, invariant checking and wrong-path replay
+all run on the shared plan. A cell that overrides the branch predictor
+plans with its own front end instead. Bit-identity with the reference
+backend is the contract (``tests/core/test_hot_path_identity.py``,
 ``tests/core/test_timing_envelope.py`` and ``tests/sim/test_variants.py``),
 at a ≥3x group speedup on the 15-predictor hot cell
 (``benchmarks/perf_smoke.py --check``).
-
-Every spec runs here: variants, registered names and predictor instances
-run their ordinary implementations on the shared plan.
 """
 
 from __future__ import annotations
@@ -69,24 +65,18 @@ class BatchBackend(Backend):
         on_window: OnWindow = None,
         heartbeat_ops: Optional[int] = None,
     ) -> SimResult:
-        from repro.mdp.kernels import make_kernel_predictor
         from repro.sim.simulator import make_predictor
 
         prep = self._prep_for(spec)
         predictor = spec.predictor
         if isinstance(predictor, str):
-            predictor = make_kernel_predictor(predictor, prep) or make_predictor(
-                predictor
-            )
+            predictor = make_predictor(predictor)
         # The shared plan holds the default TAGE's decisions.
         plan = prep if spec.branch_predictor is None else None
         return simulate_cell(spec, prep.trace, predictor, plan, on_window, heartbeat_ops)
 
     def describe(self) -> dict:
-        from repro.mdp.kernels import KERNEL_NAMES
-
         row = super().describe()
         row["available"] = True
         row["coverage"] = "all specs (one shared plan per trace)"
-        row["kernels"] = ", ".join(KERNEL_NAMES)
         return row

@@ -60,8 +60,8 @@ def default_warmup_ops() -> int:
     return env_int("REPRO_WARMUP_OPS", _FALLBACK_WARMUP_OPS, min_value=0)
 
 
-#: The built-in predictor factories, read-only. A registry entry that no
-#: longer equals its built-in gets no batch kernel (mdp/kernels.py).
+#: The built-in predictor factories, read-only; the registry starts as a
+#: copy of them.
 BUILTIN_PREDICTORS: Mapping[str, Callable[[], MDPredictor]] = MappingProxyType(
     {
         "ideal": IdealPredictor,

@@ -15,10 +15,10 @@ counter), via::
     PYTHONPATH=src python tests/core/test_hot_path_identity.py --regen
 
 The same fixture gates the ``batch`` execution backend: for every predictor,
-the shared-plan run with its predictor kernels must reproduce the reference
-results to the bit — pipeline counters, predictor counters, and every
-interval window. A shadowed kernel name must run its shadow factory, not
-the kernel, and still match the reference backend.
+the shared-plan run must reproduce the reference results to the bit —
+pipeline counters, predictor counters, and every interval window. A
+shadowed built-in name must run its shadow factory on the batch backend
+and still match the reference backend.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def test_bit_identical_to_golden(golden, workload, predictor):
 def test_batch_backend_bit_identical_to_golden(golden, workload, predictor):
     """The backend contract: batch == reference, to the bit, per predictor.
 
-    Every built-in predictor runs on the shared plan (with its kernel where
-    one exists) and must reproduce the committed golden results exactly —
+    Every built-in predictor runs on the shared plan and must reproduce the
+    committed golden results exactly —
     full ``PipelineStats``, full ``MDPStats`` and every interval window.
     """
     cell_key = f"{workload}/{predictor}"
@@ -127,25 +127,18 @@ def test_batch_backend_bit_identical_to_golden(golden, workload, predictor):
 
 
 def test_shadowed_kernel_name_runs_the_shadow_factory(golden):
-    """A kernel name whose registry entry is replaced gets no kernel.
+    """A built-in name whose registry entry is replaced runs the shadow.
 
-    The kernels were checked against the built-in factories only, so a
-    shadowed name must build the shadow factory's predictor on the batch
-    backend, with the reference backend's result for that factory.
+    The batch backend builds the shadow factory's predictor, with the
+    reference backend's result for that factory.
     """
-    from repro.mdp.kernels import KERNEL_NAMES, make_kernel_predictor
-    from repro.mdp.mdp_tage import MDPTagePredictor
     from repro.mdp.phast import PHASTPredictor
     from repro.mdp.store_sets import StoreSetsPredictor
-    from repro.sim.backends.batch import BatchBackend
     from repro.sim.simulator import register_predictor
 
     workload = WORKLOADS[0]
-    prep = BatchBackend()._prep_for(_cell_spec(workload, "phast"))
-    assert "phast" in KERNEL_NAMES
     try:
         register_predictor("phast", StoreSetsPredictor, replace=True)
-        assert make_kernel_predictor("phast", prep) is None
         via_batch = _run_cell(workload, "phast", backend="batch")
         via_reference = _run_cell(workload, "phast", backend="reference")
     finally:
@@ -154,18 +147,6 @@ def test_shadowed_kernel_name_runs_the_shadow_factory(golden):
     # It ran the shadow: the result is Store Sets', not PHAST's.
     assert via_batch == golden["cells"][f"{workload}/store-sets"]
     assert via_batch != golden["cells"][f"{workload}/phast"]
-    assert make_kernel_predictor("phast", prep) is not None
-
-    # Restoring a classmethod factory binds a new method object: it must
-    # compare equal to the built-in entry, not be identical to it.
-    try:
-        register_predictor(
-            "mdp-tage-s", lambda: MDPTagePredictor.tage_s(), replace=True
-        )
-        assert make_kernel_predictor("mdp-tage-s", prep) is None
-    finally:
-        register_predictor("mdp-tage-s", MDPTagePredictor.tage_s, replace=True)
-    assert make_kernel_predictor("mdp-tage-s", prep) is not None
 
 
 def _regen() -> None:

@@ -126,3 +126,9 @@ def test_version_3_artifact_in_store_is_rewarmed(tmp_path):
     # v3 carried the stage context's fields and a probe-state list.
     assert CHECKPOINT_VERSION > 3
     _assert_stale_version_rewarmed(tmp_path, 3)
+
+
+def test_version_4_artifact_in_store_is_rewarmed(tmp_path):
+    # v4 carried PHAST's rolling fold state.
+    assert CHECKPOINT_VERSION > 4
+    _assert_stale_version_rewarmed(tmp_path, 4)

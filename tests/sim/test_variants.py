@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.wire import WireError
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.config import CoreConfig
 from repro.mdp.phast import PHASTPredictor
 from repro.server.jobs import validate_names
@@ -95,6 +95,21 @@ class TestRefusedAtTheBoundaries:
     def test_validate_names_accepts_a_variant(self):
         validate_names([RunSpec("511.povray", "phast(target_bits=0)", num_ops=600)])
 
+    @pytest.mark.parametrize("command", ["run", "probe", "sample"])
+    def test_one_predictor_commands_check_the_label(self, command):
+        parser = build_parser()
+        args = parser.parse_args([command, "511.povray", "phast(target_bits=0)"])
+        assert args.predictor == "phast(target_bits=0)"
+        for label in BAD_LABELS + ["phasst"]:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([command, "511.povray", label])
+            assert excinfo.value.code == 2
+
+    def test_run_simulates_a_variant(self, capsys):
+        argv = ["run", "511.povray", "phast(target_bits=0)", "--num-ops", "1500"]
+        assert main(argv) == 0
+        assert "phast(target_bits=0)" in capsys.readouterr().out
+
 
 #: Generated variants: a registry factory plus parameters of the right type.
 _variants = st.one_of(
@@ -134,12 +149,14 @@ def test_variant_survives_the_wire_with_its_key(label, seed):
 
 
 def test_variant_results_are_labelled_and_backend_independent():
-    label = "phast(target_bits=0)"
-    spec = RunSpec("511.povray", label, num_ops=2000)
-    reference = simulate(spec.with_overrides(backend="reference"))
-    batch = simulate(spec.with_overrides(backend="batch"))
-    assert reference.predictor == label
-    assert batch.to_record() == reference.to_record()
+    # MDP-TAGE-S at 2048 entries folds its index to 6 bits, narrower than
+    # a 7-bit history chunk.
+    for label in ("phast(target_bits=0)", "mdp-tage-s(total_entries=2048)"):
+        spec = RunSpec("511.povray", label, num_ops=2000)
+        reference = simulate(spec.with_overrides(backend="reference"))
+        batch = simulate(spec.with_overrides(backend="batch"))
+        assert reference.predictor == label
+        assert batch.to_record() == reference.to_record()
 
 
 @pytest.fixture(scope="module")

@@ -214,14 +214,6 @@ class HistoryView:
         start = max(0, end - length)
         return tuple(self._records[start:end])
 
-    def records_in_master_range(
-        self, older_snapshot: int, younger_snapshot: int
-    ) -> Tuple[BranchRecord, ...]:
-        """View records at master positions in ``[older, younger)``, oldest first."""
-        start = self.count_before(older_snapshot)
-        end = self.count_before(younger_snapshot)
-        return tuple(self._records[start:end])
-
     def count_between(self, older_snapshot: int, younger_snapshot: int) -> int:
         """View records at master positions in ``[older_snapshot, younger_snapshot)``.
 

@@ -107,9 +107,9 @@ class BatchGroup:
     batch backend against the shared :class:`~repro.core.pipeline.TracePrep`.
     The group occupies one worker slot and one per-group timeout budget
     (``timeout × len(cells)``), but results stay per-cell: each completed
-    cell is streamed back and persisted individually, so a crash mid-group
-    salvages everything already finished and retries only the rest — as
-    solo cells, never as a whole group.
+    cell is streamed back, then persisted and reported the moment the
+    parent reads it, so a crash mid-group loses nothing already finished
+    and retries only the rest — as solo cells, never as a whole group.
     """
 
     cells: Tuple[RunSpec, ...]
@@ -149,10 +149,11 @@ class CellOutcome:
     """What one cell produced: a result (fresh or cached) or a failure.
 
     For a :class:`BatchGroup` job, ``spec`` is the group and ``cells``
-    holds the per-cell outcomes that settled *with* the group (successes,
-    deadline cuts, breaker skips). Cells the group could not finish are
-    absent here — they are re-enqueued as solo cells and settle on their
-    own, so a group shell is bookkeeping, never a per-cell verdict.
+    holds the per-cell outcomes that settled *in* the group (successes,
+    each as it arrived; deadline cuts; breaker skips). Cells the group
+    could not finish are absent here — they are re-enqueued as solo cells
+    and settle on their own, so a group shell is bookkeeping, never a
+    per-cell verdict.
 
     A cell settled by the surrogate triage tier carries an ``estimate``
     (a :class:`~repro.surrogate.triage.SurrogateEstimate`) and neither a
@@ -313,7 +314,8 @@ class _Running:
     """Bookkeeping for one in-flight worker process."""
 
     __slots__ = ("index", "spec", "attempt", "proc", "conn", "deadline",
-                 "started", "last_interval", "cell_events", "on_heartbeat")
+                 "started", "last_interval", "settled", "on_cell",
+                 "on_heartbeat")
 
     def __init__(
         self, index, spec, attempt, proc, conn, deadline, started,
@@ -332,10 +334,12 @@ class _Running:
         # Most recent ("heartbeat", window_dict) payload; lands in the
         # failure manifest if the cell times out or dies.
         self.last_interval = None
-        # Batch groups only: cell index -> (tag, payload) for every
-        # ("cell", ...) message received so far. This is the salvage
-        # ledger — whatever is here when the worker dies is kept.
-        self.cell_events: Dict[int, Tuple[str, object]] = {}
+        # Batch groups only: ``on_cell(entry, index, tag, payload)`` acts
+        # on each ("cell", ...) message as it is drained, recording every
+        # cell it settles in ``settled`` (cell index -> CellOutcome). What
+        # is here when the worker ends or dies is kept.
+        self.on_cell: Optional[Callable] = None
+        self.settled: Dict[int, CellOutcome] = {}
 
 
 class ProcessCellExecutor:
@@ -429,27 +433,28 @@ class ProcessCellExecutor:
         )
 
     def _drain(self, entry: _Running) -> Optional[Tuple[str, object]]:
-        """Read pending pipe messages, stashing heartbeats.
+        """Read pending pipe messages, acting on each as it arrives.
 
-        Returns the first non-heartbeat (final) message, or None if the
-        worker has nothing final to say yet (or the pipe hit EOF).
+        Heartbeats are stashed; a batch group's per-cell messages go to
+        ``entry.on_cell``, which settles a finished cell there and then —
+        the group keeps running. Returns the first final message, or None
+        if the worker has nothing final to say yet (or the pipe hit EOF).
         """
-        try:
-            while entry.conn.poll(0):
+        while True:
+            try:
+                if not entry.conn.poll(0):
+                    return None
                 message = entry.conn.recv()
-                if message[0] == "heartbeat":
-                    entry.last_interval = message[1]
-                    if entry.on_heartbeat is not None:
-                        entry.on_heartbeat(entry.spec, message[1])
-                elif message[0] == "cell":
-                    # Batch groups: per-cell completion/failure events are
-                    # stashed, not final — the group keeps running.
-                    entry.cell_events[message[1]] = (message[2], message[3])
-                else:
-                    return message
-        except (EOFError, OSError):
-            return None
-        return None
+            except (EOFError, OSError):
+                return None
+            if message[0] == "heartbeat":
+                entry.last_interval = message[1]
+                if entry.on_heartbeat is not None:
+                    entry.on_heartbeat(entry.spec, message[1])
+            elif message[0] == "cell":
+                entry.on_cell(entry, *message[1:])
+            else:
+                return message
 
     def _reap(
         self, entry: _Running, message: Optional[Tuple[str, object]] = None
@@ -491,9 +496,10 @@ class ProcessCellExecutor:
         """Collect a finished batch-group worker.
 
         Returns ``None`` when the worker signed off cleanly (every cell was
-        attempted; per-cell verdicts live in ``entry.cell_events``), or the
-        group-level failure when the process died or errored out mid-run —
-        in which case whatever reached ``cell_events`` first is still good.
+        attempted), or the group-level failure when the process died or
+        errored out mid-run. Either way, the cells the worker finished
+        were settled as their messages were drained (``entry.settled``),
+        those drained here included, and stay settled.
         """
         if message is None:
             message = self._drain(entry)
@@ -521,8 +527,9 @@ class ProcessCellExecutor:
     ) -> CellFailure:
         """Kill an in-flight worker (timeout, deadline cut or stop request).
 
-        Pending heartbeats are drained first, so the failure's detail says
-        where the cell was when it was killed.
+        Pending messages are drained first, so the failure's detail says
+        where the cell was when it was killed, and a group's cells that
+        finished just before the kill still settle.
         """
         self._drain(entry)
         entry.proc.kill()
@@ -582,7 +589,8 @@ class ProcessCellExecutor:
 
         ``specs`` may also contain :class:`BatchGroup` jobs (the sweep
         planner emits them): one worker runs the whole group, streaming
-        per-cell results that are persisted individually as they arrive.
+        per-cell results; each is persisted and passed to ``progress`` as
+        soon as it arrives, not when the group ends.
         A group's outcome carries its settled cells in ``outcome.cells``;
         cells the group worker did not finish (crash, timeout, in-band
         per-cell failure) are retried as *solo* cells — their outcomes are
@@ -656,17 +664,23 @@ class ProcessCellExecutor:
             extra_index += 1
             return extra_index - 1
 
+        def succeed(spec: RunSpec, attempt: int, result: SimResult) -> CellOutcome:
+            """Count, persist and report one cell's fresh result."""
+            successes[group(spec)] = successes.get(group(spec), 0) + 1
+            if store is not None:
+                store.put(spec.key(), result)
+            outcome = CellOutcome(spec=spec, result=result, attempts=attempt + 1)
+            if progress:
+                progress(outcome)
+            return outcome
+
         def settle(index: int, spec: RunSpec, attempt: int, result, failure) -> None:
             now = time.monotonic()
             if failure is not None and chaos is not None:
                 chaos.observe(spec, attempt, failure.kind)
             if result is not None:
-                outcome = CellOutcome(
-                    spec=spec, result=result, attempts=attempt + 1
-                )
-                successes[group(spec)] = successes.get(group(spec), 0) + 1
-                if store is not None:
-                    store.put(spec.key(), result)
+                outcomes[index] = succeed(spec, attempt, result)
+                return
             elif failure.transient and attempt < self.retries:
                 jitter = None
                 if self.jitter_seed is not None:
@@ -694,50 +708,55 @@ class ProcessCellExecutor:
             if progress:
                 progress(outcome)
 
+        def settle_cell(entry: _Running, cell_pos: int, tag: str, payload) -> None:
+            """Settle one streamed group cell the moment it is drained.
+
+            An ``"ok"`` cell is persisted and reported here, once. An
+            in-band failure, an undecodable result or an index outside the
+            group settles nothing: the cell is unfinished when the group
+            ends, and :func:`settle_batch` retries it solo.
+            """
+            cells = entry.spec.cells
+            if tag != "ok" or not 0 <= cell_pos < len(cells):
+                return
+            if cell_pos in entry.settled:
+                return
+            try:
+                result = SimResult.from_record(payload)
+            except (KeyError, TypeError, ValueError):
+                return
+            entry.settled[cell_pos] = succeed(cells[cell_pos], entry.attempt, result)
+
         def settle_batch(
             index: int,
             batch: BatchGroup,
             attempt: int,
-            cell_events: Dict[int, Tuple[str, object]],
+            settled_cells: Mapping[int, CellOutcome],
             failure: Optional[CellFailure],
             cut: bool = False,
             cut_phase: str = "running",
             cut_message: str = "",
             cut_detail: Optional[Dict[str, object]] = None,
         ) -> None:
-            """Settle a batch group from whatever its worker got done.
+            """Settle what is left of a batch group once it has ended.
 
-            Every cell with a salvaged ``"ok"`` event settles as a success
-            (persisted individually). The rest either settle as per-cell
-            ``deadline`` cuts (``cut=True`` — the campaign is over; they
-            carry ``cut_message`` and ``cut_detail`` plus the phase) or are
-            re-enqueued as *solo* cells: one bad cell — or one injected
-            fault — must never poison the verdict of its groupmates, so
-            retries always drop back to full per-cell isolation, where the
-            normal failure taxonomy applies.
+            ``settled_cells`` are the cells :func:`settle_cell` already
+            settled as they streamed in; they stand as they are. The rest
+            either settle as per-cell ``deadline`` cuts (``cut=True`` — the
+            campaign is over; they carry ``cut_message`` and ``cut_detail``
+            plus the phase) or are re-enqueued as *solo* cells: one bad
+            cell — or one injected fault — must never poison the verdict of
+            its groupmates, so retries always drop back to full per-cell
+            isolation, where the normal failure taxonomy applies.
             """
             now = time.monotonic()
             if failure is not None and chaos is not None:
                 chaos.observe(batch, attempt, failure.kind)
             settled: List[CellOutcome] = []
             for cell_pos, cell in enumerate(batch.cells):
-                event = cell_events.get(cell_pos)
-                result = None
-                if event is not None and event[0] == "ok":
-                    try:
-                        result = SimResult.from_record(event[1])
-                    except (KeyError, TypeError, ValueError):
-                        result = None  # undecodable: retry solo
-                if result is not None:
-                    sub = CellOutcome(
-                        spec=cell, result=result, attempts=attempt + 1
-                    )
-                    successes[group(cell)] = successes.get(group(cell), 0) + 1
-                    if store is not None:
-                        store.put(cell.key(), result)
+                sub = settled_cells.get(cell_pos)
+                if sub is not None:
                     settled.append(sub)
-                    if progress:
-                        progress(sub)
                 elif cut:
                     tries = attempt + (1 if cut_phase == "running" else 0)
                     cell_failure = CellFailure(
@@ -810,9 +829,9 @@ class ProcessCellExecutor:
                 if len(running) >= self.workers:
                     break
                 if not_before <= now:
-                    running.append(
-                        self._spawn(index, spec, attempt, now, chaos, heartbeat)
-                    )
+                    entry = self._spawn(index, spec, attempt, now, chaos, heartbeat)
+                    entry.on_cell = settle_cell
+                    running.append(entry)
                     launched.append(slot)
             for slot in reversed(launched):
                 pending.pop(slot)
@@ -871,7 +890,7 @@ class ProcessCellExecutor:
                         entry.index,
                         entry.spec,
                         entry.attempt,
-                        entry.cell_events,
+                        entry.settled,
                         failure,
                     )
                 else:
@@ -901,7 +920,7 @@ class ProcessCellExecutor:
                         entry.index,
                         entry.spec,
                         entry.attempt,
-                        entry.cell_events,
+                        entry.settled,
                         failure,
                         cut=True,
                         cut_message=group_message,

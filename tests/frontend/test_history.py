@@ -84,15 +84,6 @@ class TestCountBetween:
         load_snap = history.snapshot()
         assert history.divergent.count_between(store_snap, load_snap) == 2
 
-    def test_records_in_master_range(self):
-        history = GlobalHistory()
-        _record(history, BranchKind.CONDITIONAL, pc=0x400)
-        a = history.snapshot()
-        mid = _record(history, BranchKind.INDIRECT, pc=0x404)
-        b = history.snapshot()
-        _record(history, BranchKind.CONDITIONAL, pc=0x408)
-        assert history.divergent.records_in_master_range(a, b) == (mid,)
-
     def test_window_of_length_n_plus_one_includes_pre_store_branch(self):
         """The N+1 window reaches exactly one branch past the store (Fig. 5)."""
         history = GlobalHistory()

@@ -11,8 +11,11 @@ Fake group workers are module-level (picklable) and misbehave on purpose,
 mirroring ``tests/harness/test_executor.py``.
 """
 
+import functools
 import os
 import signal
+import time
+from collections import Counter
 
 import pytest
 
@@ -67,6 +70,33 @@ def _one_bad_cell_group_worker(conn, group, check_invariants):
             )
         else:
             conn.send(("cell", index, "ok", _result_for(cell).to_record()))
+    conn.send(("ok", {"cells": len(group.cells)}))
+    conn.close()
+
+
+def _hang_after_two_group_worker(conn, group, check_invariants):
+    """Streams two cell results, then hangs until it is killed."""
+    for index, cell in enumerate(group.cells[:2]):
+        conn.send(("cell", index, "ok", _result_for(cell).to_record()))
+    time.sleep(60)
+
+
+def _waits_for_store_group_worker(store_root, conn, group, check_invariants):
+    """Sends cell 0, then sends the rest only once cell 0 can be read back
+    from the parent's store; if it never can, they fail in-band."""
+    first = group.cells[0]
+    conn.send(("cell", 0, "ok", _result_for(first).to_record()))
+    store = ResultStore(store_root)
+    give_up = time.monotonic() + 10.0
+    while store.get(first.key()) is None and time.monotonic() < give_up:
+        time.sleep(0.02)
+    persisted = store.get(first.key()) is not None
+    for index, cell in enumerate(group.cells[1:], start=1):
+        if persisted:
+            conn.send(("cell", index, "ok", _result_for(cell).to_record()))
+        else:
+            message = "cell 0 was not persisted while its group ran"
+            conn.send(("cell", index, "error", {"message": message}))
     conn.send(("ok", {"cells": len(group.cells)}))
     conn.close()
 
@@ -186,6 +216,84 @@ class TestPerCellSalvage:
         assert store.get(group.cells[0].key()) is not None
         assert store.get_failure(group.cells[1].key()) is not None
         assert store.get(group.cells[2].key()) is not None
+
+
+class CountingStore(ResultStore):
+    """A result store that counts ``put`` calls per cell digest."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.puts = Counter()
+
+    def put(self, key, result):
+        self.puts[key.digest] += 1
+        return super().put(key, result)
+
+
+class TestSettleOnArrival:
+    def test_cell_is_settled_before_its_group_ends(self, tmp_path):
+        """A streamed cell is in the store, and reported, while its group
+        worker still runs: the worker holds cells 1-2 back until it can
+        read cell 0 from the store, so they finish in the group only if
+        cell 0 settled on arrival (their solo retries always crash)."""
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        group = _group(3)
+        seen = []
+        outcomes = executor(
+            functools.partial(_waits_for_store_group_worker, str(root)),
+            worker=_crashing_solo_worker,
+            retries=0,
+        ).run_many([group], store=store, progress=seen.append)
+        assert len(outcomes) == 1
+        assert [s.spec.predictor for s in outcomes[0].cells] == ["p0", "p1", "p2"]
+        assert all(s.ok for s in outcomes[0].cells)
+        assert [o.spec.predictor for o in seen] == ["p0", "p1", "p2"]
+
+    @pytest.mark.parametrize(
+        "group_worker, kwargs, streamed, solo, cut",
+        [
+            (_ok_group_worker, {}, ["p0", "p1", "p2", "p3"], [], []),
+            (_die_after_two_group_worker, {}, ["p0", "p1"], ["p2", "p3"], []),
+            (
+                _hang_after_two_group_worker,
+                {"deadline": 1.5},
+                ["p0", "p1"],
+                [],
+                ["p2", "p3"],
+            ),
+            (_one_bad_cell_group_worker, {}, ["p0", "p2", "p3"], ["p1"], []),
+        ],
+        ids=["clean", "crash", "deadline", "in-band-error"],
+    )
+    def test_each_cell_settles_exactly_once(
+        self, tmp_path, group_worker, kwargs, streamed, solo, cut
+    ):
+        """Every streamed cell is put once and reported once, and never
+        re-run solo; the others are retried solo or cut as before."""
+        store = CountingStore(tmp_path / "store")
+        group = _group(4)
+        seen = []
+        outcomes = executor(group_worker).run_many(
+            [group], store=store, progress=seen.append, **kwargs
+        )
+        shell, solos = outcomes[0], outcomes[1:]
+        by_name = {cell.predictor: cell for cell in group.cells}
+        assert sorted(o.spec.predictor for o in solos) == solo
+        assert all(o.ok for o in solos)
+        in_group = {s.spec.predictor: s for s in shell.cells}
+        assert sorted(in_group) == sorted(streamed + cut)
+        for name in streamed:
+            assert in_group[name].ok
+        for name in cut:
+            assert in_group[name].failure.kind is FailureKind.DEADLINE
+            assert in_group[name].failure.detail["phase"] == "running"
+        reported = Counter(o.spec.predictor for o in seen)
+        assert reported == Counter(streamed + solo + cut)
+        puts = {name: store.puts[cell.key().digest] for name, cell in by_name.items()}
+        assert puts == {
+            name: 1 if name in streamed + solo else 0 for name in by_name
+        }
 
 
 class TestGroupDeadline:

@@ -1224,8 +1224,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes (1 = everything inline); above 1, the "
         "interval runs fan out and, under the fork start method with "
-        "wrong-path replay off, a helper warms the cache hierarchy and "
-        "default TAGE on a second core",
+        "wrong-path replay off, a helper warms the cache hierarchy on a "
+        "second core",
     )
     sample.add_argument(
         "--trace-store",

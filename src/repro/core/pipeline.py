@@ -34,14 +34,17 @@ makes it a chunk at a time and never past the op index being advanced to,
 recording the chunk's branches in the history as it goes: a snapshot only
 ever reads records older than itself, so the history may run ahead of the
 loop, and the history tables (:class:`~repro.frontend.history.HistoryView`)
-then grow a chunk at a time. A run on its own front end has its branch
-predictor observe each branch inside the loop, in program order with the
-memory dependence predictor's hooks (an Omnipredictor's branch view shares
-state with its MDP side), so a paused run's front end and history are
-exactly at its pause point. :class:`TracePrep` is the builder run once over
-a whole trace with a fresh default TAGE observing as it goes, which also
-fixes each branch's mispredict flag; the batch backend shares one across
-every cell of a trace.
+then grow a chunk at a time. A plain :class:`TAGEPredictor` front end (the
+default) shares no state with the memory dependence predictor, so
+:func:`build_plan` predicts each chunk's branches at once
+(:meth:`~repro.frontend.tage.TAGEPredictor.observe_stretch`) and the plan
+carries each one's mispredict flag. Any other front end observes each
+branch inside the loop, in program order with the MDP hooks (an
+Omnipredictor's branch view shares state with its MDP side). A chunk never
+runs past the op being advanced to, so a paused run's front end and
+history are exactly at its pause point. :class:`TracePrep` is the builder
+run once over a whole trace with a fresh default TAGE; the batch backend
+shares one across every cell of a trace.
 
 Statistics and interval windows are local integers of the loop. Predictor
 hooks are called directly — MDP training is simulation semantics. Optional
@@ -205,7 +208,7 @@ def build_plan(
     stop: int,
     history: GlobalHistory,
     wrong_path_after: Optional[Dict] = None,
-    observe: Optional[Callable] = None,
+    tage: Optional[TAGEPredictor] = None,
 ) -> List[tuple]:
     """Plan tuples for ops ``[start, stop)``, shaped per kind.
 
@@ -221,20 +224,25 @@ def build_plan(
     every branch is recorded in ``history``. ``wrong_path_after`` maps
     (branch pc, outcome) to the op after that outcome's first occurrence;
     when given, ``wrong_index`` is where the branch's other outcome's path
-    starts (None if it was never seen). With ``observe`` (a branch
-    predictor's), each branch is observed here and ``mispredicted`` is its
-    verdict; without it, ``mispredicted`` is None and the loop observes.
+    starts (None if it was never seen). With ``tage``, the stretch's
+    branches go through :meth:`TAGEPredictor.observe_stretch` here and
+    ``mispredicted`` is each one's verdict; without it, ``mispredicted`` is
+    None and the loop observes.
     """
     plan: List[tuple] = []
     append = plan.append
     record = history.record
     snapshot = history.snapshot()
-    line = trace[start - 1].pc >> 6 if start else -1
+    ops = trace.ops
+    line = ops[start - 1].pc >> 6 if start else -1
     load_kind = OpKind.LOAD
     store_kind = OpKind.STORE
     branch_kind = OpKind.BRANCH
+    verdicts = None
+    if tage is not None:
+        verdicts = iter(tage.observe_stretch(branches_of(ops, start, stop)))
     for index in range(start, stop):
-        op = trace[index]
+        op = ops[index]
         pc = op.pc
         kind = op.kind
         fetch = pc >> 6 != line
@@ -250,9 +258,7 @@ def build_plan(
         elif kind is branch_kind:
             branch = op.branch
             taken = branch.taken
-            mispredicted = None
-            if observe is not None:
-                mispredicted = observe(pc, branch.kind, taken, branch.target)
+            mispredicted = None if verdicts is None else next(verdicts)
             record(pc, branch)
             wrong_index = None
             if wrong_path_after is not None:
@@ -264,6 +270,15 @@ def build_plan(
         else:
             append((OTHER, pc, fetch, snapshot, kind, op.dst_reg, op.src_regs))
     return plan
+
+
+def branches_of(ops, start: int, stop: int):
+    """``(pc, kind, taken, target)`` of each branch of ``ops[start:stop]``,
+    as :meth:`TAGEPredictor.observe_stretch` takes them."""
+    for index in range(start, stop):
+        branch = ops[index].branch
+        if branch is not None:
+            yield ops[index].pc, branch.kind, branch.taken, branch.target
 
 
 class TracePrep:
@@ -282,7 +297,7 @@ class TracePrep:
         self.trace = trace
         self.history = GlobalHistory()
         self.plan = build_plan(
-            trace, 0, len(trace), self.history, {}, TAGEPredictor().observe
+            trace, 0, len(trace), self.history, {}, TAGEPredictor()
         )
 
     def __len__(self) -> int:
@@ -411,7 +426,11 @@ class PipelineRun:
         wrong_path = (
             self.wrong_path_after if self.pipeline.config.wrong_path_depth else None
         )
-        return build_plan(self.trace, start, stop, self.history, wrong_path)
+        # A plain TAGE shares no state with the MDP, so it may predict the
+        # chunk's branches here; any other front end observes in the loop.
+        front_end = self.pipeline.branch_predictor
+        tage = front_end if type(front_end) is TAGEPredictor else None
+        return build_plan(self.trace, start, stop, self.history, wrong_path, tage)
 
     def _cut_interval(self, end_op: int, end_cycle: int, cycles: int, partial: bool):
         """Close the current interval window (cycles clamped to >= 1)."""

@@ -80,7 +80,7 @@ class HistoryView:
     last L records of this view".
     """
 
-    __slots__ = ("_records", "_positions", "_tables")
+    __slots__ = ("_records", "_positions", "_tables", "_base")
 
     def __init__(self) -> None:
         self._records: List[BranchRecord] = []
@@ -88,6 +88,9 @@ class HistoryView:
         # Memoised derived tables (fold_table, nosq_words): rebuilt on
         # demand, so never pickled.
         self._tables: Dict[tuple, Sequence[int]] = {}
+        # The first record count the tables hold: 0, or the record count
+        # at decode for a view decoded from a checkpoint (see __setstate__).
+        self._base = 0
 
     def __getstate__(self):
         # The log grows with the trace (tens of thousands of records per
@@ -116,6 +119,10 @@ class HistoryView:
         self._records = list(map(state["table"].__getitem__, state["index"]))
         self._positions = list(state["positions"])
         self._tables = {}
+        # A decoded view resumes a paused run, whose predictors read its
+        # tables only at snapshots from the pause on: its tables start at
+        # the pause's record count, and reading below it raises.
+        self._base = len(self._records)
 
     def append(self, record: BranchRecord, master_position: int) -> None:
         self._records.append(record)
@@ -139,20 +146,28 @@ class HistoryView:
         :data:`HISTORY_CHUNK_BITS` bits a chunk, to ``width`` bits: the
         value a rolling :class:`~repro.mdp.tables.ChunkedFoldedHistory`
         holds after ``k`` pushes. Index it with ``count_before(snapshot)``.
-        The table is memoised and has an entry for every record count; a
-        later call extends the same object after the view has grown.
+        The table is memoised and has an entry for every record count from
+        the view's first (0, or its count at decode); a later call extends
+        the same object after the view has grown.
         """
         if length <= 0 or width <= 0:
             raise ValueError(
                 f"length and width must be positive, got {length}, {width}"
             )
+        # Records before ``floor`` never reach a table entry's window.
+        floor = max(0, self._base - length)
         key = (length, width, target_bits)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = _new_table(width)
-        if len(table) <= len(self._records):
-            _extend_fold(table, self._chunks(target_bits), length, width)
-        return table
+        values = self._values(key)
+        if values is None:
+            values = _new_table(width)
+            offset, chunks = self._chunks(target_bits, floor)
+            _extend_fold(values, floor, chunks, offset, floor, length, width)
+            return self._keep(key, values, floor)
+        done = self._base + len(values) - 1  # the count of the last entry
+        if done < len(self._records):
+            offset, chunks = self._chunks(target_bits, floor)
+            _extend_fold(values, done, chunks, offset, floor, length, width)
+        return self._tables[key]
 
     def nosq_words(self, num_bits: int) -> Sequence[int]:
         """``table[k]``: NoSQ's ``num_bits``-bit history word after ``k`` records.
@@ -163,44 +178,57 @@ class HistoryView:
         snapshot. Memoised and extended like :meth:`fold_table`.
         """
         key = ("nosq", num_bits)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = _new_table(num_bits)
+        values = self._values(key)
         records = self._records
-        if len(table) <= len(records):
-            word = table[-1]
-            word_mask = mask(num_bits)
-            conditional = BranchKind.CONDITIONAL
-            words = []
-            for record in records[len(table) - 1 :]:
-                if record.kind is conditional:
-                    word = ((word << 1) | record.taken) & word_mask
-                else:
-                    word = ((word << 2) | ((record.pc >> 2) & 0b11)) & word_mask
-                words.append(word)
-            table.extend(words)
+        if values is None:
+            # Every record shifts in at least one bit, so the word after
+            # the ``num_bits`` records before the first count is its value.
+            floor = max(0, self._base - num_bits)
+            values = _new_table(num_bits)
+            _extend_nosq(values, records[floor:], num_bits)
+            return self._keep(key, values, floor)
+        done = self._base + len(values) - 1
+        if done < len(records):
+            _extend_nosq(values, records[done:], num_bits)
+        return self._tables[key]
+
+    def _values(self, key: tuple):
+        """The memoised entries of table ``key``, or None if it is new."""
+        table = self._tables.get(key)
+        if table is None or not self._base:
+            return table
+        return table.values
+
+    def _keep(self, key: tuple, values, floor: int) -> Sequence[int]:
+        """Memoise a new table whose ``values`` start at record count
+        ``floor``, cut to start at the view's first count."""
+        base = self._base
+        if not base:
+            self._tables[key] = values
+            return values
+        del values[: base - floor]
+        table = self._tables[key] = _RebasedTable(base, values)
         return table
 
-    def _chunks(self, target_bits: int) -> array:
-        """Each record's ``encode(target_bits)``, cut to a history chunk."""
+    def _chunks(self, target_bits: int, first: int) -> Tuple[int, array]:
+        """``(offset, chunks)``: ``chunks[t - offset]`` is record ``t``'s
+        ``encode(target_bits)`` cut to a history chunk, for every record
+        from ``offset <= first`` on."""
         key = ("chunks", target_bits)
-        chunks = self._tables.get(key)
-        if chunks is None:
-            chunks = self._tables[key] = array("B")
         records = self._records
-        if len(chunks) < len(records):
-            # Records are interned: encode each distinct object once.
-            codes: Dict[int, int] = {}
-            chunk_mask = mask(HISTORY_CHUNK_BITS)
-            new = []
-            for record in records[len(chunks) :]:
-                code = codes.get(id(record))
-                if code is None:
-                    code = record.encode(target_bits) & chunk_mask
-                    codes[id(record)] = code
-                new.append(code)
-            chunks.extend(new)
-        return chunks
+        entry = self._tables.get(key)
+        if entry is None or entry[0] > first:
+            end = len(records) if entry is None else entry[0]
+            chunks = _encode_chunks(records[first:end], target_bits)
+            if entry is not None:
+                chunks.extend(entry[1])
+            entry = self._tables[key] = (first, chunks)
+        offset, chunks = entry
+        if offset + len(chunks) < len(records):
+            chunks.extend(
+                _encode_chunks(records[offset + len(chunks) :], target_bits)
+            )
+        return entry
 
     def window(self, snapshot: int, length: int) -> Tuple[BranchRecord, ...]:
         """The last ``length`` view records before ``snapshot``, oldest first.
@@ -229,64 +257,126 @@ class HistoryView:
         return len(self._records)
 
 
+class _RebasedTable:
+    """A table of a view decoded from a checkpoint: entries from record
+    count ``base`` on, indexed by record count like a whole one. Below
+    ``base`` it holds nothing, and a read there raises."""
+
+    __slots__ = ("base", "values")
+
+    #: Not iterable: the sequence protocol would stop silently at ``base``.
+    __iter__ = None
+
+    def __init__(self, base: int, values) -> None:
+        self.base = base
+        self.values = values
+
+    def __getitem__(self, count: int) -> int:
+        if count < self.base:
+            raise IndexError(
+                f"record count {count} precedes this view's restore point "
+                f"({self.base}); its history tables start there"
+            )
+        return self.values[count - self.base]
+
+    def __len__(self) -> int:
+        return self.base + len(self.values)
+
+
 def _new_table(width: int) -> Sequence[int]:
-    """A one-entry (count 0) table of ``width``-bit values: a typed array
+    """A one-entry (value 0) table of ``width``-bit values: a typed array
     up to 64 bits, so a long trace's tables stay a few bytes an entry."""
     if width > 64:
         return [0]
     return array("I" if width <= 32 else "Q", [0])
 
 
-def _extend_fold(table, chunks: array, length: int, width: int) -> None:
-    """Extend a fold table to one entry per chunk count, ``len(chunks) + 1``.
+def _encode_chunks(records: Sequence[BranchRecord], target_bits: int) -> array:
+    """Each record's ``encode(target_bits)``, cut to a history chunk."""
+    # Records are interned: encode each distinct object once.
+    codes: Dict[int, int] = {}
+    chunk_mask = mask(HISTORY_CHUNK_BITS)
+    chunks = array("B")
+    append = chunks.append
+    for record in records:
+        code = codes.get(id(record))
+        if code is None:
+            code = codes[id(record)] = record.encode(target_bits) & chunk_mask
+        append(code)
+    return chunks
 
-    A rolling fold evolves as ``v_t = rotl(v_{t-1}, r) ^ c_t ^
-    rotl(c_{t-L}, s)`` with ``r = 7 mod W``, ``s = 7L mod W`` and chunks
-    cut to ``W`` bits. A short stretch (a plan chunk's branches) takes that
-    recurrence. A long one (a whole trace's, a warming span's) takes its
-    closed form in numpy, imported here at the first long stretch: the
-    recurrence is linear over GF(2), so from the last entry ``v_k`` on,
-    ``v_{k+i} = rotl(v_k ^ e_1 ^ ... ^ e_i, r*i)`` with ``e_j =
-    rotl(d_{k+j}, -r*j)`` and ``d_t = c_t ^ rotl(c_{t-L}, s)``, one prefix
-    XOR. Words wider than numpy's take the recurrence too.
+
+def _extend_nosq(values, records: Sequence[BranchRecord], num_bits: int) -> None:
+    """Append NoSQ's history word after each of ``records`` to ``values``."""
+    word = values[-1]
+    word_mask = mask(num_bits)
+    conditional = BranchKind.CONDITIONAL
+    words = []
+    for record in records:
+        if record.kind is conditional:
+            word = ((word << 1) | record.taken) & word_mask
+        else:
+            word = ((word << 2) | ((record.pc >> 2) & 0b11)) & word_mask
+        words.append(word)
+    values.extend(words)
+
+
+def _extend_fold(
+    values, done: int, chunks: array, offset: int, floor: int, length: int, width: int
+) -> None:
+    """Extend ``values``, whose last entry is the fold at record count
+    ``done``, by one entry per count up to ``offset + len(chunks)``.
+
+    ``chunks[t - offset]`` is record ``t``'s chunk; it enters the fold at
+    count ``t + 1`` and leaves it at ``t + length + 1``, counting from
+    record ``floor`` (the records before it never entered). A rolling fold
+    evolves as ``v_t = rotl(v_{t-1}, r) ^ c_t ^ rotl(c_{t-L}, s)`` with
+    ``r = 7 mod W``, ``s = 7L mod W`` and chunks cut to ``W`` bits. A short
+    stretch (a plan chunk's branches) takes that recurrence. A long one (a
+    whole trace's, a warming span's) takes its closed form in numpy,
+    imported here at the first long stretch: the recurrence is linear over
+    GF(2), so from the last entry ``v_k`` on, ``v_{k+i} = rotl(v_k ^ e_1 ^
+    ... ^ e_i, r*i)`` with ``e_j = rotl(d_{k+j}, -r*j)`` and ``d_t = c_t ^
+    rotl(c_{t-L}, s)``, one prefix XOR. Words wider than numpy's take the
+    recurrence too.
     """
-    done = len(table) - 1  # the table holds counts 0..done
-    count = len(chunks)
+    count = offset + len(chunks)
     wmask = mask(width)
     rot_in = HISTORY_CHUNK_BITS % width
     rot_out = HISTORY_CHUNK_BITS * length % width
+    leaves_from = floor + length  # the first count whose step drops a chunk
     if count - done < BULK_RECORDS or width > 63:
-        value = table[-1]
-        values = []
+        value = values[-1]
+        new = []
         for t in range(done, count):
             value = ((value << rot_in) | (value >> (width - rot_in))) & wmask
-            value ^= chunks[t] & wmask
-            if t >= length:
-                outgoing = chunks[t - length] & wmask
+            value ^= chunks[t - offset] & wmask
+            if t >= leaves_from:
+                outgoing = chunks[t - length - offset] & wmask
                 outgoing = (outgoing << rot_out) | (outgoing >> (width - rot_out))
                 value ^= outgoing & wmask
-            values.append(value)
-        table.extend(values)
+            new.append(value)
+        values.extend(new)
         return
     import numpy as np
 
-    def rotl(values, amount):
-        return ((values << amount) | (values >> (width - amount))) & wmask
+    def rotl(words, amount):
+        return ((words << amount) | (words >> (width - amount))) & wmask
 
-    base = max(0, done - length)
-    c = np.frombuffer(chunks, np.uint8)[base:count].astype(np.uint64)
-    c &= np.uint64(wmask)
+    low = max(floor, done - length)  # the oldest record this stretch reads
+    c = np.frombuffer(chunks, np.uint8)[low - offset : count - offset]
+    c = c.astype(np.uint64) & np.uint64(wmask)
     outgoing = np.zeros(count - done, np.uint64)
-    first = max(done, length)  # the first new record with an outgoing chunk
+    first = max(done, leaves_from)  # the first new record with an outgoing chunk
     if first < count:
-        outgoing[first - done :] = c[first - length - base : count - length - base]
+        outgoing[first - done :] = c[first - length - low : count - length - low]
     steps = np.arange(1, count - done + 1, dtype=np.int64)
-    d = c[done - base :] ^ rotl(outgoing, rot_out)
+    d = c[done - low :] ^ rotl(outgoing, rot_out)
     e = rotl(d, (-rot_in * steps % width).astype(np.uint64))
-    e[0] ^= np.uint64(table[-1])
+    e[0] ^= np.uint64(values[-1])
     prefix = np.bitwise_xor.accumulate(e)
-    values = rotl(prefix, (rot_in * steps % width).astype(np.uint64))
-    table.frombytes(values.astype(f"u{table.itemsize}").tobytes())
+    result = rotl(prefix, (rot_in * steps % width).astype(np.uint64))
+    values.frombytes(result.astype(f"u{values.itemsize}").tobytes())
 
 
 class GlobalHistory:

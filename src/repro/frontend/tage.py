@@ -6,6 +6,13 @@ folded global history. The statistical corrector and loop predictor of
 TAGE-SC-L buy a few percent of accuracy that does not change any MDP
 conclusion, so they are omitted (documented fidelity note in DESIGN.md).
 
+The folded histories depend only on the conditional-branch outcomes, which
+a trace fixes in advance, so the hot callers (reference plans, the batch
+backend's ``TracePrep`` and functional warming) hand the predictor a
+stretch of branches at once (:meth:`TAGEPredictor.observe_stretch`): one
+loop per component computes a slice's keys, then the slice trains branch
+by branch. Observing one branch is a stretch of one.
+
 The implementation also doubles as the structural template the paper reuses
 for prediction tables searched in parallel at several history lengths
 (Sec. IV-B: "Tables are searched in parallel on each prediction, similar to
@@ -14,12 +21,20 @@ the structure of a TAGE branch prediction").
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.bitops import mask
 from repro.common.rng import DeterministicRNG
 from repro.frontend.branch_predictors import BranchPredictor
 from repro.isa.microop import BranchKind
+
+
+#: Branches per slice of :meth:`TAGEPredictor.observe_stretch`: the keys of
+#: one slice (two ints per component and branch) are held at once. Longer
+#: slices were no faster (0.33-0.34 s at 512 against 0.35 s at 2048 over
+#: 505.mcf's 64,814 branches) and hold four times the keys.
+SLICE_BRANCHES = 512
 
 
 def geometric_history_lengths(minimum: int, maximum: int, count: int) -> List[int]:
@@ -122,104 +137,167 @@ class TAGEPredictor(BranchPredictor):
 
     # -- indexing -----------------------------------------------------------
 
-    def _keys(self, pc: int) -> Tuple[List[int], List[int]]:
-        """Each component's (index, tag) for ``pc`` at the current history."""
+    def _slice_keys(
+        self, pcs: Sequence[int], bits: Sequence[int]
+    ) -> Tuple[List[Tuple[Tuple[int, ...], Tuple[int, ...]]], List[int]]:
+        """Each branch's per-component (indices, tags), and the folds after.
+
+        ``pcs`` and ``bits`` are a slice of conditional branches and their
+        history bits (``taken ^ (pc & 1)``), oldest first. A branch's keys
+        read the folds before its own bit shifts in. The bit leaving
+        component ``t``'s window at slice step ``j`` is the one shifted in
+        ``length_t`` branches earlier: from the ring before the slice, from
+        ``bits`` after it. Nothing here mutates the predictor.
+        """
+        history = self._history
+        head = self._hist_head
+        span = self._hist_size - 1  # the longest history length
+        ring = history[head:] + history[:head]  # youngest first
+        # The last ``span`` bits before the slice, oldest first, then the slice.
+        stream = ring[span - 1 :: -1] + list(bits)
+        count = len(pcs)
         index_mask = self._index_mask
         tag_mask = self._tag_mask
-        tag0_base = self._tag0_base
-        tag1_base = self._tag1_base
-        folds = self._folds
-        indices = [
-            (pc ^ (pc >> shift) ^ fold) & index_mask
-            for shift, fold in zip(self._pc_shifts, folds)
-        ]
-        tags = [
-            (pc ^ (fold >> tag0_base) ^ ((fold >> tag1_base) << 1)) & tag_mask
-            for fold in folds
-        ]
-        return indices, tags
+        tag0 = self._tag0_base
+        tag1 = self._tag1_base
+        keep = self._fold_keep
+        insert = self._fold_insert
+        adds = [insert if bit else 0 for bit in bits]
+        table_indices = []
+        table_tags = []
+        folds = []
+        for fold, length, outgoing, shift in zip(
+            self._folds, self._lengths, self._fold_outgoing, self._pc_shifts
+        ):
+            indices = []
+            tags = []
+            index_append = indices.append
+            tag_append = tags.append
+            first = span - length
+            for pc, add, out in zip(pcs, adds, stream[first : first + count]):
+                index_append((pc ^ (pc >> shift) ^ fold) & index_mask)
+                tag_append((pc ^ (fold >> tag0) ^ ((fold >> tag1) << 1)) & tag_mask)
+                fold = ((fold << 1) & keep) ^ add
+                if out:
+                    fold ^= outgoing
+            table_indices.append(indices)
+            table_tags.append(tags)
+            folds.append(fold)
+        return list(zip(zip(*table_indices), zip(*table_tags))), folds
 
-    def _lookup(
-        self, indices: List[int], tags: List[int]
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Return (provider_table, alternate_table), longest-history match first."""
-        provider = None
+    def _predict_at(
+        self, pc: int, indices: Sequence[int], tags: Sequence[int]
+    ) -> Tuple[Optional[int], bool, bool]:
+        """(provider, alternate prediction, final prediction) at one
+        branch's keys. The provider is the longest-history tag match (None:
+        the bimodal base provides), the alternate the next one. A
+        just-allocated-looking provider (weakest counter, not yet useful)
+        defers to the alternate while ``_use_alt >= 0``."""
         table_tags = self._tags
+        ctrs = self._ctrs
+        provider = alternate = None
         for table in range(len(table_tags) - 1, -1, -1):
             if table_tags[table][indices[table]] == tags[table]:
                 if provider is not None:
-                    return provider, table
+                    alternate = table
+                    break
                 provider = table
-        return provider, None
-
-    def _alt_taken(self, pc: int, indices: List[int], alternate: Optional[int]) -> bool:
-        if alternate is None:
-            return self._bimodal[pc & 0xFFF] >= 0
-        return self._ctrs[alternate][indices[alternate]] >= 0
-
-    def _weak_new(self, table: int, index: int) -> bool:
-        """A just-allocated-looking provider: weakest counter, not yet useful."""
-        return self._ctrs[table][index] in (0, -1) and self._useful[table][index] == 0
+        if alternate is not None:
+            alt_taken = ctrs[alternate][indices[alternate]] >= 0
+        else:
+            alt_taken = self._bimodal[pc & 0xFFF] >= 0
+        if provider is None:
+            return None, alt_taken, alt_taken
+        index = indices[provider]
+        counter = ctrs[provider][index]
+        if (
+            self._use_alt >= 0
+            and counter in (0, -1)
+            and self._useful[provider][index] == 0
+        ):
+            return provider, alt_taken, alt_taken
+        return provider, alt_taken, counter >= 0
 
     # -- BranchPredictor interface -------------------------------------------
 
-    def _final_prediction(
-        self,
-        pc: int,
-        indices: List[int],
-        provider: Optional[int],
-        alternate: Optional[int],
-    ) -> bool:
-        """The TAGE prediction given an already-computed :meth:`_lookup`."""
-        if provider is None:
-            return self._bimodal[pc & 0xFFF] >= 0
-        index = indices[provider]
-        if self._use_alt >= 0 and self._weak_new(provider, index):
-            return self._alt_taken(pc, indices, alternate)
-        return self._ctrs[provider][index] >= 0
-
     def predict(self, pc: int) -> bool:
-        indices, tags = self._keys(pc)
-        provider, alternate = self._lookup(indices, tags)
-        return self._final_prediction(pc, indices, provider, alternate)
+        (indices, tags), = self._slice_keys((pc,), (0,))[0]
+        return self._predict_at(pc, indices, tags)[2]
 
     def update(self, pc: int, taken: bool) -> None:
-        self._resolve(pc, taken)
+        self.observe_stretch(((pc, BranchKind.CONDITIONAL, taken, 0),))
 
     def observe(self, pc: int, kind, taken: bool, target: int) -> bool:
-        """Predict-then-train with the table search shared between the two.
+        """Predict-then-train one branch: a stretch of one."""
+        return self.observe_stretch(((pc, kind, taken, target),))[0]
 
-        The base-class ``observe`` calls ``predict`` then ``update``, which
-        would search the tagged tables twice. Nothing mutates between the
-        two phases, so each component's index and tag are computed once and
-        serve the search, the prediction, the training and the allocation.
+    def observe_stretch(
+        self, branches: Iterable[Tuple[int, BranchKind, bool, int]]
+    ) -> List[bool]:
+        """Observe a stretch of branches in order; True for each mispredicted one.
+
+        Each branch is ``(pc, kind, taken, target)``, as :meth:`observe`
+        takes it, and the stretch leaves the predictor exactly as observing
+        them one by one would. The folded histories depend only on the
+        conditional outcomes, so the stretch goes in slices of at most
+        :data:`SLICE_BRANCHES` branches: one loop per component computes
+        every conditional branch's keys (:meth:`_slice_keys`), then the
+        slice trains branch by branch. Other kinds keep the base class's
+        handling, in order. ``branches`` may be a generator; a slice at a
+        time bounds the branches and keys held.
         """
-        if kind is BranchKind.CONDITIONAL:
-            return self._resolve(pc, taken)
-        return super().observe(pc, kind, taken, target)
+        verdicts: List[bool] = []
+        append = verdicts.append
+        conditional = BranchKind.CONDITIONAL
+        other = BranchPredictor.observe
+        train = self._train
+        branches = iter(branches)
+        while True:
+            part = list(islice(branches, SLICE_BRANCHES))
+            if not part:
+                return verdicts
+            pcs = []
+            bits = []
+            for pc, kind, taken, _ in part:
+                if kind is conditional:
+                    pcs.append(pc)
+                    bits.append(taken ^ (pc & 1))
+            keys = iter(())
+            if pcs:
+                keys, self._folds = self._slice_keys(pcs, bits)
+                self._shift_in(bits)
+                keys = iter(keys)
+            for pc, kind, taken, target in part:
+                if kind is conditional:
+                    append(train(pc, taken, *next(keys)))
+                else:
+                    append(other(self, pc, kind, taken, target))
 
-    def _resolve(self, pc: int, taken: bool) -> bool:
-        """Predict and train one conditional branch; True if mispredicted."""
-        indices, tags = self._keys(pc)
-        provider, alternate = self._lookup(indices, tags)
-        prediction = self._final_prediction(pc, indices, provider, alternate)
+    # -- internals -----------------------------------------------------------
+
+    def _train(
+        self, pc: int, taken: bool, indices: Sequence[int], tags: Sequence[int]
+    ) -> bool:
+        """Predict and train one conditional branch at its keys; True if
+        mispredicted. The keys serve the search, the prediction, the
+        training and the allocation."""
+        provider, alt_taken, prediction = self._predict_at(pc, indices, tags)
         if provider is not None:
             index = indices[provider]
             ctrs = self._ctrs[provider]
             counter = ctrs[index]
             provider_taken = counter >= 0
-            alt_taken = self._alt_taken(pc, indices, alternate)
             if provider_taken != alt_taken:
                 # Track whether the alternate would have been better for
                 # weak entries.
-                if self._weak_new(provider, index):
+                useful = self._useful[provider]
+                if counter in (0, -1) and useful[index] == 0:
                     if alt_taken == taken:
                         if self._use_alt < 7:
                             self._use_alt += 1
                     elif self._use_alt > -8:
                         self._use_alt -= 1
                 # Usefulness: provider correct where the alternate was wrong.
-                useful = self._useful[provider]
                 if provider_taken == taken:
                     if useful[index] < self._useful_max:
                         useful[index] += 1
@@ -245,17 +323,18 @@ class TAGEPredictor(BranchPredictor):
             start = 0 if provider is None else provider + 1
             self._allocate(indices, tags, taken, start)
 
-        self._shift_history(pc, taken)
         self._branch_count += 1
         if self._branch_count % self._reset_period == 0:
             for useful in self._useful:
                 useful[:] = [0] * len(useful)
         return prediction != taken
 
-    # -- internals -----------------------------------------------------------
-
     def _allocate(
-        self, indices: List[int], tags: List[int], taken: bool, start_table: int
+        self,
+        indices: Sequence[int],
+        tags: Sequence[int],
+        taken: bool,
+        start_table: int,
     ) -> None:
         useful = self._useful
         candidates = [
@@ -279,23 +358,14 @@ class TAGEPredictor(BranchPredictor):
         self._ctrs[chosen][index] = 0 if taken else -1
         useful[chosen][index] = 0
 
-    def _shift_history(self, pc: int, taken: bool) -> None:
+    def _shift_in(self, bits: Sequence[int]) -> None:
+        """Push a slice's history bits into the ring, oldest first."""
         history = self._history
         head = self._hist_head
         size = self._hist_size
-        folds = self._folds
-        keep = self._fold_keep
-        new_bit = int(taken) ^ (pc & 1)
-        insert = self._fold_insert if new_bit else 0
-        for table, (length, outgoing) in enumerate(
-            zip(self._lengths, self._fold_outgoing)
-        ):
-            fold = ((folds[table] << 1) & keep) | insert
-            if history[(head + length - 1) % size]:
-                fold ^= outgoing
-            folds[table] = fold
-        head = (head - 1) % size
-        history[head] = new_bit
+        for bit in bits:
+            head = (head - 1) % size
+            history[head] = bit
         self._hist_head = head
 
     def storage_bits(self) -> int:

@@ -249,9 +249,7 @@ def _acquire_checkpoints(
         if workers > 1 and not config.wrong_path_depth:
             context = default_mp_context()
             if context.get_start_method() == "fork":
-                helper = MachineHelper(
-                    trace, config, branch_predictor, missing, context
-                )
+                helper = MachineHelper(trace, config, missing, context)
         try:
             warmer = FunctionalWarmer(
                 trace,
@@ -315,8 +313,8 @@ def run_sampled(
     ``workers > 1`` the interval runs fan out through the harness executor
     in worker processes (the spec must then be picklable — use registry
     predictor names), and under a fork start method with wrong-path replay
-    off a helper process warms the cache hierarchy (and default TAGE)
-    beside the parent's predictor warming; ``workers <= 1`` does
+    off a helper process warms the cache hierarchy beside the parent's
+    predictor and front-end warming; ``workers <= 1`` does
     everything inline. Either way the checkpoints and the result are the
     same.
 

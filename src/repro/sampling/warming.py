@@ -17,8 +17,7 @@ each structure depends on.
   per load, which also trains the stride prefetcher — and
   ``reset_transients()`` at each pause. Stores never touch the hierarchy,
   same as the detailed model (store data drains through the SB off the
-  timing path). It also warms the front end when that is the default TAGE
-  and wrong-path replay is off.
+  timing path). It warms nothing else.
 * The **predictor pass** (:class:`PredictorPass`) warms what PHAST's
   context-sensitive prediction reads in program order: the global history
   log, the in-flight store window, the SQ allocation cursors
@@ -29,14 +28,16 @@ each structure depends on.
   overlapping store still in the window, a missed truth trains
   ``on_violation``, and every load delivers ``on_load_commit`` feedback —
   the same hooks the detailed loop calls, minus cycle-accurate issue
-  timing. A front-end override stays here too, since it may share state
+  timing. It also warms the front end: a plain TAGE (the default) predicts
+  each stretch's branches at once, and any other front end observes each
+  branch in program order with the MDP hooks, since it may share state
   with the MDP (``OmniPredictor.branch_view`` does).
 * With ``wrong_path_depth > 0`` phantom loads after a mispredicted branch
   pollute both the caches and the MDP (a one-line approximation of the
-  detailed wrong-path replay), so they need branch outcomes. The front end
-  and the wrong-path replay map then stay in the predictor pass, which
-  hands the machine pass the phantom-load starts of each stretch it warms.
-  The machine pass runs the same code in every case.
+  detailed wrong-path replay), so they need branch outcomes. The
+  wrong-path replay map lives in the predictor pass, which hands the
+  machine pass the phantom-load starts of each stretch it warms. The
+  machine pass runs the same code in every case.
 
 :class:`FunctionalWarmer` drives both passes in-process: the predictor
 pass up to a stop, then the machine pass. When the machine pass needs
@@ -60,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import CoreConfig
 from repro.core.lsq import StoreRecord, StoreWindow
-from repro.core.pipeline import PipelineStats
+from repro.core.pipeline import PipelineStats, branches_of
 from repro.frontend.branch_predictors import BranchPredictor
 from repro.frontend.history import GlobalHistory
 from repro.frontend.tage import TAGEPredictor
@@ -79,33 +80,18 @@ from repro.sampling.state import MachineState, component_digests
 #: ``(branch index, first wrong-path op index)`` of one mispredicted branch.
 Phantom = Tuple[int, int]
 
-#: The machine pass's state at a pause: ``(config, hierarchy, front end)``,
-#: the front end ``None`` when the predictor pass warms it. One tuple, so
-#: that pickled together each level's ``CacheConfig`` stays shared with
+#: The machine pass's state at a pause: ``(config, hierarchy)``. One tuple,
+#: so that pickled together each level's ``CacheConfig`` stays shared with
 #: ``config.hierarchy``.
-MachineParts = Tuple[CoreConfig, MemoryHierarchy, Optional[BranchPredictor]]
-
-
-def machine_warms_front_end(
-    config: CoreConfig, branch_predictor: Optional[BranchPredictor]
-) -> bool:
-    """Whether the machine pass warms the front end: the default TAGE with
-    wrong-path replay off. Otherwise the predictor pass warms it."""
-    return branch_predictor is None and not config.wrong_path_depth
+MachineParts = Tuple[CoreConfig, MemoryHierarchy]
 
 
 class MachinePass:
-    """Warms the memory hierarchy, and the front end when it owns one."""
+    """Warms the memory hierarchy."""
 
-    def __init__(
-        self,
-        trace: Trace,
-        config: CoreConfig,
-        front_end: Optional[BranchPredictor] = None,
-    ) -> None:
+    def __init__(self, trace: Trace, config: CoreConfig) -> None:
         self.trace = trace
         self.config = config
-        self.front_end = front_end
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.next_index = 0
         self.last_fetch_line = -1
@@ -135,10 +121,8 @@ class MachinePass:
         ops = self.trace.ops
         fetch_access = self.hierarchy.fetch_access
         load_access = self.hierarchy.load_access
-        observe = self.front_end.observe if self.front_end is not None else None
         last_line = self.last_fetch_line
         load_kind = OpKind.LOAD
-        branch_kind = OpKind.BRANCH
         for index in range(start, stop):
             op = ops[index]
             pc = op.pc
@@ -146,12 +130,8 @@ class MachinePass:
             if line != last_line:
                 last_line = line
                 fetch_access(pc, index)
-            kind = op.kind
-            if kind is load_kind:
+            if op.kind is load_kind:
                 load_access(pc, op.mem.address, index)
-            elif kind is branch_kind and observe is not None:
-                branch = op.branch
-                observe(pc, branch.kind, branch.taken, branch.target)
         self.last_fetch_line = last_line
         self.next_index = stop
 
@@ -165,18 +145,18 @@ class MachinePass:
                 f"machine pass is at op {self.next_index}, not {op_index}"
             )
         self.hierarchy.reset_transients()
-        return self.config, self.hierarchy, self.front_end
+        return self.config, self.hierarchy
 
 
 class PredictorPass:
-    """Warms the history, store window, SQ cursors, MDP and any override."""
+    """Warms the history, store window, SQ cursors, MDP and front end."""
 
     def __init__(
         self,
         trace: Trace,
         predictor: MDPredictor,
         config: CoreConfig,
-        front_end: Optional[BranchPredictor] = None,
+        front_end: BranchPredictor,
     ) -> None:
         self.trace = trace
         self.predictor = predictor
@@ -325,7 +305,11 @@ class PredictorPass:
         for the machine pass; always empty with wrong-path replay off.
         The stretch's branches enter the history first, so the history
         tables grow once per stretch; each op's snapshot counts on from
-        the history's position before them.
+        the history's position before them. A plain TAGE front end then
+        predicts the whole stretch at once
+        (:meth:`~repro.frontend.tage.TAGEPredictor.observe_stretch`); any
+        other observes each branch in program order with the MDP hooks,
+        since it may share state with the MDP.
         """
         start = self.next_index
         if until <= start:
@@ -341,7 +325,11 @@ class PredictorPass:
                 record(op.pc, op.branch)
         warm_load = self._warm_load
         warm_store = self._warm_store
-        observe = self.front_end.observe if self.front_end is not None else None
+        front_end = self.front_end
+        observe = front_end.observe
+        verdicts = None
+        if type(front_end) is TAGEPredictor:
+            verdicts = iter(front_end.observe_stretch(branches_of(ops, start, until)))
         wrong_path = self._wrong_path_depth > 0
         wrong_path_after = self.wrong_path_after
         phantoms: List[Phantom] = []
@@ -357,17 +345,19 @@ class PredictorPass:
                 warm_store(op, index, snapshot)
             elif kind is branch_kind:
                 branch = op.branch
-                if observe is not None:
+                if verdicts is not None:
+                    mispredicted = next(verdicts)
+                else:
                     mispredicted = observe(
                         op.pc, branch.kind, branch.taken, branch.target
                     )
-                    if wrong_path:
-                        if mispredicted:
-                            wrong_index = wrong_path_after.get((op.pc, not branch.taken))
-                            if wrong_index is not None:
-                                self._warm_wrong_path(wrong_index, snapshot)
-                                phantoms.append((index, wrong_index))
-                        wrong_path_after.setdefault((op.pc, branch.taken), index + 1)
+                if wrong_path:
+                    if mispredicted:
+                        wrong_index = wrong_path_after.get((op.pc, not branch.taken))
+                        if wrong_index is not None:
+                            self._warm_wrong_path(wrong_index, snapshot)
+                            phantoms.append((index, wrong_index))
+                    wrong_path_after.setdefault((op.pc, branch.taken), index + 1)
                 snapshot += 1
         self.next_index = until
         return phantoms
@@ -397,16 +387,10 @@ class FunctionalWarmer:
     ) -> None:
         self.trace = trace
         config = config or CoreConfig()
-        on_machine = machine_warms_front_end(config, branch_predictor)
         self.predictor_pass = PredictorPass(
-            trace,
-            predictor,
-            config,
-            None if on_machine else branch_predictor or TAGEPredictor(),
+            trace, predictor, config, branch_predictor or TAGEPredictor()
         )
-        if machine is None:
-            machine = MachinePass(trace, config, TAGEPredictor() if on_machine else None)
-        self.machine = machine
+        self.machine = machine or MachinePass(trace, config)
 
     @property
     def next_index(self) -> int:
@@ -426,7 +410,7 @@ class FunctionalWarmer:
         The returned tree aliases the warmer's live objects — encode it
         (which pickles a copy) before calling ``advance`` again.
         """
-        config, hierarchy, front_end = self.machine.pause(self.next_index)
+        config, hierarchy = self.machine.pause(self.next_index)
         warmed = self.predictor_pass
         return MachineState(
             mode="functional",
@@ -437,7 +421,7 @@ class FunctionalWarmer:
             warmup_ops=0,
             config=config,
             predictor=warmed.predictor,
-            branch_predictor=front_end if front_end is not None else warmed.front_end,
+            branch_predictor=warmed.front_end,
             hierarchy=hierarchy,
             history=warmed.history,
             stats=PipelineStats(),
@@ -455,9 +439,9 @@ class FunctionalWarmer:
 class MachineHelper:
     """The machine pass in a forked helper process, as a warmer's machine.
 
-    The helper warms the hierarchy (and front end) over ``pauses``, which
-    must be ascending, and streams one :data:`MachineParts` pickle per
-    pause. It runs ahead of the parent on its own, so it takes only configs
+    The helper warms the hierarchy over ``pauses``, which must be
+    ascending, and streams one :data:`MachineParts` pickle per pause. It
+    runs ahead of the parent on its own, so it takes only configs
     with wrong-path replay off, whose machine pass needs nothing from the
     predictor pass. ``context`` must be a fork context: the helper inherits
     the trace. Always ``close()`` it; that kills and joins a helper still
@@ -468,7 +452,6 @@ class MachineHelper:
         self,
         trace: Trace,
         config: CoreConfig,
-        branch_predictor: Optional[BranchPredictor],
         pauses: Sequence[int],
         context,
     ) -> None:
@@ -480,14 +463,7 @@ class MachineHelper:
         self._conn, child_conn = context.Pipe(duplex=False)
         self._process = context.Process(
             target=_machine_helper_main,
-            args=(
-                child_conn,
-                self._conn,
-                trace,
-                config,
-                machine_warms_front_end(config, branch_predictor),
-                list(pauses),
-            ),
+            args=(child_conn, self._conn, trace, config, list(pauses)),
             name="functional-warming helper",
             daemon=True,
         )
@@ -528,12 +504,12 @@ class MachineHelper:
 
 
 def _machine_helper_main(
-    conn, parent_conn, trace: Trace, config: CoreConfig, front_end: bool, pauses
+    conn, parent_conn, trace: Trace, config: CoreConfig, pauses
 ) -> None:
     """Helper process body: warm, and send the machine state at each pause."""
     parent_conn.close()
     try:
-        machine = MachinePass(trace, config, TAGEPredictor() if front_end else None)
+        machine = MachinePass(trace, config)
         for pause in pauses:
             machine.advance(pause)
             conn.send(("state", pause, machine.pause(pause)))

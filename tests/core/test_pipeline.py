@@ -318,3 +318,42 @@ class TestResourceLimits:
         fast = run(list(ops), config=CoreConfig(store_drain_per_cycle=4))
         slow = run(list(ops), config=CoreConfig(store_drain_per_cycle=1, sq_entries=8))
         assert slow.cycles >= fast.cycles
+
+
+class TestVerdictSite:
+    """Where a branch's mispredict verdict is made: a plain TAGE predicts
+    each plan chunk's branches as the chunk is built; any other front end
+    observes inside the loop, in program order with the MDP hooks."""
+
+    @staticmethod
+    def _branch_flags(branch_predictor, predictor="phast"):
+        from repro.core.pipeline import BRANCH
+        from repro.sim.simulator import get_trace, make_predictor
+
+        pipeline = Pipeline(
+            CoreConfig(),
+            predictor if not isinstance(predictor, str) else make_predictor(predictor),
+            branch_predictor=branch_predictor,
+        )
+        run = pipeline.begin(get_trace("502.gcc_1", 3000))
+        return [rec[4] for rec in run._plan(0, 3000) if rec[0] == BRANCH]
+
+    def test_default_tage_plans_carry_verdicts(self):
+        from repro.frontend.tage import TAGEPredictor
+
+        for front_end in (None, TAGEPredictor(), TAGEPredictor(num_tables=4)):
+            flags = self._branch_flags(front_end)
+            assert flags and all(isinstance(flag, bool) for flag in flags)
+            assert any(flags)
+
+    def test_other_front_ends_observe_in_the_loop(self):
+        from repro.frontend.branch_predictors import GSharePredictor
+        from repro.mdp.omnipredictor import OmniPredictor
+
+        omni = OmniPredictor()
+        for front_end, predictor in (
+            (GSharePredictor(), "phast"),
+            (omni.branch_view, omni),
+        ):
+            flags = self._branch_flags(front_end, predictor)
+            assert flags and all(flag is None for flag in flags)

@@ -249,31 +249,40 @@ class TestHistoryTables:
         ),
         target_bits=st.sampled_from([0, 1, 5, 8]),
         num_bits=st.integers(0, 16),
+        cut=st.integers(0, 5),
     )
     def test_every_entry_matches_its_window(
-        self, stretches, length, width, target_bits, num_bits
+        self, stretches, length, width, target_bits, num_bits, cut
     ):
         default = history_module.BULK_RECORDS
         # Grow every stretch in bulk (numpy), then only long ones.
         for bulk_records in (1, default):
             history_module.BULK_RECORDS = bulk_records
             try:
-                self._check_tables(stretches, length, width, target_bits, num_bits)
+                self._check_tables(
+                    stretches, cut, length, width, target_bits, num_bits
+                )
             finally:
                 history_module.BULK_RECORDS = default
 
     @staticmethod
-    def _check_tables(stretches, length, width, target_bits, num_bits):
+    def _check_tables(stretches, cut, length, width, target_bits, num_bits):
         history = GlobalHistory()
         twin = GlobalHistory()  # same log, tables never read
-        for stretch, read in stretches:
+        restored = None  # decoded from ``history`` before stretch ``cut``
+        for step, (stretch, read) in enumerate(stretches):
+            if step == cut:
+                restored = pickle.loads(pickle.dumps(history))
+                bases = len(history.divergent), len(history.nosq)
+            logs = [history, twin] + ([restored] if restored else [])
             for slot, kind, taken, target in stretch:
                 info = BranchInfo(kind=kind, taken=taken, target=target)
-                history.record(0x400 + 4 * slot, info)
-                twin.record(0x400 + 4 * slot, info)
+                for log in logs:
+                    log.record(0x400 + 4 * slot, info)
             if read:
-                history.divergent.fold_table(length, width, target_bits)
-                history.nosq.nosq_words(num_bits)
+                for log in (history, restored) if restored else (history,):
+                    log.divergent.fold_table(length, width, target_bits)
+                    log.nosq.nosq_words(num_bits)
         divergent, nosq = history.divergent, history.nosq
         folds = divergent.fold_table(length, width, target_bits)
         words = nosq.nosq_words(num_bits)
@@ -288,13 +297,22 @@ class TestHistoryTables:
                 history, snapshot, num_bits
             )
 
-        # The tables are not pickled, and a restored history rebuilds them.
+        # The tables are not pickled.
         assert pickle.dumps(history) == pickle.dumps(twin)
-        restored = pickle.loads(pickle.dumps(history))
-        assert list(restored.divergent.fold_table(length, width, target_bits)) == list(
-            folds
-        )
-        assert list(restored.nosq.nosq_words(num_bits)) == list(words)
+        # A decoded view's tables hold the counts from its count at decode
+        # on, equal to the whole ones; a read below it raises.
+        if restored is None:
+            restored = pickle.loads(pickle.dumps(history))
+            bases = len(divergent), len(nosq)
+        for table, whole, base in (
+            (restored.divergent.fold_table(length, width, target_bits), folds, bases[0]),
+            (restored.nosq.nosq_words(num_bits), words, bases[1]),
+        ):
+            assert len(table) == len(whole)
+            assert [table[k] for k in range(base, len(whole))] == list(whole[base:])
+            if base:
+                with pytest.raises(IndexError, match="restore point"):
+                    table[base - 1]
 
     def test_a_table_is_one_object_extended_in_place(self):
         history = GlobalHistory()

@@ -1,11 +1,13 @@
 """Tests for the TAGE branch predictor."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.frontend import tage as tage_module
 from repro.frontend.tage import TAGEPredictor, geometric_history_lengths
 from repro.isa.microop import BranchKind
 from tests.reference_models import FoldedHistory, ReferenceTAGEPredictor
@@ -247,15 +249,22 @@ class TestMatchesReferenceModel:
         trace = get_trace("502.gcc_1", 20_000)
         flat, reference = TAGEPredictor(), ReferenceTAGEPredictor()
         mispredicts = []
+        branches = []
         for op in trace:
             branch = op.branch
             if branch is None:
                 continue
             args = (op.pc, branch.kind, branch.taken, branch.target)
+            branches.append(args)
             mispredicts.append(flat.observe(*args))
             assert mispredicts[-1] == reference.observe(*args)
         assert 0 < sum(mispredicts) < len(mispredicts)
         assert _tage_state(flat) == _tage_state(reference)
+        # The same branches as one stretch, longer than a slice.
+        stretched = TAGEPredictor()
+        assert len(branches) > tage_module.SLICE_BRANCHES
+        assert stretched.observe_stretch(branches) == mispredicts
+        assert pickle.dumps(stretched) == pickle.dumps(flat)
 
     def test_update_matches_observe(self):
         stream = [(0x400 + (i % 16) * 4, (i * 7) % 3 != 0) for i in range(3000)]
@@ -268,3 +277,65 @@ class TestMatchesReferenceModel:
             reference.update(pc, taken)
         assert _tage_state(by_update) == _tage_state(by_observe)
         assert _tage_state(by_update) == _tage_state(reference)
+
+
+_MIXED_STREAM = st.lists(
+    st.tuples(
+        st.sampled_from([0x400, 0x404, 0x481, 0x4C2, 0x1403, 0x2400]),
+        st.booleans(),
+        st.sampled_from(
+            [BranchKind.CONDITIONAL] * 6
+            + [BranchKind.INDIRECT, BranchKind.CALL, BranchKind.RETURN]
+        ),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestStretchMatchesPerBranch:
+    """``observe_stretch`` over any cut of a branch stream gives the verdicts
+    and the state of observing it branch by branch, and of the reference
+    model; slices as short as one branch cut stretches further."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        geometry=_GEOMETRY,
+        stream=_MIXED_STREAM,
+        cuts=st.lists(st.integers(0, 300), max_size=5),
+        slice_branches=st.sampled_from([1, 3, 17, tage_module.SLICE_BRANCHES]),
+    )
+    def test_stretches_agree(self, geometry, stream, cuts, slice_branches):
+        branches = [
+            (pc, kind, taken, pc * 3 if taken else pc + 4)
+            for pc, taken, kind in stream
+        ]
+        per_branch = TAGEPredictor(**geometry)
+        reference = ReferenceTAGEPredictor(**geometry)
+        expected = [per_branch.observe(*branch) for branch in branches]
+        assert expected == [reference.observe(*branch) for branch in branches]
+
+        stretched = TAGEPredictor(**geometry)
+        bounds = sorted({0, len(branches)} | {cut % len(branches) for cut in cuts})
+        verdicts = []
+        default = tage_module.SLICE_BRANCHES
+        tage_module.SLICE_BRANCHES = slice_branches
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                # A generator, as the pipeline and the warmer pass it.
+                verdicts += stretched.observe_stretch(
+                    branch for branch in branches[start:stop]
+                )
+        finally:
+            tage_module.SLICE_BRANCHES = default
+        assert verdicts == expected
+        assert _tage_state(stretched) == _tage_state(reference)
+        assert stretched._rng.next_u64() == reference._rng.next_u64()
+        per_branch._rng.next_u64()
+        assert pickle.dumps(stretched) == pickle.dumps(per_branch)
+
+    def test_empty_stretch_changes_nothing(self):
+        predictor = TAGEPredictor()
+        before = pickle.dumps(predictor)
+        assert predictor.observe_stretch([]) == []
+        assert pickle.dumps(predictor) == before

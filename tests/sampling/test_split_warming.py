@@ -1,8 +1,8 @@
 """Split functional warming: a helper-run machine pass matches inline warming.
 
 With ``workers > 1`` and wrong-path replay off, the sampled scheduler warms
-the memory hierarchy (and the default front end) in a forked helper while
-the parent warms history, store window and MDP. The checkpoints it stores
+the memory hierarchy in a forked helper while the parent warms history,
+store window, MDP and front end. The checkpoints it stores
 must be byte-identical to inline warming's, the results equal, and no
 helper may outlive the run.
 
@@ -208,17 +208,9 @@ def test_helper_snapshots_match_inline(
     assert checkpoints(None, op_by_op=True) == inline
     if config.wrong_path_depth:
         with pytest.raises(ValueError, match="wrong_path_depth"):
-            MachineHelper(
-                trace, config, None, stops, multiprocessing.get_context("fork")
-            )
+            MachineHelper(trace, config, stops, multiprocessing.get_context("fork"))
         return
-    helper = MachineHelper(
-        trace,
-        config,
-        GSharePredictor() if gshare else None,
-        stops,
-        multiprocessing.get_context("fork"),
-    )
+    helper = MachineHelper(trace, config, stops, multiprocessing.get_context("fork"))
     try:
         split = checkpoints(helper)
     finally:
